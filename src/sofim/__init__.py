@@ -5,7 +5,7 @@ mini-batch gradients, models curvature as that moment's outer product
 plus a scaled identity, and inverts the surrogate in closed form, so
 each step costs O(d) time and memory like SGD with momentum.
 
-Subpackages and modules:
+Modules:
 
 - :mod:`sofim.core` - the optimizer and its algebraic building blocks.
 - :mod:`sofim.baselines` - SGD momentum, Adam, dense natural-gradient and
@@ -15,13 +15,10 @@ Subpackages and modules:
 - :mod:`sofim.harness` - experiment runner, sweeps, scaling probe.
 - :mod:`sofim.cli` - command-line front end.
 
-The hot update kernels run on a compiled backend when the extension is
-available and fall back to numpy otherwise; ``sofim.KERNEL_BACKEND``
-names the one in use and the ``SOFIM_BACKEND`` environment variable
-(``auto``, ``cython``, ``numpy``) forces a choice at import time.
+Each stepper runs its update in place with numpy and allocates nothing
+per step.
 """
 
-from sofim._kernels import BACKEND as KERNEL_BACKEND
 from sofim.core import (
     SofimConfig,
     SofimOptimizer,
@@ -41,6 +38,9 @@ from sofim.exceptions import (
 )
 
 __version__ = "0.1.0"
+
+# Benchmark provenance records this, and result comparisons require it to match.
+KERNEL_BACKEND = "numpy"
 
 __all__ = [
     "KERNEL_BACKEND",

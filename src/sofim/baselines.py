@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sofim import _kernels
 from sofim.exceptions import ConfigError, DimensionMismatchError, ScaleCapError
 
 #: Dense-Fisher operations refuse dimensions above this.
@@ -193,50 +192,54 @@ def newton_step_quadratic(w, problem, eta: float):
 
 
 class SgdMomentumOptimizer:
-    """Stateful momentum-SGD stepper; mutates ``w`` in place via the kernel
-    backend.  Equivalent to iterating :func:`sgd_momentum_step`."""
-
-    needs_per_sample_grads = False
-    needs_hessian = False
+    """Stateful momentum-SGD stepper; mutates ``w`` in place, with its one
+    intermediate vector in an owned scratch vector, so a step allocates
+    nothing.  Equivalent to iterating :func:`sgd_momentum_step`."""
 
     def __init__(self, dim: int, config: SgdConfig):
         self.config = config
         self.velocity = np.zeros(dim)
+        self._scratch = np.empty(dim)
         self.step_count = 0
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
         lr = sgd_learning_rate(self.config, self.step_count)
-        _kernels.sgd_momentum_update(
-            w, self.velocity, g, lr, self.config.momentum, self.config.weight_decay
-        )
+        v, scratch = self.velocity, self._scratch
+        v *= self.config.momentum
+        v += g
+        if self.config.weight_decay != 0.0:
+            v += np.multiply(w, self.config.weight_decay, out=scratch)
+        w -= np.multiply(v, lr, out=scratch)
         self.step_count += 1
 
 
 class AdamOptimizer:
-    """Stateful Adam stepper; mutates ``w`` in place via the kernel backend.
-    Equivalent to iterating :func:`adam_step`."""
-
-    needs_per_sample_grads = False
-    needs_hessian = False
+    """Stateful Adam stepper; mutates ``w`` in place, with its intermediates
+    in two owned scratch vectors, so a step allocates nothing.  Equivalent
+    to iterating :func:`adam_step`."""
 
     def __init__(self, dim: int, config: AdamConfig):
         self.config = config
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
+        self._scratch = np.empty(dim)
+        self._denom = np.empty(dim)
         self.step_count = 0
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
         self.step_count += 1
         cfg = self.config
-        _kernels.adam_update(
-            w,
-            self.m,
-            self.v,
-            g,
-            cfg.eta,
-            cfg.beta1,
-            cfg.beta2,
-            1.0 - cfg.beta1**self.step_count,
-            1.0 - cfg.beta2**self.step_count,
-            cfg.epsilon,
-        )
+        m, v, scratch, denom = self.m, self.v, self._scratch, self._denom
+        m *= cfg.beta1
+        m += np.multiply(g, 1.0 - cfg.beta1, out=scratch)
+        v *= cfg.beta2
+        np.square(g, out=scratch)
+        v += np.multiply(scratch, 1.0 - cfg.beta2, out=scratch)
+        # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with bc = 1 - beta**t
+        np.divide(m, 1.0 - cfg.beta1**self.step_count, out=scratch)
+        scratch *= cfg.eta
+        np.divide(v, 1.0 - cfg.beta2**self.step_count, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += cfg.epsilon
+        scratch /= denom
+        w -= scratch

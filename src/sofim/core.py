@@ -11,8 +11,8 @@ time with O(d) extra memory, like SGD with momentum.
 
 The module-level functions are the pure contract surface: they validate
 inputs and return new arrays/states.  :class:`SofimOptimizer` is the
-buffer-reusing stepper the experiment harness drives; it delegates the
-per-step arithmetic to the selected kernel backend.
+buffer-reusing stepper the experiment harness drives; it runs the same
+update in place with numpy, allocating nothing per step.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from sofim import _kernels
 from sofim.exceptions import (
     ConfigError,
     DimensionMismatchError,
@@ -195,14 +194,10 @@ def sofim_step(w, state: SofimState, g):
 class SofimOptimizer:
     """Buffer-reusing stepper equivalent to iterating :func:`sofim_step`.
 
-    ``step`` mutates ``w`` and the internal moment in place through the
-    selected kernel backend (compiled extension or numpy fallback), so a
-    long run allocates nothing per iteration: the numpy kernel writes its
-    intermediates into a scratch vector the optimizer owns.
+    ``step`` mutates ``w`` and the internal moment in place and writes every
+    intermediate vector into a scratch vector the optimizer owns, so a long
+    run allocates nothing per iteration.
     """
-
-    needs_per_sample_grads = False
-    needs_hessian = False
 
     def __init__(self, dim: int, config: SofimConfig):
         self.config = config
@@ -214,16 +209,14 @@ class SofimOptimizer:
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
         self.step_count += 1
         self._beta_pow *= self.config.beta
-        sq = _kernels.sofim_update(
-            w,
-            self.moment,
-            g,
-            self._scratch,
-            self.config.beta,
-            1.0 - self._beta_pow,
-            self.config.eta,
-            self.config.rho,
-        )
+        beta, m, scratch = self.config.beta, self.moment, self._scratch
+        m *= beta
+        np.multiply(g, 1.0 - beta, out=scratch)
+        m += scratch
+        m_hat = np.divide(m, 1.0 - self._beta_pow, out=scratch)
+        sq = float(np.dot(m_hat, m_hat))
+        m_hat *= self.config.eta / (self.config.rho + sq)
+        w -= m_hat
         if not math.isfinite(sq):
             raise NonFiniteError("||m_hat||^2 overflowed during a step")
 

@@ -99,22 +99,6 @@ class ExperimentConfig:
             "loss_thresholds": list(self.loss_thresholds),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        allowed = {
-            "problem", "optimizer", "optimizer_params", "batch_size",
-            "total_iterations", "eval_every", "seed", "loss_thresholds",
-        }
-        unknown = set(data) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        missing = {"problem", "optimizer"} - set(data)
-        if missing:
-            raise ConfigError(f"config is missing required key(s): {sorted(missing)}")
-        kwargs = dict(data)
-        kwargs["loss_thresholds"] = tuple(kwargs.get("loss_thresholds", ()))
-        return cls(**kwargs)
-
     def config_hash(self) -> str:
         """Stable short hash of the experiment identity (used in file names)."""
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

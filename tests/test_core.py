@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sofim.baselines import AdamConfig, AdamOptimizer, SgdConfig, SgdMomentumOptimizer
 from sofim.core import (
     SM_DENOM_TOL,
     SofimConfig,
@@ -336,17 +337,25 @@ class TestSofimOptimizer:
 
     def test_warm_step_allocates_less_than_one_vector(self):
         """A warm step keeps its intermediates in owned buffers: numpy
-        allocates less than one d-length float64 vector inside it."""
+        allocates less than one d-length float64 vector inside it.  The
+        momentum-SGD (with weight decay) and Adam steppers are held to the
+        same bound."""
         d = 100_000
-        rng = np.random.default_rng(0)
-        opt = SofimOptimizer(d, SofimConfig(eta=0.01, rho=0.5, beta=0.9))
-        w, g = rng.standard_normal(d), rng.standard_normal(d)
-        opt.step(w, g)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
+        steppers = [
+            SofimOptimizer(d, SofimConfig(eta=0.01, rho=0.5, beta=0.9)),
+            SgdMomentumOptimizer(d, SgdConfig(eta=0.01, momentum=0.9, weight_decay=1e-4)),
+            AdamOptimizer(d, AdamConfig(eta=0.01)),
+        ]
+        for opt in steppers:
+            rng = np.random.default_rng(0)
+            w, g = rng.standard_normal(d), rng.standard_normal(d)
             opt.step(w, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < d * 8, f"one warm step allocated {peak} bytes at d={d}"
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                opt.step(w, g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            name = type(opt).__name__
+            assert peak < d * 8, f"one warm {name} step allocated {peak} bytes at d={d}"
