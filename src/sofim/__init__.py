@@ -15,8 +15,8 @@ Modules:
 - :mod:`sofim.harness` - experiment runner, sweeps, scaling probe.
 - :mod:`sofim.cli` - command-line front end.
 
-Each stepper runs its update in place with numpy and allocates nothing
-per step.
+The sofim, momentum-SGD and Adam steppers update in place with numpy
+and allocate nothing per step.
 """
 
 from sofim.core import (

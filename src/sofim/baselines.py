@@ -3,9 +3,9 @@
 Contains SGD with momentum (optional coupled weight decay and cosine
 annealing), Adam with canonical defaults, and two deliberately small-scale
 dense oracles: natural-gradient descent with the empirical Fisher matrix,
-and exact Newton for quadratic problems.  The dense oracles refuse to run
-above :data:`DENSE_FIM_CAP` dimensions; they exist to verify the O(d)
-optimizer, not to compete with it.
+and exact Newton for quadratic problems.  The dense Fisher refuses more
+than :data:`DENSE_FIM_CAP` dimensions; the oracles exist to verify the
+O(d) optimizer, not to compete with it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sofim.exceptions import ConfigError, DimensionMismatchError, ScaleCapError
+from sofim.core import check_step
+from sofim.exceptions import ConfigError, DimensionMismatchError, ScaleCapError, require
 
 #: Dense-Fisher operations refuse dimensions above this.
 DENSE_FIM_CAP = 200
@@ -37,14 +38,12 @@ class SgdConfig:
     total_steps: int | None = None
 
     def __post_init__(self):
-        if not (self.eta > 0):
-            raise ConfigError(f"eta must be > 0, got {self.eta}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+        require(self.eta > 0, f"eta must be > 0, got {self.eta}")
+        require(0.0 <= self.momentum < 1.0, f"momentum must lie in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.schedule not in ("constant", "cosine"):
-            raise ConfigError(f"schedule must be 'constant' or 'cosine', got {self.schedule!r}")
+        require(self.schedule in ("constant", "cosine"),
+                f"schedule must be 'constant' or 'cosine', got {self.schedule!r}")
         if self.schedule == "cosine" and (self.total_steps is None or self.total_steps < 1):
             raise ConfigError("cosine schedule requires total_steps >= 1")
 
@@ -59,14 +58,32 @@ class AdamConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if not (self.eta > 0):
-            raise ConfigError(f"eta must be > 0, got {self.eta}")
-        if not (0.0 <= self.beta1 < 1.0):
-            raise ConfigError(f"beta1 must lie in [0, 1), got {self.beta1}")
-        if not (0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"beta2 must lie in [0, 1), got {self.beta2}")
-        if not (self.epsilon > 0):
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        require(self.eta > 0, f"eta must be > 0, got {self.eta}")
+        require(0.0 <= self.beta1 < 1.0, f"beta1 must lie in [0, 1), got {self.beta1}")
+        require(0.0 <= self.beta2 < 1.0, f"beta2 must lie in [0, 1), got {self.beta2}")
+        require(self.epsilon > 0, f"epsilon must be > 0, got {self.epsilon}")
+
+
+@dataclass(frozen=True)
+class NgdConfig:
+    """Natural-gradient oracle hyperparameters."""
+
+    eta: float = 0.1
+    damping: float = DEFAULT_NGD_DAMPING
+
+    def __post_init__(self):
+        require(self.eta > 0, f"eta must be > 0, got {self.eta}")
+        require(self.damping > 0, f"damping must be > 0, got {self.damping}")
+
+
+@dataclass(frozen=True)
+class NewtonConfig:
+    """Newton oracle hyperparameters; ``eta = 1`` is the full Newton step."""
+
+    eta: float = 1.0
+
+    def __post_init__(self):
+        require(self.eta > 0, f"eta must be > 0, got {self.eta}")
 
 
 def sgd_learning_rate(cfg: SgdConfig, step_index: int) -> float:
@@ -103,8 +120,7 @@ def sgd_momentum_step(w, velocity, g, cfg: SgdConfig, step_index: int):
 
 def adam_step(w, m, v, g, cfg: AdamConfig, t: int):
     """One Adam step at iteration ``t`` (1-based); returns ``(w', m', v')``."""
-    if t < 1:
-        raise ConfigError(f"t must be >= 1, got {t}")
+    require(t >= 1, f"t must be >= 1, got {t}")
     w = np.asarray(w, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if w.shape != g.shape:
@@ -145,8 +161,7 @@ def empirical_fim(per_sample_grads, cap: int = DENSE_FIM_CAP) -> EmpiricalFim:
     O(B d^2) cost, not a large-scale operation.
     """
     grads = np.atleast_2d(np.asarray(per_sample_grads, dtype=np.float64))
-    if grads.size == 0:
-        raise ConfigError("per_sample_grads must contain at least one gradient")
+    require(grads.size > 0, "per_sample_grads must contain at least one gradient")
     d = grads.shape[1]
     if d > cap:
         raise ScaleCapError(f"dense Fisher oracle capped at d <= {cap}, got d = {d}")
@@ -163,8 +178,7 @@ def ngd_step(w, per_sample_grads, eta: float, damping: float = DEFAULT_NGD_DAMPI
     mean per-sample gradient.  Damping must be positive because the
     empirical Fisher of a finite batch is rank-deficient.
     """
-    if not (damping > 0):
-        raise ConfigError(f"damping must be > 0, got {damping}")
+    require(damping > 0, f"damping must be > 0, got {damping}")
     w = np.asarray(w, dtype=np.float64)
     grads = np.atleast_2d(np.asarray(per_sample_grads, dtype=np.float64))
     if grads.shape[1] != w.shape[0]:
@@ -178,15 +192,19 @@ def ngd_step(w, per_sample_grads, eta: float, damping: float = DEFAULT_NGD_DAMPI
     return w - eta * direction
 
 
+def _require_positive_definite(hess) -> None:
+    try:
+        np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError("Hessian is not positive definite") from exc
+
+
 def newton_step_quadratic(w, problem, eta: float):
     """Exact Newton step ``w - eta * H^{-1} grad`` for a problem exposing a
     constant positive-definite Hessian."""
     w = np.asarray(w, dtype=np.float64)
     hess = problem.exact_hessian(w)
-    try:
-        np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigError("Hessian is not positive definite") from exc
+    _require_positive_definite(hess)
     g = problem.grad(w)
     return w - eta * np.linalg.solve(hess, g)
 
@@ -203,6 +221,7 @@ class SgdMomentumOptimizer:
         self.step_count = 0
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
+        check_step(w, g, self.velocity.shape)
         lr = sgd_learning_rate(self.config, self.step_count)
         v, scratch = self.velocity, self._scratch
         v *= self.config.momentum
@@ -227,6 +246,7 @@ class AdamOptimizer:
         self.step_count = 0
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
+        check_step(w, g, self.m.shape)
         self.step_count += 1
         cfg = self.config
         m, v, scratch, denom = self.m, self.v, self._scratch, self._denom
@@ -243,3 +263,25 @@ class AdamOptimizer:
         denom += cfg.epsilon
         scratch /= denom
         w -= scratch
+
+
+class NgdOracle:
+    """Stepper for :func:`ngd_step`; ``g`` holds one per-sample gradient per row."""
+
+    def __init__(self, dim: int, config: NgdConfig):
+        self.config = config
+
+    def step(self, w: np.ndarray, g: np.ndarray) -> None:
+        w[...] = ngd_step(w, g, self.config.eta, self.config.damping)
+
+
+class NewtonOracle:
+    """Stepper ``w -= eta * H^{-1} g`` for a constant Hessian ``H``, which is
+    handed over once and checked positive definite here."""
+
+    def __init__(self, dim: int, config: NewtonConfig, hessian: np.ndarray):
+        _require_positive_definite(hessian)
+        self.config, self.hessian = config, hessian
+
+    def step(self, w: np.ndarray, g: np.ndarray) -> None:
+        w -= self.config.eta * np.linalg.solve(self.hessian, g)

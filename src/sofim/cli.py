@@ -54,6 +54,9 @@ _RUN_KEYS = {
     "problem", "optimizer", "hyperparameters", "iterations", "batch_size",
     "eval_every", "seed", "output_dir", "loss_thresholds",
 }
+#: Integer keys of a run config, each with the ExperimentConfig field it sets.
+_RUN_INT_KEYS = {"batch_size": "batch_size", "iterations": "total_iterations",
+                 "eval_every": "eval_every", "seed": "seed"}
 _FILE_KEYS = {
     "run": _RUN_KEYS,
     "sweep": _RUN_KEYS | {"grid"},
@@ -164,8 +167,8 @@ def _resolve_output_dir(config: dict) -> Path:
     return out
 
 
-def _int_field(config: dict, key: str, default: int) -> int:
-    value = config.get(key, default)
+def _int_field(config: dict, key: str) -> int:
+    value = config[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise CliError(f"config key {key!r} must be an integer, got {value!r}")
     return value
@@ -187,11 +190,9 @@ def _experiment_config(config: dict) -> harness.ExperimentConfig:
         problem=config["problem"],
         optimizer=config["optimizer"],
         optimizer_params=params,
-        batch_size=_int_field(config, "batch_size", 512),
-        total_iterations=_int_field(config, "iterations", 1000),
-        eval_every=_int_field(config, "eval_every", 50),
-        seed=_int_field(config, "seed", 0),
         loss_thresholds=tuple(float(t) for t in thresholds),
+        # Keys the config leaves out keep ExperimentConfig's defaults.
+        **{name: _int_field(config, key) for key, name in _RUN_INT_KEYS.items() if key in config},
     )
 
 
@@ -312,14 +313,13 @@ def _cmd_scaling(args) -> int:
     dims = config.get("dims", list(DEFAULT_SCALING_DIMS))
     if not isinstance(dims, (list, tuple)) or not dims:
         raise CliError("config key 'dims' must be a non-empty list of integers")
-    repeats = _int_field(config, "repeats", 20)
-    seed = _int_field(config, "seed", 0)
+    probe_args = {key: _int_field(config, key) for key in ("repeats", "seed") if key in config}
     params = config.get("hyperparameters", {})
 
     rows = []
     for optimizer_id in optimizers:
         for d, seconds in harness.scaling_probe(
-            optimizer_id, dims, repeats=repeats, seed=seed, optimizer_params=params
+            optimizer_id, dims, optimizer_params=params, **probe_args
         ):
             rows.append((optimizer_id, d, seconds))
             print(f"{optimizer_id} d={d} median_step_seconds={seconds:.6e}")

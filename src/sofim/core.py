@@ -27,6 +27,7 @@ from sofim.exceptions import (
     DimensionMismatchError,
     NonFiniteError,
     SingularUpdateError,
+    require,
 )
 
 #: Reject rank-one inverse updates whose denominator is smaller than this.
@@ -52,6 +53,19 @@ def _require_same_length(a: np.ndarray, b: np.ndarray, a_name: str, b_name: str)
         )
 
 
+def check_step(w: np.ndarray, g: np.ndarray, shape: tuple) -> None:
+    """Refuse a stepper's ``(w, g)`` before the step changes anything: both
+    must have the stepper's ``shape`` and ``g`` must be finite.  That costs
+    one read of ``g`` (``g . g``) and no allocation unless the sum is not finite.
+    """
+    if w.shape != shape or g.shape != shape:
+        raise DimensionMismatchError(
+            f"g has shape {g.shape} and w has shape {w.shape}; the optimizer expects {shape}"
+        )
+    if not math.isfinite(np.dot(g, g)):
+        _require_finite(g, "g")
+
+
 @dataclass(frozen=True)
 class SofimConfig:
     """Hyperparameters: learning rate ``eta``, curvature regularizer ``rho``,
@@ -62,14 +76,11 @@ class SofimConfig:
     beta: float = 0.9
 
     def __post_init__(self):
-        if not (self.eta > 0):
-            raise ConfigError(f"eta must be > 0, got {self.eta}")
-        if not (self.rho > 0):
-            # rho <= 0 destroys positive-definiteness of the preconditioner;
-            # fail fast instead of silently diverging.
-            raise ConfigError(f"rho must be > 0, got {self.rho}")
-        if not (0.0 <= self.beta < 1.0):
-            raise ConfigError(f"beta must lie in [0, 1), got {self.beta}")
+        require(self.eta > 0, f"eta must be > 0, got {self.eta}")
+        # rho <= 0 destroys positive-definiteness of the preconditioner;
+        # fail fast instead of silently diverging.
+        require(self.rho > 0, f"rho must be > 0, got {self.rho}")
+        require(0.0 <= self.beta < 1.0, f"beta must lie in [0, 1), got {self.beta}")
 
 
 @dataclass
@@ -88,15 +99,13 @@ class SofimState:
 
     def __post_init__(self):
         self.moment = _as_vector(self.moment, "moment")
-        if self.step < 0:
-            raise ConfigError(f"step must be >= 0, got {self.step}")
+        require(self.step >= 0, f"step must be >= 0, got {self.step}")
         if self.step == 0 and np.any(self.moment != 0.0):
             raise ConfigError("a state at step 0 must have a zero moment vector")
 
     @classmethod
     def initial(cls, dim: int, config: SofimConfig) -> "SofimState":
-        if dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {dim}")
+        require(dim >= 1, f"dim must be >= 1, got {dim}")
         return cls(moment=np.zeros(dim), step=0, config=config, beta_pow=1.0)
 
     @property
@@ -129,8 +138,7 @@ def bias_correct(state: SofimState) -> np.ndarray:
     Requires at least one accumulated step; at step 0 the denominator is
     zero and the moment carries no information.
     """
-    if state.step < 1:
-        raise ConfigError("bias_correct requires step >= 1 (no gradients accumulated yet)")
+    require(state.step >= 1, "bias_correct requires step >= 1 (no gradients accumulated yet)")
     denom = 1.0 - state.beta_pow
     return state.moment / denom
 
@@ -142,8 +150,7 @@ def sherman_morrison_inverse_apply(a_diag: float, u, v, b) -> np.ndarray:
     Raises :class:`SingularUpdateError` when ``|1 + v^T u / a_diag|`` falls
     below :data:`SM_DENOM_TOL`.
     """
-    if not (a_diag > 0):
-        raise ConfigError(f"a_diag must be > 0, got {a_diag}")
+    require(a_diag > 0, f"a_diag must be > 0, got {a_diag}")
     u = _as_vector(u, "u")
     v = _as_vector(v, "v")
     b = _as_vector(b, "b")
@@ -166,8 +173,7 @@ def sofim_direction(m_hat, rho: float) -> np.ndarray:
     computed here (the two-term expansion cancels catastrophically when
     ``||m_hat||^2 >> rho``).  The direction is always parallel to ``m_hat``.
     """
-    if not (rho > 0):
-        raise ConfigError(f"rho must be > 0, got {rho}")
+    require(rho > 0, f"rho must be > 0, got {rho}")
     m_hat = _as_vector(m_hat, "m_hat")
     _require_finite(m_hat, "m_hat")
     sq = float(np.dot(m_hat, m_hat))
@@ -196,7 +202,9 @@ class SofimOptimizer:
 
     ``step`` mutates ``w`` and the internal moment in place and writes every
     intermediate vector into a scratch vector the optimizer owns, so a long
-    run allocates nothing per iteration.
+    run allocates nothing per iteration.  A gradient of the wrong shape or
+    with a NaN or Inf entry is refused before any state changes, and an
+    overflowing ``||m_hat||^2`` is refused before ``w`` changes.
     """
 
     def __init__(self, dim: int, config: SofimConfig):
@@ -207,6 +215,7 @@ class SofimOptimizer:
         self._beta_pow = 1.0
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
+        check_step(w, g, self.moment.shape)
         self.step_count += 1
         self._beta_pow *= self.config.beta
         beta, m, scratch = self.config.beta, self.moment, self._scratch
@@ -215,10 +224,10 @@ class SofimOptimizer:
         m += scratch
         m_hat = np.divide(m, 1.0 - self._beta_pow, out=scratch)
         sq = float(np.dot(m_hat, m_hat))
-        m_hat *= self.config.eta / (self.config.rho + sq)
-        w -= m_hat
         if not math.isfinite(sq):
             raise NonFiniteError("||m_hat||^2 overflowed during a step")
+        m_hat *= self.config.eta / (self.config.rho + sq)
+        w -= m_hat
 
     @property
     def state(self) -> SofimState:

@@ -20,3 +20,9 @@ class ScaleCapError(ValueError):
 class ConfigError(ValueError):
     """An experiment or CLI configuration is invalid; the message names
     the offending field."""
+
+
+def require(ok: bool, message: str) -> None:
+    """Raise :class:`ConfigError` with ``message`` unless ``ok``."""
+    if not ok:
+        raise ConfigError(message)

@@ -1,6 +1,13 @@
 """Experiment harness: mini-batch training loops, per-iteration metrics,
 hyperparameter sweeps, and O(d) step-cost measurement.
 
+Every optimizer, the dense NGD and Newton oracles included, is one row of
+:data:`OPTIMIZERS`: a frozen hyperparameter dataclass (its fields are the
+accepted keys), the harness defaults that differ from the dataclass's, and
+a stepper whose ``step(w, g)`` updates ``w`` in place.  Runs and the
+scaling probe build their stepper from that row the same way, so the
+training loop makes one ``stepper.step`` call per iteration.
+
 A run is a pure function of its :class:`ExperimentConfig` (wall-time
 columns aside): initialization, batch order and updates are all seeded.
 Non-finite or exploding losses end the run early with a divergence flag
@@ -10,26 +17,26 @@ instead of crashing, so grid sweeps survive unstable corners.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from sofim import baselines, problems
 from sofim.core import SofimConfig, SofimOptimizer
-from sofim.exceptions import ConfigError, NonFiniteError, ScaleCapError
+from sofim.exceptions import NonFiniteError, ScaleCapError, require
 
 #: A batch loss above this counts as divergence even while still finite.
 DIVERGENCE_LOSS = 1e8
 
 #: Interleaved timing rounds of :func:`scaling_probe`.
 SCALING_ROUNDS = 5
-
-OPTIMIZER_IDS = ("sofim", "sgd_momentum", "adam", "ngd_oracle", "newton_oracle")
 
 CSV_COLUMNS = (
     "iteration",
@@ -41,13 +48,56 @@ CSV_COLUMNS = (
     "wall_ms",
 )
 
-_OPTIMIZER_PARAM_KEYS = {
-    "sofim": {"eta", "rho", "beta"},
-    "sgd_momentum": {"eta", "momentum", "weight_decay", "schedule", "total_steps"},
-    "adam": {"eta", "beta1", "beta2", "epsilon"},
-    "ngd_oracle": {"eta", "damping"},
-    "newton_oracle": {"eta"},
+
+class _Optimizer(NamedTuple):
+    """One row of :data:`OPTIMIZERS`."""
+
+    config: type  # frozen hyperparameter dataclass
+    stepper: type  # built as stepper(dim, config), plus the Hessian if `hessian`
+    defaults: dict = {}  # harness defaults that differ from the dataclass's
+    gradient: str = "grad"  # the problem method that feeds step's g
+    hessian: bool = False  # the stepper takes the problem's constant Hessian
+    dense: bool = False  # a dense oracle: the scaling probe caps its dimension
+    iterations_key: str | None = None  # defaults to the run's total_iterations
+
+
+OPTIMIZERS = {
+    "sofim": _Optimizer(SofimConfig, SofimOptimizer, {"eta": 0.1, "rho": 0.5}),
+    "sgd_momentum": _Optimizer(baselines.SgdConfig, baselines.SgdMomentumOptimizer,
+                               {"eta": 0.1, "momentum": 0.9}, iterations_key="total_steps"),
+    "adam": _Optimizer(baselines.AdamConfig, baselines.AdamOptimizer, {"eta": 0.001}),
+    "ngd_oracle": _Optimizer(baselines.NgdConfig, baselines.NgdOracle,
+                             gradient="per_sample_grads", dense=True),
+    "newton_oracle": _Optimizer(baselines.NewtonConfig, baselines.NewtonOracle,
+                                hessian=True, dense=True),
 }
+
+#: How a hyperparameter value is coerced, by its dataclass field's annotation.
+_COERCE = {"float": float, "int | None": int}
+
+
+def _hyperparameters(optimizer_id: str, params: dict, total_iterations: int):
+    """The table row of ``optimizer_id`` and its validated hyperparameter
+    dataclass: the row's defaults overridden by ``params``, each value
+    coerced to its field's type."""
+    require(optimizer_id in tuple(OPTIMIZERS),
+            f"unknown optimizer {optimizer_id!r}; expected one of {tuple(OPTIMIZERS)}")
+    row = OPTIMIZERS[optimizer_id]
+    coerce = {f.name: _COERCE.get(f.type, lambda v: v) for f in fields(row.config)}
+    unknown = set(params) - set(coerce)
+    require(not unknown,
+            f"unknown hyperparameter(s) {sorted(unknown)} for optimizer {optimizer_id!r}")
+    values = {**row.defaults, **params}
+    if row.iterations_key:
+        values.setdefault(row.iterations_key, total_iterations)
+    return row, row.config(**{k: coerce[k](v) for k, v in values.items()})
+
+
+def _build_stepper(optimizer_id: str, params: dict, total_iterations: int, dim: int, hessian):
+    """A stepper of ``optimizer_id`` at ``dim`` with validated hyperparameters;
+    ``hessian()`` is called only for the row whose stepper takes one."""
+    row, config = _hyperparameters(optimizer_id, params, total_iterations)
+    return row.stepper(dim, config, *((hessian(),) if row.hessian else ()))
 
 
 @dataclass(frozen=True)
@@ -65,95 +115,23 @@ class ExperimentConfig:
     loss_thresholds: tuple = ()
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZER_IDS:
-            raise ConfigError(
-                f"unknown optimizer {self.optimizer!r}; expected one of {OPTIMIZER_IDS}"
-            )
-        if self.total_iterations < 1:
-            raise ConfigError(f"total_iterations must be >= 1, got {self.total_iterations}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (1 <= self.eval_every <= self.total_iterations):
-            raise ConfigError(
-                f"eval_every must lie in [1, total_iterations], got {self.eval_every}"
-            )
-        unknown = set(self.optimizer_params) - _OPTIMIZER_PARAM_KEYS[self.optimizer]
-        if unknown:
-            raise ConfigError(
-                f"unknown hyperparameter(s) {sorted(unknown)} for optimizer {self.optimizer!r}"
-            )
+        require(self.total_iterations >= 1,
+                f"total_iterations must be >= 1, got {self.total_iterations}")
+        require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
+        require(1 <= self.eval_every <= self.total_iterations,
+                f"eval_every must lie in [1, total_iterations], got {self.eval_every}")
         object.__setattr__(self, "loss_thresholds", tuple(self.loss_thresholds))
         # Validate hyperparameters eagerly so bad values (rho <= 0, beta >= 1,
         # ...) are rejected at config time, not mid-run.
-        _optimizer_config(self)
+        _hyperparameters(self.optimizer, self.optimizer_params, self.total_iterations)
 
     def to_dict(self) -> dict:
-        return {
-            "problem": dict(self.problem),
-            "optimizer": self.optimizer,
-            "optimizer_params": dict(self.optimizer_params),
-            "batch_size": self.batch_size,
-            "total_iterations": self.total_iterations,
-            "eval_every": self.eval_every,
-            "seed": self.seed,
-            "loss_thresholds": list(self.loss_thresholds),
-        }
+        return asdict(self)
 
     def config_hash(self) -> str:
         """Stable short hash of the experiment identity (used in file names)."""
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:10]
-
-
-def _optimizer_config(cfg: ExperimentConfig):
-    """Build the validated config object for cfg's optimizer."""
-    p = cfg.optimizer_params
-    if cfg.optimizer == "sofim":
-        return SofimConfig(
-            eta=float(p.get("eta", 0.1)),
-            rho=float(p.get("rho", 0.5)),
-            beta=float(p.get("beta", 0.9)),
-        )
-    if cfg.optimizer == "sgd_momentum":
-        return baselines.SgdConfig(
-            eta=float(p.get("eta", 0.1)),
-            momentum=float(p.get("momentum", 0.9)),
-            weight_decay=float(p.get("weight_decay", 0.0)),
-            schedule=p.get("schedule", "constant"),
-            total_steps=int(p["total_steps"]) if "total_steps" in p
-            else (cfg.total_iterations if p.get("schedule") == "cosine" else None),
-        )
-    if cfg.optimizer == "adam":
-        return baselines.AdamConfig(
-            eta=float(p.get("eta", 0.001)),
-            beta1=float(p.get("beta1", 0.9)),
-            beta2=float(p.get("beta2", 0.999)),
-            epsilon=float(p.get("epsilon", 1e-8)),
-        )
-    if cfg.optimizer == "ngd_oracle":
-        damping = float(p.get("damping", baselines.DEFAULT_NGD_DAMPING))
-        if damping <= 0:
-            raise ConfigError(f"damping must be > 0, got {damping}")
-        return {"eta": float(p.get("eta", 0.1)), "damping": damping}
-    # newton_oracle
-    return {"eta": float(p.get("eta", 1.0))}
-
-
-def _make_stepper(optimizer_id: str, params: dict, dim: int, total_iterations: int):
-    """Stateful in-place stepper for the gradient-only optimizers."""
-    cfg = ExperimentConfig(
-        problem={"kind": "quadratic"}, optimizer=optimizer_id,
-        optimizer_params=params, total_iterations=total_iterations,
-        eval_every=1,
-    )
-    opt_cfg = _optimizer_config(cfg)
-    if optimizer_id == "sofim":
-        return SofimOptimizer(dim, opt_cfg)
-    if optimizer_id == "sgd_momentum":
-        return baselines.SgdMomentumOptimizer(dim, opt_cfg)
-    if optimizer_id == "adam":
-        return baselines.AdamOptimizer(dim, opt_cfg)
-    raise ConfigError(f"{optimizer_id!r} is not a gradient-only optimizer")
 
 
 @dataclass
@@ -252,8 +230,6 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
     """
     if problem is None:
         problem = problems.problem_from_spec(cfg.problem)
-    opt_cfg = _optimizer_config(cfg)
-
     init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     w = np.array(problem.initial_point(np.random.default_rng(init_ss)), dtype=np.float64)
 
@@ -264,18 +240,12 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
         n_train, batch_size, np.random.default_rng(batch_ss)
     )
 
-    stepper = None
-    if cfg.optimizer in ("sofim", "sgd_momentum", "adam"):
-        stepper = _make_stepper(
-            cfg.optimizer, cfg.optimizer_params, problem.dim, cfg.total_iterations
-        )
-    elif cfg.optimizer == "newton_oracle":
-        # Fail early if the problem cannot provide a Hessian.
-        problem.exact_hessian(w)
+    stepper = _build_stepper(cfg.optimizer, cfg.optimizer_params, cfg.total_iterations,
+                             problem.dim, lambda: problem.exact_hessian(w))
+    gradient = getattr(problem, OPTIMIZERS[cfg.optimizer].gradient)
 
     rows: list = []
-    diverged = False
-    diverged_at = None
+    diverged, diverged_at = False, None
     wall_seconds = 0.0
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
@@ -287,14 +257,7 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
                 diverged, diverged_at = True, t
                 break
             try:
-                if stepper is not None:
-                    g = problem.grad(w, batch)
-                    stepper.step(w, g)
-                elif cfg.optimizer == "ngd_oracle":
-                    grads = problem.per_sample_grads(w, batch)
-                    w = baselines.ngd_step(w, grads, opt_cfg["eta"], opt_cfg["damping"])
-                else:
-                    w = baselines.newton_step_quadratic(w, problem, opt_cfg["eta"])
+                stepper.step(w, gradient(w, batch))
             except (NonFiniteError, FloatingPointError, np.linalg.LinAlgError):
                 diverged, diverged_at = True, t
                 break
@@ -316,13 +279,7 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
                     wall_seconds * 1000.0,
                 ))
 
-    return RunRecord(
-        config=cfg,
-        problem_name=problem.name,
-        rows=rows,
-        diverged=diverged,
-        diverged_at=diverged_at,
-    )
+    return RunRecord(cfg, problem.name, rows, diverged, diverged_at)
 
 
 @dataclass
@@ -360,12 +317,10 @@ def sweep(grid: list) -> SweepResult:
     every point sees the same initialization.  Diverged runs are excluded
     from selection; if every point diverged, ``best_index`` is None.
     """
-    if not grid:
-        raise ConfigError("sweep grid must be non-empty")
+    require(len(grid) > 0, "sweep grid must be non-empty")
     first_problem = grid[0].problem
-    for cfg in grid[1:]:
-        if cfg.problem != first_problem:
-            raise ConfigError("all sweep points must share the same problem spec")
+    require(all(cfg.problem == first_problem for cfg in grid),
+            "all sweep points must share the same problem spec")
     problem = problems.problem_from_spec(first_problem)
 
     records = [run_experiment(cfg, problem=problem) for cfg in grid]
@@ -376,32 +331,13 @@ def sweep(grid: list) -> SweepResult:
 
 def rho_sweep(base: ExperimentConfig, rhos=(1.0, 0.5, 0.1)) -> SweepResult:
     """Sweep the curvature regularizer of a SOFIM config over ``rhos``."""
-    if base.optimizer != "sofim":
-        raise ConfigError(f"rho sweep requires the sofim optimizer, got {base.optimizer!r}")
+    require(base.optimizer == "sofim",
+            f"rho sweep requires the sofim optimizer, got {base.optimizer!r}")
     grid = [
         replace(base, optimizer_params={**base.optimizer_params, "rho": float(r)})
         for r in rhos
     ]
     return sweep(grid)
-
-
-def _probe_step(optimizer_id: str, params: dict, d: int, repeats: int, seed: int, rng):
-    """A zero-argument callable taking one update of ``optimizer_id`` at ``d``."""
-    w = rng.standard_normal(d)
-    g = rng.standard_normal(d)
-    if optimizer_id in ("sofim", "sgd_momentum", "adam"):
-        stepper = _make_stepper(optimizer_id, params, d, total_iterations=repeats)
-        return lambda: stepper.step(w, g)
-    if optimizer_id == "ngd_oracle":
-        grads = rng.standard_normal((8, d))
-        eta = float(params.get("eta", 0.1))
-        damping = float(params.get("damping", baselines.DEFAULT_NGD_DAMPING))
-        return lambda: baselines.ngd_step(w, grads, eta, damping)
-    if optimizer_id == "newton_oracle":
-        problem = problems.make_quadratic(d, 10.0, seed)
-        eta = float(params.get("eta", 1.0))
-        return lambda: baselines.newton_step_quadratic(w, problem, eta)
-    raise ConfigError(f"unknown optimizer {optimizer_id!r}")
 
 
 def scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
@@ -420,21 +356,26 @@ def scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
     ``(d, median_step_seconds)`` rows in the order of ``dims``.
     """
     dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise ConfigError(f"dims must be positive, got {dims}")
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    require(all(d >= 1 for d in dims), f"dims must be positive, got {dims}")
+    require(repeats >= 1, f"repeats must be >= 1, got {repeats}")
     params = dict(optimizer_params or {})
-    if optimizer_id in ("ngd_oracle", "newton_oracle"):
-        too_big = [d for d in dims if d > baselines.DENSE_FIM_CAP]
-        if too_big:
-            raise ScaleCapError(
-                f"{optimizer_id} is a dense small-scale oracle "
-                f"(d <= {baselines.DENSE_FIM_CAP}); refusing dims {too_big}"
-            )
+    row = _hyperparameters(optimizer_id, params, repeats)[0]
+    too_big = [d for d in dims if row.dense and d > baselines.DENSE_FIM_CAP]
+    if too_big:
+        raise ScaleCapError(
+            f"{optimizer_id} is a dense small-scale oracle "
+            f"(d <= {baselines.DENSE_FIM_CAP}); refusing dims {too_big}"
+        )
 
     rng = np.random.default_rng(seed)
-    steps = [_probe_step(optimizer_id, params, d, repeats, seed, rng) for d in dims]
+    steps = []
+    for d in dims:
+        w, g = rng.standard_normal(d), rng.standard_normal(d)
+        if row.gradient == "per_sample_grads":
+            g = rng.standard_normal((8, d))
+        stepper = _build_stepper(optimizer_id, params, repeats, d,
+                                 lambda: problems.make_quadratic(d, 10.0, seed).exact_hessian(w))
+        steps.append(functools.partial(stepper.step, w, g))
     for do_step in steps:
         for _ in range(3):
             do_step()

@@ -14,6 +14,10 @@ from sofim.baselines import (
     AdamConfig,
     AdamOptimizer,
     EmpiricalFim,
+    NewtonConfig,
+    NewtonOracle,
+    NgdConfig,
+    NgdOracle,
     SgdConfig,
     SgdMomentumOptimizer,
     adam_step,
@@ -210,10 +214,27 @@ class TestNgdStep:
         assert_allclose(got, expected, rtol=1e-11, atol=1e-13)
 
     def test_damping_required(self):
-        """Zero or negative damping is rejected (batch Fisher is singular)."""
+        """Zero or negative damping is rejected (batch Fisher is singular),
+        by the step and by the oracle's config."""
         grads = np.ones((1, 3))
         with pytest.raises(ConfigError):
             ngd_step(np.zeros(3), grads, eta=0.1, damping=0.0)
+        with pytest.raises(ConfigError, match="damping"):
+            NgdConfig(damping=-1e-3)
+        with pytest.raises(ConfigError, match="eta"):
+            NgdConfig(eta=0.0)
+
+    def test_stepper_matches_functional(self):
+        """NgdOracle updates w in place exactly as iterated ngd_step."""
+        rng = np.random.default_rng(42)
+        opt = NgdOracle(12, NgdConfig(eta=0.5, damping=0.1))
+        w_fast = rng.standard_normal(12)
+        w_ref = w_fast.copy()
+        for _ in range(5):
+            grads = rng.standard_normal((8, 12))
+            opt.step(w_fast, grads)
+            w_ref = ngd_step(w_ref, grads, eta=0.5, damping=0.1)
+        assert np.array_equal(w_fast, w_ref)
 
     def test_default_damping_exposed(self):
         assert DEFAULT_NGD_DAMPING == 1e-3
@@ -274,3 +295,19 @@ class TestNewtonStep:
 
         with pytest.raises(ConfigError):
             newton_step_quadratic(np.zeros(2), Indefinite(), eta=1.0)
+        with pytest.raises(ConfigError, match="positive definite"):
+            NewtonOracle(2, NewtonConfig(), Indefinite().exact_hessian(None))
+        with pytest.raises(ConfigError, match="eta"):
+            NewtonConfig(eta=-1.0)
+
+    def test_stepper_matches_functional(self):
+        """NewtonOracle, given the Hessian once, updates w in place exactly
+        as iterated newton_step_quadratic."""
+        problem = make_quadratic(15, 30.0, seed=3)
+        w_fast = problem.initial_point(np.random.default_rng(4))
+        w_ref = w_fast.copy()
+        opt = NewtonOracle(15, NewtonConfig(eta=0.5), problem.exact_hessian(w_fast))
+        for _ in range(4):
+            opt.step(w_fast, problem.grad(w_fast))
+            w_ref = newton_step_quadratic(w_ref, problem, eta=0.5)
+        assert np.array_equal(w_fast, w_ref)

@@ -111,6 +111,25 @@ class TestRunCommand:
         assert cli.main(["run", config]) == 0
         assert list(env_out.glob("*.csv"))
 
+    def test_omitted_integer_keys_keep_experiment_defaults(self, tmp_path, monkeypatch):
+        """A config without iterations, batch_size, eval_every or seed runs
+        with ExperimentConfig's own defaults."""
+        data = yaml.safe_load(open(run_config(tmp_path)))
+        for key in ("iterations", "batch_size", "eval_every", "seed"):
+            del data[key]
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(harness, "run_experiment", capture)
+        assert cli.main(["run", write_yaml(tmp_path / "config.yaml", data)]) == 2
+        assert seen == [harness.ExperimentConfig(
+            problem=data["problem"], optimizer="sofim",
+            optimizer_params=data["hyperparameters"],
+        )]
+
 
 class TestExitCodes:
     def test_missing_config_path(self, capsys):
@@ -127,6 +146,14 @@ class TestExitCodes:
         config = run_config(tmp_path, iterationz=9)
         assert cli.main(["run", config]) == 1
         assert "iterationz" in capsys.readouterr().err
+
+    def test_non_integer_key_named(self, tmp_path, capsys):
+        """Integer keys are type-checked by name: a quoted number is refused."""
+        assert cli.main(["run", run_config(tmp_path, batch_size="32")]) == 1
+        assert "batch_size" in capsys.readouterr().err
+        assert cli.main(["scaling", "--set", "repeats=2.5", "--set", "dims=[8]",
+                         "--set", f"output_dir={tmp_path / 'out'}"]) == 1
+        assert "repeats" in capsys.readouterr().err
 
     def test_unknown_hyperparameter_named(self, tmp_path, capsys):
         config = run_config(tmp_path, hyperparameters={"eta": 0.1, "rho": 0.5,

@@ -329,11 +329,13 @@ class TestSofimOptimizer:
         assert np.any(opt.moment != 0.0), "snapshot must not alias the buffer"
 
     def test_overflow_raises(self):
-        """A gradient stream that overflows ||m_hat||^2 raises NonFiniteError."""
+        """A finite gradient stream that overflows ||m_hat||^2 raises
+        NonFiniteError for the overflow, not for g, before ``w`` changes."""
         opt = SofimOptimizer(2, SofimConfig(eta=0.1, rho=0.5, beta=0.0))
         w = np.zeros(2)
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError, match="overflowed"):
             opt.step(w, np.full(2, 1e200))
+        assert np.array_equal(w, np.zeros(2))
 
     def test_warm_step_allocates_less_than_one_vector(self):
         """A warm step keeps its intermediates in owned buffers: numpy

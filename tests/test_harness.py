@@ -73,16 +73,30 @@ class TestExperimentConfig:
             quick_config(optimizer="lbfgs")
 
     def test_unknown_hyperparameter_named(self):
-        """A typoed hyperparameter is rejected with its name."""
+        """A typoed hyperparameter is rejected with its name, by the dense
+        oracles too."""
         with pytest.raises(ConfigError, match="lr"):
             quick_config(optimizer_params={"lr": 0.1})
+        with pytest.raises(ConfigError, match="bogus"):
+            quick_config(optimizer="ngd_oracle", optimizer_params={"bogus": 1})
+        with pytest.raises(ConfigError, match="damping"):
+            quick_config(problem=QUADRATIC, optimizer="newton_oracle",
+                         optimizer_params={"damping": 0.1})
 
     def test_nonpositive_rho_rejected_at_config_time(self):
-        """rho <= 0 fails at construction, before any run starts."""
+        """rho <= 0 fails at construction, before any run starts; so do the
+        dense oracles' eta <= 0 and damping <= 0."""
         with pytest.raises(ConfigError, match="rho"):
             quick_config(optimizer_params={"eta": 0.1, "rho": 0.0})
         with pytest.raises(ConfigError, match="rho"):
             quick_config(optimizer_params={"eta": 0.1, "rho": -0.5})
+        with pytest.raises(ConfigError, match="eta"):
+            quick_config(optimizer="ngd_oracle", optimizer_params={"eta": -1.0})
+        with pytest.raises(ConfigError, match="damping"):
+            quick_config(optimizer="ngd_oracle", optimizer_params={"damping": 0.0})
+        with pytest.raises(ConfigError, match="eta"):
+            quick_config(problem=QUADRATIC, optimizer="newton_oracle",
+                         optimizer_params={"eta": 0.0})
 
 
 class TestRunExperiment:
@@ -317,6 +331,12 @@ class TestScalingProbe:
             scaling_probe("sprint", [10], repeats=1)
         with pytest.raises(ConfigError):
             scaling_probe("sofim", [10], repeats=0)
+        with pytest.raises(ConfigError, match="bogus"):
+            scaling_probe("ngd_oracle", [20], repeats=1, optimizer_params={"bogus": 1})
+        with pytest.raises(ConfigError, match="damping"):
+            scaling_probe("newton_oracle", [20], repeats=1, optimizer_params={"damping": -1})
+        with pytest.raises(ConfigError, match="eta"):
+            scaling_probe("newton_oracle", [20], repeats=1, optimizer_params={"eta": -1})
 
 
 class TestCsvContract:
