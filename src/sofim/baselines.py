@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sofim.core import check_step
+from sofim.core import check_step, require_finite, shape_error
 from sofim.exceptions import ConfigError, DimensionMismatchError, ScaleCapError, require
 
 #: Dense-Fisher operations refuse dimensions above this.
@@ -266,12 +266,16 @@ class AdamOptimizer:
 
 
 class NgdOracle:
-    """Stepper for :func:`ngd_step`; ``g`` holds one per-sample gradient per row."""
+    """Stepper for :func:`ngd_step`; ``g`` is a (B, dim) array of per-sample
+    gradients, refused before ``w`` changes if its shape is wrong or it is not finite."""
 
     def __init__(self, dim: int, config: NgdConfig):
-        self.config = config
+        self.config, self.dim = config, dim
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
+        if w.shape != (self.dim,) or g.ndim != 2 or g.shape[0] < 1 or g.shape[1] != self.dim:
+            raise shape_error(w, g, f"w of shape ({self.dim},) and g of shape (B, {self.dim})")
+        require_finite(g, "g")
         w[...] = ngd_step(w, g, self.config.eta, self.config.damping)
 
 
@@ -281,7 +285,8 @@ class NewtonOracle:
 
     def __init__(self, dim: int, config: NewtonConfig, hessian: np.ndarray):
         _require_positive_definite(hessian)
-        self.config, self.hessian = config, hessian
+        self.config, self.hessian, self.dim = config, hessian, dim
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
+        check_step(w, g, (self.dim,))
         w -= self.config.eta * np.linalg.solve(self.hessian, g)

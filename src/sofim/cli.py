@@ -35,7 +35,7 @@ import numpy as np
 import yaml
 
 from sofim import harness, problems
-from sofim.exceptions import ConfigError, ScaleCapError
+from sofim.exceptions import ConfigError, ScaleCapError, convert
 
 DEFAULT_OUTPUT_DIR_ENV = "SOFIM_OUTPUT_DIR"
 DEFAULT_ETA_GRID = (1.0, 0.1, 0.01, 0.001, 0.0001)
@@ -174,23 +174,31 @@ def _int_field(config: dict, key: str) -> int:
     return value
 
 
+def _params(config: dict) -> dict:
+    params = config.get("hyperparameters", {})
+    if not isinstance(params, dict):
+        raise CliError("config key 'hyperparameters' must be a mapping")
+    return params
+
+
+def _floats(values, key: str) -> list:
+    return [convert(float, v, f"each entry of config key {key!r}") for v in values]
+
+
 def _experiment_config(config: dict) -> harness.ExperimentConfig:
     for required in ("problem", "optimizer"):
         if required not in config:
             raise CliError(f"config is missing required key {required!r}")
     if not isinstance(config["problem"], dict):
         raise CliError("config key 'problem' must be a mapping")
-    params = config.get("hyperparameters", {})
-    if not isinstance(params, dict):
-        raise CliError("config key 'hyperparameters' must be a mapping")
     thresholds = config.get("loss_thresholds", ())
     if isinstance(thresholds, (int, float)):
         thresholds = (thresholds,)
     return harness.ExperimentConfig(
         problem=config["problem"],
         optimizer=config["optimizer"],
-        optimizer_params=params,
-        loss_thresholds=tuple(float(t) for t in thresholds),
+        optimizer_params=_params(config),
+        loss_thresholds=tuple(_floats(thresholds, "loss_thresholds")),
         # Keys the config leaves out keep ExperimentConfig's defaults.
         **{name: _int_field(config, key) for key, name in _RUN_INT_KEYS.items() if key in config},
     )
@@ -296,7 +304,7 @@ def _cmd_rho_sweep(args) -> int:
     if not isinstance(rhos, (list, tuple)) or not rhos:
         raise CliError("config key 'rhos' must be a non-empty list")
     base = _experiment_config({k: v for k, v in config.items() if k != "rhos"})
-    result = harness.rho_sweep(base, [float(r) for r in rhos])
+    result = harness.rho_sweep(base, _floats(rhos, "rhos"))
     _report_sweep(result, out_dir, "rho_sweep_summary.txt",
                   lambda cfg: f"rho={cfg.optimizer_params['rho']:g}")
     _echo_config(config, out_dir)
@@ -310,11 +318,14 @@ def _cmd_scaling(args) -> int:
     optimizers = config.get("optimizers", ["sofim", "sgd_momentum"])
     if isinstance(optimizers, str):
         optimizers = [optimizers]
+    if not isinstance(optimizers, (list, tuple)):
+        raise CliError(f"config key 'optimizers' must be an optimizer id or a list of them, "
+                       f"got {optimizers!r}")
     dims = config.get("dims", list(DEFAULT_SCALING_DIMS))
     if not isinstance(dims, (list, tuple)) or not dims:
         raise CliError("config key 'dims' must be a non-empty list of integers")
     probe_args = {key: _int_field(config, key) for key in ("repeats", "seed") if key in config}
-    params = config.get("hyperparameters", {})
+    params = _params(config)
 
     rows = []
     for optimizer_id in optimizers:
@@ -342,9 +353,9 @@ def _gradcheck_problems(seed: int) -> dict:
     )
     return {
         "quadratic": problems.make_quadratic(20, 10.0, seed),
-        "logistic": problems.logistic_regression_problem(blobs2),
-        "softmax": problems.softmax_regression_problem(blobs3),
-        "mlp_tanh": problems.mlp_problem(blobs3, mlp_spec, init_seed=seed),
+        "logistic": problems.LogisticRegressionProblem(blobs2),
+        "softmax": problems.SoftmaxRegressionProblem(blobs3),
+        "mlp_tanh": problems.MlpProblem(blobs3, mlp_spec, init_seed=seed),
     }
 
 

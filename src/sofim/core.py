@@ -41,7 +41,8 @@ def _as_vector(x, name: str) -> np.ndarray:
     return arr
 
 
-def _require_finite(arr: np.ndarray, name: str) -> None:
+def require_finite(arr: np.ndarray, name: str) -> None:
+    """Raise :class:`NonFiniteError` unless every entry of ``arr`` is finite."""
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains NaN or Inf")
 
@@ -53,17 +54,24 @@ def _require_same_length(a: np.ndarray, b: np.ndarray, a_name: str, b_name: str)
         )
 
 
+def shape_error(w: np.ndarray, g: np.ndarray, expected) -> DimensionMismatchError:
+    """The error a stepper raises for a ``(w, g)`` pair of the wrong shapes."""
+    return DimensionMismatchError(
+        f"g has shape {g.shape} and w has shape {w.shape}; the optimizer expects {expected}"
+    )
+
+
 def check_step(w: np.ndarray, g: np.ndarray, shape: tuple) -> None:
     """Refuse a stepper's ``(w, g)`` before the step changes anything: both
     must have the stepper's ``shape`` and ``g`` must be finite.  That costs
-    one read of ``g`` (``g . g``) and no allocation unless the sum is not finite.
+    one read of ``g`` (``g . g``) and no allocation unless the sum is not
+    finite.  ``np.vdot`` does the read because, unlike ``np.dot``, it emits
+    no overflow warning for a finite ``g`` whose square overflows.
     """
     if w.shape != shape or g.shape != shape:
-        raise DimensionMismatchError(
-            f"g has shape {g.shape} and w has shape {w.shape}; the optimizer expects {shape}"
-        )
-    if not math.isfinite(np.dot(g, g)):
-        _require_finite(g, "g")
+        raise shape_error(w, g, shape)
+    if not math.isfinite(np.vdot(g, g)):
+        require_finite(g, "g")
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,7 @@ def first_moment_update(state: SofimState, g) -> SofimState:
     """
     g = _as_vector(g, "g")
     _require_same_length(state.moment, g, "state.moment", "g")
-    _require_finite(g, "g")
+    require_finite(g, "g")
     beta = state.config.beta
     new_moment = beta * state.moment + (1.0 - beta) * g
     return replace(
@@ -175,7 +183,7 @@ def sofim_direction(m_hat, rho: float) -> np.ndarray:
     """
     require(rho > 0, f"rho must be > 0, got {rho}")
     m_hat = _as_vector(m_hat, "m_hat")
-    _require_finite(m_hat, "m_hat")
+    require_finite(m_hat, "m_hat")
     sq = float(np.dot(m_hat, m_hat))
     if not math.isfinite(sq):
         raise NonFiniteError("||m_hat||^2 overflowed")
@@ -223,7 +231,7 @@ class SofimOptimizer:
         np.multiply(g, 1.0 - beta, out=scratch)
         m += scratch
         m_hat = np.divide(m, 1.0 - self._beta_pow, out=scratch)
-        sq = float(np.dot(m_hat, m_hat))
+        sq = float(np.vdot(m_hat, m_hat))  # no overflow warning, unlike np.dot
         if not math.isfinite(sq):
             raise NonFiniteError("||m_hat||^2 overflowed during a step")
         m_hat *= self.config.eta / (self.config.rho + sq)

@@ -26,3 +26,13 @@ def require(ok: bool, message: str) -> None:
     """Raise :class:`ConfigError` with ``message`` unless ``ok``."""
     if not ok:
         raise ConfigError(message)
+
+
+def convert(kind, value, name: str):
+    """``kind(value)`` for ``kind`` ``int`` or ``float``; a value that does
+    not convert raises :class:`ConfigError` naming ``name``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}") from None

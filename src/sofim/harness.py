@@ -30,7 +30,7 @@ import numpy as np
 
 from sofim import baselines, problems
 from sofim.core import SofimConfig, SofimOptimizer
-from sofim.exceptions import NonFiniteError, ScaleCapError, require
+from sofim.exceptions import NonFiniteError, ScaleCapError, convert, require
 
 #: A batch loss above this counts as divergence even while still finite.
 DIVERGENCE_LOSS = 1e8
@@ -72,7 +72,8 @@ OPTIMIZERS = {
                                 hessian=True, dense=True),
 }
 
-#: How a hyperparameter value is coerced, by its dataclass field's annotation.
+#: How a hyperparameter value is coerced, by its dataclass field's annotation;
+#: a field not listed here (``schedule``) is taken as given.
 _COERCE = {"float": float, "int | None": int}
 
 
@@ -83,14 +84,15 @@ def _hyperparameters(optimizer_id: str, params: dict, total_iterations: int):
     require(optimizer_id in tuple(OPTIMIZERS),
             f"unknown optimizer {optimizer_id!r}; expected one of {tuple(OPTIMIZERS)}")
     row = OPTIMIZERS[optimizer_id]
-    coerce = {f.name: _COERCE.get(f.type, lambda v: v) for f in fields(row.config)}
+    coerce = {f.name: _COERCE.get(f.type) for f in fields(row.config)}
     unknown = set(params) - set(coerce)
     require(not unknown,
             f"unknown hyperparameter(s) {sorted(unknown)} for optimizer {optimizer_id!r}")
     values = {**row.defaults, **params}
     if row.iterations_key:
         values.setdefault(row.iterations_key, total_iterations)
-    return row, row.config(**{k: coerce[k](v) for k, v in values.items()})
+    return row, row.config(**{k: convert(coerce[k], v, f"hyperparameter {k!r}")
+                              if coerce[k] else v for k, v in values.items()})
 
 
 def _build_stepper(optimizer_id: str, params: dict, total_iterations: int, dim: int, hessian):
@@ -120,6 +122,7 @@ class ExperimentConfig:
         require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
         require(1 <= self.eval_every <= self.total_iterations,
                 f"eval_every must lie in [1, total_iterations], got {self.eval_every}")
+        require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "loss_thresholds", tuple(self.loss_thresholds))
         # Validate hyperparameters eagerly so bad values (rho <= 0, beta >= 1,
         # ...) are rejected at config time, not mid-run.
@@ -355,7 +358,7 @@ def scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
     dimensions above their small-scale cap.  Returns a list of
     ``(d, median_step_seconds)`` rows in the order of ``dims``.
     """
-    dims = [int(d) for d in dims]
+    dims = [convert(int, d, "each entry of dims") for d in dims]
     require(all(d >= 1 for d in dims), f"dims must be positive, got {dims}")
     require(repeats >= 1, f"repeats must be >= 1, got {repeats}")
     params = dict(optimizer_params or {})

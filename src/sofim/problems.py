@@ -5,7 +5,9 @@ Every problem exposes the same surface: a mean loss over a batch of
 training rows, its analytic gradient, per-sample gradients (for the dense
 Fisher oracle), and held-out test metrics.  Losses are means of per-sample
 losses, so the gradient of a batch equals the mean of the per-sample
-gradients.
+gradients.  Each dataset model (logistic, softmax, MLP) states its math
+once: a forward pass, a cross-entropy head (sigmoid or softmax) and a
+pull-back from the head's residual to the gradient.
 
 Parameters are always a single flat float64 vector; problems with several
 weight arrays (the MLP) define a fixed, documented flattening order.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sofim.exceptions import ConfigError, DimensionMismatchError
+from sofim.exceptions import ConfigError, DimensionMismatchError, convert
 
 __all__ = [
     "Dataset",
@@ -29,13 +31,11 @@ __all__ = [
     "MlpSpec",
     "MlpProblem",
     "make_quadratic",
-    "logistic_regression_problem",
-    "softmax_regression_problem",
-    "mlp_problem",
     "make_blobs",
     "load_csv_dataset",
     "minibatch_epochs",
     "finite_difference_gradient",
+    "gradient_check",
     "problem_from_spec",
 ]
 
@@ -220,9 +220,6 @@ class Problem:
     def grad(self, w, batch=None) -> np.ndarray:
         raise NotImplementedError
 
-    def per_sample_losses(self, w, batch=None) -> np.ndarray:
-        raise NotImplementedError
-
     def per_sample_grads(self, w, batch=None) -> np.ndarray:
         raise NotImplementedError
 
@@ -278,9 +275,6 @@ class QuadraticProblem(Problem):
         r = np.asarray(w, dtype=np.float64) - self.w_star
         return self.a_matrix @ r
 
-    def per_sample_losses(self, w, batch=None) -> np.ndarray:
-        return np.array([self.loss(w)])
-
     def per_sample_grads(self, w, batch=None) -> np.ndarray:
         return self.grad(w)[None, :]
 
@@ -317,8 +311,55 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+class _SigmoidHead:
+    """Binary cross-entropy on one logit ``z`` per sample: the loss
+    ``-(y log s + (1 - y) log(1 - s))``, ``s = sigmoid(z)``, is computed as
+    ``log(1 + exp(z)) - y z`` for stability; the residual ``dloss/dz`` is
+    ``s - y``.  ``z == 0`` ties predict class 0."""
+
+    def losses(self, z, y):
+        return np.logaddexp(0.0, z) - y * z
+
+    def residual(self, z, y):
+        s = np.empty_like(z)
+        pos = z >= 0
+        s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        s[~pos] = ez / (1.0 + ez)
+        return s - y
+
+    def predict(self, z):
+        return (z > 0).astype(np.int64)
+
+
+class _SoftmaxHead:
+    """Cross-entropy over a row of class logits per sample; the residual
+    ``dloss/dlogits`` is ``softmax(logits) - onehot(y)``.  Ties predict the
+    lowest class, because ``np.argmax`` returns the first maximum."""
+
+    def losses(self, logits, y):
+        return -_log_softmax(logits)[np.arange(logits.shape[0]), y]
+
+    def residual(self, logits, y):
+        r = np.exp(_log_softmax(logits))
+        r[np.arange(logits.shape[0]), y] -= 1.0
+        return r
+
+    def predict(self, logits):
+        return np.argmax(logits, axis=1)
+
+
 class _DatasetProblem(Problem):
-    """Shared machinery for problems backed by a Dataset."""
+    """A model over a Dataset, stated in three pieces: ``_forward(w, x)``
+    returns ``(outputs, cache)``; ``head`` turns outputs into per-sample
+    losses, the residual ``dloss/doutputs`` and predictions;
+    ``_pullback(w, cache, residual)`` returns one ``(error, input)`` pair per
+    parameter block in flat-layout order.  A weight block's per-sample
+    gradient is ``error outer input``; a bias block's input is ``None`` and
+    its per-sample gradient is ``error``.  Every public method is built here.
+    """
+
+    head: _SigmoidHead | _SoftmaxHead
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
@@ -343,54 +384,59 @@ class _DatasetProblem(Problem):
             raise DimensionMismatchError(f"w must have shape ({self.dim},), got {w.shape}")
         return w
 
-    def loss(self, w, batch=None) -> float:
+    def _mean_loss(self, w, x, y) -> float:
+        outputs = self._forward(self._check_w(w), x)[0]  # [0] frees the cache early
+        return float(self.head.losses(outputs, y).mean())
+
+    def _blocks(self, w, batch):
+        """The pull-back's ``(error, input)`` pairs on a batch, and its size."""
         x, y = self._select(batch)
-        return float(self._losses(self._check_w(w), x, y).mean())
+        w = self._check_w(w)
+        outputs, cache = self._forward(w, x)
+        return self._pullback(w, cache, self.head.residual(outputs, y)), x.shape[0]
+
+    def loss(self, w, batch=None) -> float:
+        return self._mean_loss(w, *self._select(batch))
 
     def grad(self, w, batch=None) -> np.ndarray:
-        x, y = self._select(batch)
-        return self._mean_grad(self._check_w(w), x, y)
-
-    def per_sample_losses(self, w, batch=None) -> np.ndarray:
-        x, y = self._select(batch)
-        return self._losses(self._check_w(w), x, y)
+        blocks, b = self._blocks(w, batch)
+        return np.concatenate([err.mean(axis=0) if inp is None else err.T @ inp / b
+                               for err, inp in blocks], axis=None)
 
     def per_sample_grads(self, w, batch=None) -> np.ndarray:
-        x, y = self._select(batch)
-        return self._grads(self._check_w(w), x, y)
+        blocks, b = self._blocks(w, batch)
+        return np.hstack([err if inp is None else
+                          np.einsum("bi,bj->bij", err.reshape(b, -1), inp).reshape(b, -1)
+                          for err, inp in blocks])
 
     def test_loss(self, w) -> float:
-        return float(self._losses(self._check_w(w), self._x_test, self._y_test).mean())
+        return self._mean_loss(w, self._x_test, self._y_test)
 
     def test_accuracy(self, w) -> float:
-        pred = self._predict(self._check_w(w), self._x_test)
-        return float(np.mean(pred == self._y_test))
+        outputs = self._forward(self._check_w(w), self._x_test)[0]
+        return float(np.mean(self.head.predict(outputs) == self._y_test))
 
     def initial_point(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
 
-    # subclasses implement the vectorized per-batch math
-    def _losses(self, w, x, y) -> np.ndarray:
-        raise NotImplementedError
 
-    def _mean_grad(self, w, x, y) -> np.ndarray:
-        raise NotImplementedError
+class _LinearProblem(_DatasetProblem):
+    """Outputs ``x @ W.T`` for the weight view ``W = _weights(w)``; the
+    gradient of ``W`` is ``residual.T @ x``."""
 
-    def _grads(self, w, x, y) -> np.ndarray:
-        raise NotImplementedError
+    def _forward(self, w, x):
+        return x @ self._weights(w).T, x
 
-    def _predict(self, w, x) -> np.ndarray:
-        raise NotImplementedError
+    def _pullback(self, w, x, residual):
+        return [(residual, x)]
 
 
-class LogisticRegressionProblem(_DatasetProblem):
-    """Binary logistic regression with the bias folded in as a constant-1
-    feature, so ``dim = n_features + 1``.
+class LogisticRegressionProblem(_LinearProblem):
+    """Binary logistic regression (the sigmoid head) with the bias folded
+    in as a constant-1 last feature, so ``dim = n_features + 1`` and the
+    bias is the last weight."""
 
-    Per-sample loss is the negative log likelihood
-    ``-(y log s + (1 - y) log(1 - s))`` with ``s = sigmoid(w . x)``,
-    computed as ``log(1 + exp(z)) - y z`` for stability.
-    """
+    head = _SigmoidHead()
 
     def __init__(self, dataset: Dataset):
         if dataset.num_classes != 2:
@@ -398,48 +444,25 @@ class LogisticRegressionProblem(_DatasetProblem):
                 f"logistic regression needs binary labels, got {dataset.num_classes} classes"
             )
         super().__init__(dataset)
-        ones = np.ones((dataset.features.shape[0], 1))
-        augmented = np.hstack([dataset.features, ones])
+        augmented = np.hstack([dataset.features, np.ones((dataset.features.shape[0], 1))])
         self._x_train = augmented[dataset.train_idx]
         self._x_test = augmented[dataset.test_idx]
         self.dim = augmented.shape[1]
         self.name = f"logistic{self.dim}"
 
-    def _losses(self, w, x, y):
-        z = x @ w
-        return np.logaddexp(0.0, z) - y * z
-
-    def _mean_grad(self, w, x, y):
-        z = x @ w
-        residual = _sigmoid(z) - y
-        return x.T @ residual / x.shape[0]
-
-    def _grads(self, w, x, y):
-        z = x @ w
-        residual = _sigmoid(z) - y
-        return residual[:, None] * x
-
-    def _predict(self, w, x):
-        # z == 0 ties go to class 0 (lowest index).
-        return (x @ w > 0).astype(np.int64)
+    def _weights(self, w):
+        return w
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-class SoftmaxRegressionProblem(_DatasetProblem):
-    """Multinomial logistic regression: cross-entropy over softmax logits.
+class SoftmaxRegressionProblem(_LinearProblem):
+    """Multinomial logistic regression: the softmax head over logits ``W x``.
 
     Parameters are the weight matrix ``W`` of shape (C, p) flattened
     row-major, class-by-class: ``dim = p * C``.  Per-sample gradient is
     ``(softmax(W x) - onehot(y)) outer x`` in the same layout.
     """
+
+    head = _SoftmaxHead()
 
     def __init__(self, dataset: Dataset):
         super().__init__(dataset)
@@ -450,27 +473,6 @@ class SoftmaxRegressionProblem(_DatasetProblem):
 
     def _weights(self, w):
         return w.reshape(self.num_classes, self.n_features)
-
-    def _losses(self, w, x, y):
-        log_probs = _log_softmax(x @ self._weights(w).T)
-        return -log_probs[np.arange(x.shape[0]), y]
-
-    def _residual(self, w, x, y):
-        probs = np.exp(_log_softmax(x @ self._weights(w).T))
-        probs[np.arange(x.shape[0]), y] -= 1.0
-        return probs
-
-    def _mean_grad(self, w, x, y):
-        r = self._residual(w, x, y)
-        return (r.T @ x).ravel() / x.shape[0]
-
-    def _grads(self, w, x, y):
-        r = self._residual(w, x, y)
-        return np.einsum("bc,bp->bcp", r, x).reshape(x.shape[0], self.dim)
-
-    def _predict(self, w, x):
-        # np.argmax returns the first maximum: ties go to the lowest class.
-        return np.argmax(x @ self._weights(w).T, axis=1)
 
 
 @dataclass(frozen=True)
@@ -488,13 +490,15 @@ class MlpSpec:
 
 
 class MlpProblem(_DatasetProblem):
-    """One-hidden-layer classifier with manual backprop and cross-entropy.
+    """One-hidden-layer classifier with manual backprop and the softmax head.
 
     Flat parameter layout, in order: W1 (hidden, inputs) row-major, b1
     (hidden,), W2 (classes, hidden) row-major, b2 (classes,).  Initial
     weights are uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer,
     drawn in that same order.  The ReLU subgradient at 0 is taken as 0.
     """
+
+    head = _SoftmaxHead()
 
     def __init__(self, dataset: Dataset, spec: MlpSpec, init_seed: int = 0):
         super().__init__(dataset)
@@ -509,19 +513,16 @@ class MlpProblem(_DatasetProblem):
             )
         self.spec = spec
         self.init_seed = init_seed
-        self._sizes = (h * p, h, c * h, c)
-        self._shapes = ((h, p), (h,), (c, h), (c,))
-        self.dim = sum(self._sizes)
+        sizes = (h * p, h, c * h, c)
+        starts = np.cumsum((0,) + sizes[:-1]).tolist()
+        self._layout = tuple(zip(starts, sizes, ((h, p), (h,), (c, h), (c,))))
+        self.dim = sum(sizes)
         self.name = f"mlp{p}x{h}x{c}{spec.activation}"
 
     def unflatten(self, w):
         """Split a flat vector into (W1, b1, W2, b2) views."""
-        parts = []
-        offset = 0
-        for size, shape in zip(self._sizes, self._shapes):
-            parts.append(w[offset : offset + size].reshape(shape))
-            offset += size
-        return tuple(parts)
+        return tuple(w[start : start + size].reshape(shape)
+                     for start, size, shape in self._layout)
 
     def flatten(self, w1, b1, w2, b2) -> np.ndarray:
         return np.concatenate([w1.ravel(), b1.ravel(), w2.ravel(), b2.ravel()])
@@ -542,58 +543,14 @@ class MlpProblem(_DatasetProblem):
         w1, b1, w2, b2 = self.unflatten(w)
         z1 = x @ w1.T + b1
         a1 = np.tanh(z1) if self.spec.activation == "tanh" else np.maximum(z1, 0.0)
-        logits = a1 @ w2.T + b2
-        return z1, a1, logits
+        return a1 @ w2.T + b2, (x, z1, a1)
 
-    def _act_deriv(self, z1, a1):
-        if self.spec.activation == "tanh":
-            return 1.0 - a1 * a1
-        return (z1 > 0.0).astype(np.float64)
-
-    def _losses(self, w, x, y):
-        _, _, logits = self._forward(w, x)
-        return -_log_softmax(logits)[np.arange(x.shape[0]), y]
-
-    def _backward_pieces(self, w, x, y):
-        """Per-sample backprop intermediates: residual (B,C), hidden error
-        (B,H), activations (B,H)."""
-        z1, a1, logits = self._forward(w, x)
-        r = np.exp(_log_softmax(logits))
-        r[np.arange(x.shape[0]), y] -= 1.0
-        _, _, w2, _ = self.unflatten(w)
-        dz1 = (r @ w2) * self._act_deriv(z1, a1)
-        return r, dz1, a1
-
-    def _mean_grad(self, w, x, y):
-        b = x.shape[0]
-        r, dz1, a1 = self._backward_pieces(w, x, y)
-        gw1 = dz1.T @ x / b
-        gb1 = dz1.mean(axis=0)
-        gw2 = r.T @ a1 / b
-        gb2 = r.mean(axis=0)
-        return self.flatten(gw1, gb1, gw2, gb2)
-
-    def _grads(self, w, x, y):
-        r, dz1, a1 = self._backward_pieces(w, x, y)
-        gw1 = np.einsum("bh,bp->bhp", dz1, x).reshape(x.shape[0], -1)
-        gw2 = np.einsum("bc,bh->bch", r, a1).reshape(x.shape[0], -1)
-        return np.hstack([gw1, dz1, gw2, r])
-
-    def _predict(self, w, x):
-        _, _, logits = self._forward(w, x)
-        return np.argmax(logits, axis=1)
-
-
-def logistic_regression_problem(dataset: Dataset) -> LogisticRegressionProblem:
-    return LogisticRegressionProblem(dataset)
-
-
-def softmax_regression_problem(dataset: Dataset) -> SoftmaxRegressionProblem:
-    return SoftmaxRegressionProblem(dataset)
-
-
-def mlp_problem(dataset: Dataset, spec: MlpSpec, init_seed: int = 0) -> MlpProblem:
-    return MlpProblem(dataset, spec, init_seed)
+    def _pullback(self, w, cache, r):
+        x, z1, a1 = cache
+        tanh = self.spec.activation == "tanh"
+        act_deriv = 1.0 - a1 * a1 if tanh else (z1 > 0.0).astype(np.float64)
+        dz1 = (r @ self.unflatten(w)[2]) * act_deriv
+        return [(dz1, x), (dz1, None), (r, a1), (r, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +603,11 @@ _SPEC_KEYS = {
 _MODELS = ("logistic", "softmax", "mlp")
 
 
+def _spec_value(spec: dict, key: str, kind: type, default):
+    """``kind(spec[key])``, or ``default`` when the key is absent."""
+    return convert(kind, spec.get(key, default), f"problem key {key!r}")
+
+
 def problem_from_spec(spec: dict) -> Problem:
     """Build a problem from a declarative dict (as found in config files).
 
@@ -664,18 +626,18 @@ def problem_from_spec(spec: dict) -> Problem:
 
     if kind == "quadratic":
         return make_quadratic(
-            d=int(spec.get("dim", 20)),
-            condition_number=float(spec.get("condition_number", 10.0)),
-            seed=int(spec.get("seed", 0)),
+            d=_spec_value(spec, "dim", int, 20),
+            condition_number=_spec_value(spec, "condition_number", float, 10.0),
+            seed=_spec_value(spec, "seed", int, 0),
         )
 
     if kind == "blobs":
         dataset = make_blobs(
-            n=int(spec.get("n", 2000)),
-            p=int(spec.get("p", 20)),
-            c=int(spec.get("classes", 2)),
-            spread=float(spec.get("spread", 3.0)),
-            seed=int(spec.get("seed", 0)),
+            n=_spec_value(spec, "n", int, 2000),
+            p=_spec_value(spec, "p", int, 20),
+            c=_spec_value(spec, "classes", int, 2),
+            spread=_spec_value(spec, "spread", float, 3.0),
+            seed=_spec_value(spec, "seed", int, 0),
         )
     else:
         if "path" not in spec:
@@ -683,19 +645,19 @@ def problem_from_spec(spec: dict) -> Problem:
         dataset = load_csv_dataset(
             path=spec["path"],
             label_column=spec.get("label_column", "label"),
-            split_fraction=float(spec.get("split_fraction", 0.8)),
-            seed=int(spec.get("seed", 0)),
+            split_fraction=_spec_value(spec, "split_fraction", float, 0.8),
+            seed=_spec_value(spec, "seed", int, 0),
         )
 
     model = spec.get("model", "logistic")
     if model not in _MODELS:
         raise ConfigError(f"unknown model {model!r}; expected one of {_MODELS}")
     if model == "logistic":
-        return logistic_regression_problem(dataset)
+        return LogisticRegressionProblem(dataset)
     if model == "softmax":
-        return softmax_regression_problem(dataset)
+        return SoftmaxRegressionProblem(dataset)
     mlp_spec = MlpSpec(
-        widths=(dataset.n_features, int(spec.get("hidden", 32)), dataset.num_classes),
+        widths=(dataset.n_features, _spec_value(spec, "hidden", int, 32), dataset.num_classes),
         activation=spec.get("activation", "tanh"),
     )
-    return mlp_problem(dataset, mlp_spec, init_seed=int(spec.get("init_seed", 0)))
+    return MlpProblem(dataset, mlp_spec, init_seed=_spec_value(spec, "init_seed", int, 0))

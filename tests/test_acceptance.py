@@ -121,7 +121,7 @@ def test_criterion_04_rank_one_ngd_consistency():
     worst = 0.0
     for k in range(100):
         ds = problems.make_blobs(60, 9, 2, 3.0, seed=1000 + k)
-        prob = problems.logistic_regression_problem(ds)
+        prob = problems.LogisticRegressionProblem(ds)
         assert prob.dim == 10
         w = rng.standard_normal(prob.dim)
         idx = np.array([int(rng.integers(0, prob.n_train))])
@@ -150,9 +150,9 @@ def test_criterion_05_gradient_checks():
     mlp_spec = problems.MlpSpec(widths=(6, 8, 3), activation="tanh")
     cases = (
         ("quadratic", problems.make_quadratic(12, 10.0, seed=5), 1e-8),
-        ("logistic", problems.logistic_regression_problem(blobs2), 1e-6),
-        ("softmax", problems.softmax_regression_problem(blobs3), 1e-6),
-        ("mlp_tanh", problems.mlp_problem(blobs3, mlp_spec, init_seed=8), 1e-5),
+        ("logistic", problems.LogisticRegressionProblem(blobs2), 1e-6),
+        ("softmax", problems.SoftmaxRegressionProblem(blobs3), 1e-6),
+        ("mlp_tanh", problems.MlpProblem(blobs3, mlp_spec, init_seed=8), 1e-5),
     )
     ok = True
     parts = []
@@ -186,7 +186,7 @@ def test_criterion_06_convex_convergence():
             break
 
     ds = problems.make_blobs(400, 10, 2, 6.0, seed=3)
-    logistic = problems.logistic_regression_problem(ds)
+    logistic = problems.LogisticRegressionProblem(ds)
     rng = np.random.default_rng(1)
     w = logistic.initial_point(rng)
     opt = core.SofimOptimizer(logistic.dim, core.SofimConfig(eta=0.1, rho=0.5, beta=0.9))

@@ -29,7 +29,7 @@ from sofim.baselines import (
 )
 from sofim.core import SofimConfig, SofimState, sofim_step
 from sofim.exceptions import ConfigError, DimensionMismatchError, ScaleCapError
-from sofim.problems import make_blobs, make_quadratic, logistic_regression_problem
+from sofim.problems import LogisticRegressionProblem, make_blobs, make_quadratic
 
 
 class TestSgdMomentum:
@@ -252,7 +252,7 @@ class TestNgdStep:
         """
         rng = np.random.default_rng(42)
         dataset = make_blobs(60, 9, 2, 3.0, 0)
-        problem = logistic_regression_problem(dataset)
+        problem = LogisticRegressionProblem(dataset)
         for trial in range(100):
             w = rng.standard_normal(problem.dim)
             batch = rng.integers(0, problem.n_train, size=1)

@@ -161,6 +161,30 @@ class TestExitCodes:
         assert cli.main(["run", config]) == 1
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand,override,key", [
+        ("run", "hyperparameters.eta=abc", "'eta'"),
+        ("run", "hyperparameters.rho=[1]", "'rho'"),
+        ("run", "loss_thresholds=[abc]", "'loss_thresholds'"),
+        ("run", "problem.n=abc", "'n'"),
+        ("run", "seed=-1", "seed"),
+        ("sweep", "grid.eta=[x]", "'eta'"),
+        ("rho-sweep", "rhos=[x]", "'rhos'"),
+        ("scaling", "dims=[x]", "dims"),
+        ("scaling", "hyperparameters=[1]", "'hyperparameters'"),
+        ("scaling", "hyperparameters.eta=x", "'eta'"),
+        ("scaling", "optimizers=5", "'optimizers'"),
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, subcommand, override,
+                                             key):
+        """A value of the wrong type exits 1 with a config error naming its key."""
+        config = [] if subcommand == "scaling" else [run_config(tmp_path)]
+        argv = [subcommand, *config, "--set", f"output_dir={tmp_path / 'out'}",
+                "--set", "repeats=1" if subcommand == "scaling" else "iterations=20",
+                "--set", override]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+
     def test_invalid_yaml(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("problem: [unclosed\n")

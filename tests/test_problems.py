@@ -11,19 +11,18 @@ from numpy.testing import assert_allclose
 from sofim.exceptions import ConfigError, DimensionMismatchError
 from sofim.problems import (
     Dataset,
+    LogisticRegressionProblem,
     MlpProblem,
     MlpSpec,
     QuadraticProblem,
+    SoftmaxRegressionProblem,
     finite_difference_gradient,
     gradient_check,
     load_csv_dataset,
-    logistic_regression_problem,
     make_blobs,
     make_quadratic,
     minibatch_epochs,
-    mlp_problem,
     problem_from_spec,
-    softmax_regression_problem,
 )
 
 
@@ -40,10 +39,10 @@ def problem_zoo():
     ds2, ds3 = blobs2(), blobs3()
     return [
         ("quadratic", make_quadratic(12, 10.0, 0), 1e-8),
-        ("logistic", logistic_regression_problem(ds2), 1e-6),
-        ("softmax", softmax_regression_problem(ds3), 1e-6),
-        ("mlp_tanh", mlp_problem(ds3, MlpSpec((5, 7, 3), "tanh")), 1e-5),
-        ("mlp_relu", mlp_problem(ds3, MlpSpec((5, 7, 3), "relu")), 1e-5),
+        ("logistic", LogisticRegressionProblem(ds2), 1e-6),
+        ("softmax", SoftmaxRegressionProblem(ds3), 1e-6),
+        ("mlp_tanh", MlpProblem(ds3, MlpSpec((5, 7, 3), "tanh")), 1e-5),
+        ("mlp_relu", MlpProblem(ds3, MlpSpec((5, 7, 3), "relu")), 1e-5),
     ]
 
 
@@ -67,16 +66,6 @@ class TestGradientOracle:
         mean_grad = problem.per_sample_grads(w, batch).mean(axis=0)
         assert_allclose(problem.grad(w, batch), mean_grad, rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("label,problem,tol",
-                             problem_zoo(), ids=lambda v: v if isinstance(v, str) else "")
-    def test_batch_loss_is_mean_of_per_sample(self, label, problem, tol):
-        """loss(w, batch) equals the mean of per_sample_losses."""
-        rng = np.random.default_rng(8)
-        w = problem.initial_point(rng)
-        assert problem.loss(w) == pytest.approx(
-            float(problem.per_sample_losses(w).mean()), rel=1e-13
-        )
-
     def test_finite_difference_helper(self):
         """The helper itself differentiates a known polynomial."""
         f = lambda w: float(w[0] ** 2 + 3.0 * w[1])
@@ -84,10 +73,59 @@ class TestGradientOracle:
         assert_allclose(grad, [4.0, 3.0], rtol=1e-9)
 
 
+def reference_logits(problem, w, x):
+    """Class logits of raw features ``x``, read from the documented flat
+    parameter layout of ``problem``."""
+    if isinstance(problem, LogisticRegressionProblem):
+        z = x @ w[:-1] + w[-1]  # the bias is the last weight
+        return np.column_stack([np.zeros_like(z), z])  # P(y=1) = sigmoid(z)
+    if isinstance(problem, SoftmaxRegressionProblem):
+        return x @ w.reshape(problem.num_classes, problem.n_features).T
+    p, h, c = problem.spec.widths
+    w1, b1 = w[: h * p].reshape(h, p), w[h * p : h * p + h]
+    w2, b2 = w[h * p + h : -c].reshape(c, h), w[-c:]
+    z1 = x @ w1.T + b1
+    hidden = np.tanh(z1) if problem.spec.activation == "tanh" else np.maximum(z1, 0.0)
+    return hidden @ w2.T + b2
+
+
+def reference_cross_entropy(logits, y):
+    """Mean over rows of ``log(sum(exp(logits))) - logits[y]``."""
+    top = logits.max(axis=1)
+    log_norm = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
+    return float(np.mean(log_norm - logits[np.arange(len(y)), y]))
+
+
+class TestReferenceValues:
+    @pytest.mark.parametrize("label", ["logistic", "softmax", "mlp_tanh", "mlp_relu"])
+    def test_losses_and_accuracy_match_plain_numpy(self, label):
+        """At seeded random w, loss(w, batch), loss(w) and test_loss(w) match
+        a cross-entropy computed here from the documented layout, and
+        test_accuracy(w) is exactly the argmax accuracy of the same logits."""
+        problem = {name: prob for name, prob, _ in problem_zoo()}[label]
+        ds = problem.dataset
+        x_train, y_train = ds.features[ds.train_idx], ds.labels[ds.train_idx]
+        x_test, y_test = ds.features[ds.test_idx], ds.labels[ds.test_idx]
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            w = rng.standard_normal(problem.dim)
+            batch = rng.integers(0, problem.n_train, size=17)
+            cases = [
+                (problem.loss(w, batch), x_train[batch], y_train[batch]),
+                (problem.loss(w), x_train, y_train),
+                (problem.test_loss(w), x_test, y_test),
+            ]
+            for value, x, y in cases:
+                expected = reference_cross_entropy(reference_logits(problem, w, x), y)
+                assert value == pytest.approx(expected, rel=1e-12)
+            pred = np.argmax(reference_logits(problem, w, x_test), axis=1)
+            assert problem.test_accuracy(w) == float(np.mean(pred == y_test))
+
+
 class TestConvexity:
     @pytest.mark.parametrize("factory", [
-        lambda: logistic_regression_problem(blobs2()),
-        lambda: softmax_regression_problem(blobs3()),
+        lambda: LogisticRegressionProblem(blobs2()),
+        lambda: SoftmaxRegressionProblem(blobs3()),
     ], ids=["logistic", "softmax"])
     def test_midpoint_convexity(self, factory):
         """loss(midpoint) <= mean of endpoint losses along random segments."""
@@ -152,14 +190,14 @@ class TestQuadratic:
 class TestLogistic:
     def test_zero_weights_loss_is_log_two(self):
         """At w=0 every per-sample NLL is exactly log 2."""
-        problem = logistic_regression_problem(blobs2())
+        problem = LogisticRegressionProblem(blobs2())
         w = np.zeros(problem.dim)
         assert problem.loss(w) == pytest.approx(math.log(2.0), rel=1e-15)
         assert problem.test_loss(w) == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_zero_weights_predicts_class_zero(self):
         """z=0 ties break to the lowest class index."""
-        problem = logistic_regression_problem(blobs2())
+        problem = LogisticRegressionProblem(blobs2())
         acc = problem.test_accuracy(np.zeros(problem.dim))
         y_test = problem.dataset.labels[problem.dataset.test_idx]
         assert acc == pytest.approx(float(np.mean(y_test == 0)))
@@ -167,18 +205,18 @@ class TestLogistic:
     def test_bias_column_appended(self):
         """dim = n_features + 1 and the appended feature is constant 1."""
         ds = blobs2()
-        problem = logistic_regression_problem(ds)
+        problem = LogisticRegressionProblem(ds)
         assert problem.dim == ds.n_features + 1
         assert np.all(problem._x_train[:, -1] == 1.0)
 
     def test_requires_binary_labels(self):
         """Multiclass datasets are refused."""
         with pytest.raises(ConfigError):
-            logistic_regression_problem(blobs3())
+            LogisticRegressionProblem(blobs3())
 
     def test_extreme_logits_stay_finite(self):
         """Huge weights give finite losses via the stable formulation."""
-        problem = logistic_regression_problem(blobs2())
+        problem = LogisticRegressionProblem(blobs2())
         w = np.full(problem.dim, 500.0)
         assert math.isfinite(problem.loss(w))
 
@@ -186,13 +224,13 @@ class TestLogistic:
 class TestSoftmax:
     def test_zero_weights_loss_is_log_c(self):
         """At w=0 the cross-entropy is exactly log C."""
-        problem = softmax_regression_problem(blobs3())
+        problem = SoftmaxRegressionProblem(blobs3())
         w = np.zeros(problem.dim)
         assert problem.loss(w) == pytest.approx(math.log(3.0), rel=1e-15)
 
     def test_zero_weights_predicts_class_zero(self):
         """Equal logits tie-break to the lowest class index."""
-        problem = softmax_regression_problem(blobs3())
+        problem = SoftmaxRegressionProblem(blobs3())
         acc = problem.test_accuracy(np.zeros(problem.dim))
         y_test = problem.dataset.labels[problem.dataset.test_idx]
         assert acc == pytest.approx(float(np.mean(y_test == 0)))
@@ -200,7 +238,7 @@ class TestSoftmax:
     def test_parameter_layout(self):
         """dim = p * C and the weight matrix is the row-major reshape."""
         ds = blobs3()
-        problem = softmax_regression_problem(ds)
+        problem = SoftmaxRegressionProblem(ds)
         assert problem.dim == ds.n_features * ds.num_classes
         w = np.arange(problem.dim, dtype=np.float64)
         assert_allclose(problem._weights(w),
@@ -208,7 +246,7 @@ class TestSoftmax:
 
     def test_accuracy_in_unit_interval(self):
         """Accuracy is a fraction in [0, 1]."""
-        problem = softmax_regression_problem(blobs3())
+        problem = SoftmaxRegressionProblem(blobs3())
         rng = np.random.default_rng(0)
         for _ in range(5):
             acc = problem.test_accuracy(rng.standard_normal(problem.dim))
@@ -218,7 +256,7 @@ class TestSoftmax:
 class TestMlp:
     def test_flatten_round_trip(self):
         """unflatten . flatten is the identity on the flat layout."""
-        problem = mlp_problem(blobs3(), MlpSpec((5, 4, 3)))
+        problem = MlpProblem(blobs3(), MlpSpec((5, 4, 3)))
         rng = np.random.default_rng(42)
         w = rng.standard_normal(problem.dim)
         w1, b1, w2, b2 = problem.unflatten(w)
@@ -228,7 +266,7 @@ class TestMlp:
 
     def test_initial_point_bounds_and_determinism(self):
         """Init weights are within per-layer fan-in bounds and reproducible."""
-        problem = mlp_problem(blobs3(), MlpSpec((5, 4, 3)), init_seed=9)
+        problem = MlpProblem(blobs3(), MlpSpec((5, 4, 3)), init_seed=9)
         w = problem.initial_point()
         assert_allclose(w, problem.initial_point(), rtol=0, atol=0)
         w1, b1, w2, b2 = problem.unflatten(w)
@@ -239,7 +277,7 @@ class TestMlp:
     def test_relu_subgradient_at_zero_is_zero(self):
         """With z1 = 0 everywhere the first-layer gradient blocks vanish."""
         ds = blobs3()
-        problem = mlp_problem(ds, MlpSpec((5, 4, 3), "relu"))
+        problem = MlpProblem(ds, MlpSpec((5, 4, 3), "relu"))
         rng = np.random.default_rng(1)
         w = rng.standard_normal(problem.dim)
         w1, b1, w2, b2 = (a.copy() for a in problem.unflatten(w))
@@ -259,13 +297,13 @@ class TestMlp:
         with pytest.raises(ConfigError):
             MlpSpec((5, 4, 3), activation="gelu")
         with pytest.raises(ConfigError):
-            mlp_problem(blobs3(), MlpSpec((6, 4, 3)))
+            MlpProblem(blobs3(), MlpSpec((6, 4, 3)))
         with pytest.raises(ConfigError):
-            mlp_problem(blobs3(), MlpSpec((5, 4, 2)))
+            MlpProblem(blobs3(), MlpSpec((5, 4, 2)))
 
     def test_no_exact_hessian(self):
         """The MLP declines to provide a Hessian."""
-        problem = mlp_problem(blobs3(), MlpSpec((5, 4, 3)))
+        problem = MlpProblem(blobs3(), MlpSpec((5, 4, 3)))
         with pytest.raises(NotImplementedError):
             problem.exact_hessian(np.zeros(problem.dim))
 
@@ -407,7 +445,7 @@ class TestCsvDataset:
             rows.append(f"{x[0]},{x[1]},{cls}")
         path = write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n")
         ds = load_csv_dataset(path, "y", 0.8, seed=0)
-        problem = logistic_regression_problem(ds)
+        problem = LogisticRegressionProblem(ds)
         err = gradient_check(problem, np.random.default_rng(0), n_points=3)
         assert err <= 1e-6
 

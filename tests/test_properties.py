@@ -4,7 +4,8 @@ hyperparameters and gradient streams (Hypothesis).
 - Each O(d) stepper tracks its functional reference: ``sofim_step``,
   ``sgd_momentum_step`` and ``adam_step``.
 - A refused step (wrong shape, NaN or Inf entry) raises and leaves ``w``
-  and every attribute of the stepper bitwise unchanged.
+  and every attribute of the stepper bitwise unchanged; that holds for the
+  dense NGD and Newton oracles too.
 - A sofim step is never longer than ``eta / (2 sqrt(rho))``: the length
   ``eta ||m_hat|| / (rho + ||m_hat||^2)`` peaks at ``||m_hat|| = sqrt(rho)``.
 """
@@ -21,6 +22,10 @@ from hypothesis.extra.numpy import arrays
 from sofim.baselines import (
     AdamConfig,
     AdamOptimizer,
+    NewtonConfig,
+    NewtonOracle,
+    NgdConfig,
+    NgdOracle,
     SgdConfig,
     SgdMomentumOptimizer,
     adam_step,
@@ -106,7 +111,11 @@ STEPPERS = {
     "sgd_momentum": lambda d: SgdMomentumOptimizer(
         d, SgdConfig(eta=0.1, momentum=0.9, weight_decay=1e-4)),
     "adam": lambda d: AdamOptimizer(d, AdamConfig(eta=0.01)),
+    "ngd_oracle": lambda d: NgdOracle(d, NgdConfig()),
+    "newton_oracle": lambda d: NewtonOracle(d, NewtonConfig(), np.eye(d)),
 }
+#: Steppers whose g is a (B, d) array of per-sample gradients.
+PER_SAMPLE = ("ngd_oracle",)
 
 
 def _snapshot(opt) -> dict:
@@ -116,26 +125,28 @@ def _snapshot(opt) -> dict:
     }
 
 
-@pytest.mark.parametrize("make", STEPPERS.values(), ids=STEPPERS.keys())
+@pytest.mark.parametrize("name", STEPPERS)
 @PROPERTY
 @given(stream=streams(max_steps=3), data=st.data())
-def test_refused_step_changes_nothing(make, stream, data):
+def test_refused_step_changes_nothing(name, stream, data):
     w, grads = stream
     d = len(w)
-    opt = make(d)
-    for g in grads:
+    opt = STEPPERS[name](d)
+    per_sample = name in PER_SAMPLE
+    for g in [grads] if per_sample else grads:
         opt.step(w, g)
-    g = grads[-1].copy()
+    g = (grads if per_sample else grads[-1]).copy()
     wrong = data.draw(st.integers(1, MAX_DIM + 2).filter(lambda n: n != d), label="wrong")
-    fault = data.draw(st.sampled_from(["g length", "g 2-d", "w length", "nan", "inf", "-inf"]))
+    fault = data.draw(st.sampled_from(["g length", "g rank", "w length", "nan", "inf", "-inf"]))
     if fault == "g length":
-        g = np.ones(wrong)  # a length-1 g used to be broadcast over w
-    elif fault == "g 2-d":
-        g = g[None, :]
+        g = np.ones(g.shape[:-1] + (wrong,))  # a length-1 g used to be broadcast over w
+    elif fault == "g rank":
+        g = g[0] if per_sample else g[None, :]  # NGD needs the (B, d) batch
     elif fault == "w length":
         w = np.zeros(wrong)
     else:
-        g[data.draw(st.integers(0, d - 1), label="index")] = float(fault)
+        index = data.draw(st.integers(0, g.size - 1), label="index")
+        g[np.unravel_index(index, g.shape)] = float(fault)
     expected = NonFiniteError if fault in ("nan", "inf", "-inf") else DimensionMismatchError
     w_before, state_before = w.tobytes(), _snapshot(opt)
     with pytest.raises(expected, match="g"):
