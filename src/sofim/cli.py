@@ -194,6 +194,9 @@ def _experiment_config(config: dict) -> harness.ExperimentConfig:
     thresholds = config.get("loss_thresholds", ())
     if isinstance(thresholds, (int, float)):
         thresholds = (thresholds,)
+    if not isinstance(thresholds, (list, tuple)):
+        raise CliError(f"config key 'loss_thresholds' must be a number or a list of numbers, "
+                       f"got {thresholds!r}")
     return harness.ExperimentConfig(
         problem=config["problem"],
         optimizer=config["optimizer"],

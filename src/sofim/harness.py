@@ -6,7 +6,9 @@ Every optimizer, the dense NGD and Newton oracles included, is one row of
 accepted keys), the harness defaults that differ from the dataclass's, and
 a stepper whose ``step(w, g)`` updates ``w`` in place.  Runs and the
 scaling probe build their stepper from that row the same way, so the
-training loop makes one ``stepper.step`` call per iteration.
+training loop makes one ``stepper.step`` call per iteration, fed by one
+problem call that returns the batch loss and the gradient from a single
+forward pass.
 
 A run is a pure function of its :class:`ExperimentConfig` (wall-time
 columns aside): initialization, batch order and updates are all seeded.
@@ -55,7 +57,7 @@ class _Optimizer(NamedTuple):
     config: type  # frozen hyperparameter dataclass
     stepper: type  # built as stepper(dim, config), plus the Hessian if `hessian`
     defaults: dict = {}  # harness defaults that differ from the dataclass's
-    gradient: str = "grad"  # the problem method that feeds step's g
+    gradient: str = "loss_and_grad"  # the problem method returning (batch loss, step's g)
     hessian: bool = False  # the stepper takes the problem's constant Hessian
     dense: bool = False  # a dense oracle: the scaling probe caps its dimension
     iterations_key: str | None = None  # defaults to the run's total_iterations
@@ -67,7 +69,7 @@ OPTIMIZERS = {
                                {"eta": 0.1, "momentum": 0.9}, iterations_key="total_steps"),
     "adam": _Optimizer(baselines.AdamConfig, baselines.AdamOptimizer, {"eta": 0.001}),
     "ngd_oracle": _Optimizer(baselines.NgdConfig, baselines.NgdOracle,
-                             gradient="per_sample_grads", dense=True),
+                             gradient="loss_and_per_sample_grads", dense=True),
     "newton_oracle": _Optimizer(baselines.NewtonConfig, baselines.NewtonOracle,
                                 hessian=True, dense=True),
 }
@@ -245,7 +247,7 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
 
     stepper = _build_stepper(cfg.optimizer, cfg.optimizer_params, cfg.total_iterations,
                              problem.dim, lambda: problem.exact_hessian(w))
-    gradient = getattr(problem, OPTIMIZERS[cfg.optimizer].gradient)
+    loss_and_gradient = getattr(problem, OPTIMIZERS[cfg.optimizer].gradient)
 
     rows: list = []
     diverged, diverged_at = False, None
@@ -255,12 +257,12 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
         for t in range(1, cfg.total_iterations + 1):
             tic = time.perf_counter()
             batch = None if full_batch else next(batches)
-            batch_loss = problem.loss(w, batch)
+            batch_loss, g = loss_and_gradient(w, batch)
             if not math.isfinite(batch_loss) or batch_loss > DIVERGENCE_LOSS:
                 diverged, diverged_at = True, t
                 break
             try:
-                stepper.step(w, gradient(w, batch))
+                stepper.step(w, g)
             except (NonFiniteError, FloatingPointError, np.linalg.LinAlgError):
                 diverged, diverged_at = True, t
                 break
@@ -361,6 +363,7 @@ def scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
     dims = [convert(int, d, "each entry of dims") for d in dims]
     require(all(d >= 1 for d in dims), f"dims must be positive, got {dims}")
     require(repeats >= 1, f"repeats must be >= 1, got {repeats}")
+    require(seed >= 0, f"seed must be >= 0, got {seed}")
     params = dict(optimizer_params or {})
     row = _hyperparameters(optimizer_id, params, repeats)[0]
     too_big = [d for d in dims if row.dense and d > baselines.DENSE_FIM_CAP]
@@ -374,7 +377,7 @@ def scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
     steps = []
     for d in dims:
         w, g = rng.standard_normal(d), rng.standard_normal(d)
-        if row.gradient == "per_sample_grads":
+        if row.gradient == "loss_and_per_sample_grads":
             g = rng.standard_normal((8, d))
         stepper = _build_stepper(optimizer_id, params, repeats, d,
                                  lambda: problems.make_quadratic(d, 10.0, seed).exact_hessian(w))

@@ -7,7 +7,9 @@ Fisher oracle), and held-out test metrics.  Losses are means of per-sample
 losses, so the gradient of a batch equals the mean of the per-sample
 gradients.  Each dataset model (logistic, softmax, MLP) states its math
 once: a forward pass, a cross-entropy head (sigmoid or softmax) and a
-pull-back from the head's residual to the gradient.
+pull-back from the head's residual to the gradient.  ``loss_and_grad`` and
+``loss_and_per_sample_grads`` return the batch loss with a gradient from
+that one forward pass, so a training step runs the model forward once.
 
 Parameters are always a single flat float64 vector; problems with several
 weight arrays (the MLP) define a fixed, documented flattening order.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sofim.exceptions import ConfigError, DimensionMismatchError, convert
+from sofim.exceptions import ConfigError, DimensionMismatchError, convert, require
 
 __all__ = [
     "Dataset",
@@ -218,10 +220,21 @@ class Problem:
         raise NotImplementedError
 
     def grad(self, w, batch=None) -> np.ndarray:
-        raise NotImplementedError
+        return self.loss_and_grad(w, batch)[1]
 
     def per_sample_grads(self, w, batch=None) -> np.ndarray:
-        raise NotImplementedError
+        return self.loss_and_per_sample_grads(w, batch)[1]
+
+    def loss_and_grad(self, w, batch=None) -> tuple:
+        """``(loss(w, batch), grad(w, batch))``.  A problem overrides either
+        this or ``grad``; dataset problems override this with one forward
+        pass."""
+        return self.loss(w, batch), self.grad(w, batch)
+
+    def loss_and_per_sample_grads(self, w, batch=None) -> tuple:
+        """``(loss(w, batch), per_sample_grads(w, batch))``; overridden the
+        same way as :meth:`loss_and_grad`."""
+        return self.loss(w, batch), self.per_sample_grads(w, batch)
 
     def test_loss(self, w) -> float:
         raise NotImplementedError
@@ -320,13 +333,13 @@ class _SigmoidHead:
     def losses(self, z, y):
         return np.logaddexp(0.0, z) - y * z
 
-    def residual(self, z, y):
+    def losses_and_residual(self, z, y):
         s = np.empty_like(z)
         pos = z >= 0
         s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
         ez = np.exp(z[~pos])
         s[~pos] = ez / (1.0 + ez)
-        return s - y
+        return self.losses(z, y), s - y
 
     def predict(self, z):
         return (z > 0).astype(np.int64)
@@ -334,16 +347,18 @@ class _SigmoidHead:
 
 class _SoftmaxHead:
     """Cross-entropy over a row of class logits per sample; the residual
-    ``dloss/dlogits`` is ``softmax(logits) - onehot(y)``.  Ties predict the
-    lowest class, because ``np.argmax`` returns the first maximum."""
+    ``dloss/dlogits`` is ``softmax(logits) - onehot(y)``, taken from the same
+    log-softmax as the losses.  Ties predict the lowest class, because
+    ``np.argmax`` returns the first maximum."""
 
     def losses(self, logits, y):
         return -_log_softmax(logits)[np.arange(logits.shape[0]), y]
 
-    def residual(self, logits, y):
-        r = np.exp(_log_softmax(logits))
-        r[np.arange(logits.shape[0]), y] -= 1.0
-        return r
+    def losses_and_residual(self, logits, y):
+        log_p, rows = _log_softmax(logits), np.arange(logits.shape[0])
+        r = np.exp(log_p)
+        r[rows, y] -= 1.0
+        return -log_p[rows, y], r
 
     def predict(self, logits):
         return np.argmax(logits, axis=1)
@@ -352,7 +367,8 @@ class _SoftmaxHead:
 class _DatasetProblem(Problem):
     """A model over a Dataset, stated in three pieces: ``_forward(w, x)``
     returns ``(outputs, cache)``; ``head`` turns outputs into per-sample
-    losses, the residual ``dloss/doutputs`` and predictions;
+    losses, those losses with the residual ``dloss/doutputs``, and
+    predictions;
     ``_pullback(w, cache, residual)`` returns one ``(error, input)`` pair per
     parameter block in flat-layout order.  A weight block's per-sample
     gradient is ``error outer input``; a bias block's input is ``None`` and
@@ -388,26 +404,28 @@ class _DatasetProblem(Problem):
         outputs = self._forward(self._check_w(w), x)[0]  # [0] frees the cache early
         return float(self.head.losses(outputs, y).mean())
 
-    def _blocks(self, w, batch):
-        """The pull-back's ``(error, input)`` pairs on a batch, and its size."""
+    def _loss_and_blocks(self, w, batch):
+        """The mean loss on a batch, the pull-back's ``(error, input)`` pairs
+        and the batch size, all from one forward pass."""
         x, y = self._select(batch)
         w = self._check_w(w)
         outputs, cache = self._forward(w, x)
-        return self._pullback(w, cache, self.head.residual(outputs, y)), x.shape[0]
+        losses, residual = self.head.losses_and_residual(outputs, y)
+        return float(losses.mean()), self._pullback(w, cache, residual), x.shape[0]
 
     def loss(self, w, batch=None) -> float:
         return self._mean_loss(w, *self._select(batch))
 
-    def grad(self, w, batch=None) -> np.ndarray:
-        blocks, b = self._blocks(w, batch)
-        return np.concatenate([err.mean(axis=0) if inp is None else err.T @ inp / b
-                               for err, inp in blocks], axis=None)
+    def loss_and_grad(self, w, batch=None) -> tuple:
+        loss, blocks, b = self._loss_and_blocks(w, batch)
+        return loss, np.concatenate([err.mean(axis=0) if inp is None else err.T @ inp / b
+                                     for err, inp in blocks], axis=None)
 
-    def per_sample_grads(self, w, batch=None) -> np.ndarray:
-        blocks, b = self._blocks(w, batch)
-        return np.hstack([err if inp is None else
-                          np.einsum("bi,bj->bij", err.reshape(b, -1), inp).reshape(b, -1)
-                          for err, inp in blocks])
+    def loss_and_per_sample_grads(self, w, batch=None) -> tuple:
+        loss, blocks, b = self._loss_and_blocks(w, batch)
+        return loss, np.hstack([err if inp is None else
+                                np.einsum("bi,bj->bij", err.reshape(b, -1), inp).reshape(b, -1)
+                                for err, inp in blocks])
 
     def test_loss(self, w) -> float:
         return self._mean_loss(w, self._x_test, self._y_test)
@@ -608,6 +626,14 @@ def _spec_value(spec: dict, key: str, kind: type, default):
     return convert(kind, spec.get(key, default), f"problem key {key!r}")
 
 
+def _spec_seed(spec: dict, key: str) -> int:
+    """The seed ``spec[key]`` (default 0); ``np.random.default_rng`` refuses
+    a negative one."""
+    seed = _spec_value(spec, key, int, 0)
+    require(seed >= 0, f"problem key {key!r} must be >= 0, got {seed}")
+    return seed
+
+
 def problem_from_spec(spec: dict) -> Problem:
     """Build a problem from a declarative dict (as found in config files).
 
@@ -623,12 +649,13 @@ def problem_from_spec(spec: dict) -> Problem:
     unknown = set(spec) - _SPEC_KEYS[kind]
     if unknown:
         raise ConfigError(f"unknown problem key(s) {sorted(unknown)} for kind {kind!r}")
+    seed = _spec_seed(spec, "seed")
 
     if kind == "quadratic":
         return make_quadratic(
             d=_spec_value(spec, "dim", int, 20),
             condition_number=_spec_value(spec, "condition_number", float, 10.0),
-            seed=_spec_value(spec, "seed", int, 0),
+            seed=seed,
         )
 
     if kind == "blobs":
@@ -637,7 +664,7 @@ def problem_from_spec(spec: dict) -> Problem:
             p=_spec_value(spec, "p", int, 20),
             c=_spec_value(spec, "classes", int, 2),
             spread=_spec_value(spec, "spread", float, 3.0),
-            seed=_spec_value(spec, "seed", int, 0),
+            seed=seed,
         )
     else:
         if "path" not in spec:
@@ -646,7 +673,7 @@ def problem_from_spec(spec: dict) -> Problem:
             path=spec["path"],
             label_column=spec.get("label_column", "label"),
             split_fraction=_spec_value(spec, "split_fraction", float, 0.8),
-            seed=_spec_value(spec, "seed", int, 0),
+            seed=seed,
         )
 
     model = spec.get("model", "logistic")
@@ -660,4 +687,4 @@ def problem_from_spec(spec: dict) -> Problem:
         widths=(dataset.n_features, _spec_value(spec, "hidden", int, 32), dataset.num_classes),
         activation=spec.get("activation", "tanh"),
     )
-    return MlpProblem(dataset, mlp_spec, init_seed=_spec_value(spec, "init_seed", int, 0))
+    return MlpProblem(dataset, mlp_spec, init_seed=_spec_seed(spec, "init_seed"))

@@ -165,14 +165,20 @@ class TestExitCodes:
         ("run", "hyperparameters.eta=abc", "'eta'"),
         ("run", "hyperparameters.rho=[1]", "'rho'"),
         ("run", "loss_thresholds=[abc]", "'loss_thresholds'"),
+        ("run", "loss_thresholds=abc", "'loss_thresholds' must be a number or a list of "
+                                       "numbers, got 'abc'"),
+        ("run", "loss_thresholds=", "'loss_thresholds' must be a number or a list of "
+                                    "numbers, got ''"),
         ("run", "problem.n=abc", "'n'"),
         ("run", "seed=-1", "seed"),
+        ("run", "problem.seed=-1", "'seed'"),
         ("sweep", "grid.eta=[x]", "'eta'"),
         ("rho-sweep", "rhos=[x]", "'rhos'"),
         ("scaling", "dims=[x]", "dims"),
         ("scaling", "hyperparameters=[1]", "'hyperparameters'"),
         ("scaling", "hyperparameters.eta=x", "'eta'"),
         ("scaling", "optimizers=5", "'optimizers'"),
+        ("scaling", "seed=-1", "seed"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, subcommand, override,
                                              key):

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sofim import problems
 from sofim.core import SofimOptimizer
 from sofim.exceptions import ConfigError, ScaleCapError
 from sofim.harness import (
@@ -131,6 +132,25 @@ class TestRunExperiment:
         n_train = 240  # 80% of 300
         for row in record.rows:
             assert row[1] == (row[0] * 32) // n_train
+
+    def test_one_forward_pass_per_training_step(self):
+        """T iterations with one eval point run the model forward T times on
+        a batch, then once each for the full-train loss, the test accuracy
+        and the test loss."""
+        cfg = quick_config(problem={**BLOBS_LOGISTIC, "model": "mlp", "hidden": 4},
+                           total_iterations=7, eval_every=7)
+        problem = problems.problem_from_spec(cfg.problem)
+        sizes, forward = [], problem._forward
+
+        def counted(w, x):
+            sizes.append(x.shape[0])
+            return forward(w, x)
+
+        problem._forward = counted
+        run_experiment(cfg, problem=problem)
+        n_train, n_test = problem.n_train, problem.dataset.n_test
+        assert sizes[:7] == [cfg.batch_size] * 7
+        assert sorted(sizes[7:]) == sorted([n_train, n_test, n_test])
 
     def test_batch_size_clipped_to_train_size(self):
         """batch_size above the train size degrades to full-batch epochs."""

@@ -66,6 +66,21 @@ class TestGradientOracle:
         mean_grad = problem.per_sample_grads(w, batch).mean(axis=0)
         assert_allclose(problem.grad(w, batch), mean_grad, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("on", ["batch", "full"])
+    @pytest.mark.parametrize("label,problem,tol",
+                             problem_zoo(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_fused_calls_equal_separate_calls(self, label, problem, tol, on):
+        """loss_and_grad and NGD's loss_and_per_sample_grads are bitwise the
+        pairs (loss, grad) and (loss, per_sample_grads)."""
+        rng = np.random.default_rng(5)
+        w = problem.initial_point(rng) + 0.1 * rng.standard_normal(problem.dim)
+        batch = rng.integers(0, problem.n_train, size=9) if on == "batch" else None
+        for fused, separate in [(problem.loss_and_grad, problem.grad),
+                                (problem.loss_and_per_sample_grads, problem.per_sample_grads)]:
+            loss, g = fused(w, batch)
+            assert loss == problem.loss(w, batch)
+            assert np.array_equal(g, separate(w, batch))
+
     def test_finite_difference_helper(self):
         """The helper itself differentiates a known polynomial."""
         f = lambda w: float(w[0] ** 2 + 3.0 * w[1])
@@ -519,3 +534,7 @@ class TestProblemFromSpec:
             problem_from_spec({"kind": "blobs", "model": "tree"})
         with pytest.raises(ConfigError, match="path"):
             problem_from_spec({"kind": "csv"})
+        with pytest.raises(ConfigError, match="'seed' must be >= 0"):
+            problem_from_spec({"kind": "quadratic", "seed": -1})
+        with pytest.raises(ConfigError, match="'init_seed' must be >= 0"):
+            problem_from_spec({"kind": "blobs", "n": 40, "model": "mlp", "init_seed": -1})

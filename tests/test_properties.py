@@ -8,6 +8,8 @@ hyperparameters and gradient streams (Hypothesis).
   dense NGD and Newton oracles too.
 - A sofim step is never longer than ``eta / (2 sqrt(rho))``: the length
   ``eta ||m_hat|| / (rho + ||m_hat||^2)`` peaks at ``||m_hat|| = sqrt(rho)``.
+- Bias correction recovers a constant gradient stream: ``m_hat == g`` at
+  every step, to a relative 1e-12 per entry.
 """
 
 import copy
@@ -31,13 +33,16 @@ from sofim.baselines import (
     adam_step,
     sgd_momentum_step,
 )
-from sofim.core import SofimConfig, SofimOptimizer, SofimState, sofim_step
+from sofim.core import SofimConfig, SofimOptimizer, SofimState, bias_correct, sofim_step
 from sofim.exceptions import DimensionMismatchError, NonFiniteError
 
 MAX_DIM = 64
 FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 #: From subnormal to 1e150: ||m_hat||^2 still fits a float64 at d = 64.
 WIDE = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+#: Zero, or a magnitude in [1e-150, 1e150]: (1 - beta) g stays a normal float
+#: for beta <= 0.999, and ||m_hat||^2 fits a float64 at d = 64.
+NORMAL = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
 PROPERTY = settings(deadline=None, max_examples=40)
 
 
@@ -167,3 +172,16 @@ def test_sofim_step_length_at_most_eta_over_two_sqrt_rho(stream, eta, rho, beta)
         before = w.copy()
         opt.step(w, g)
         assert np.linalg.norm(w - before) <= bound * (1.0 + 1e-9)
+
+
+@PROPERTY
+@given(g=arrays(np.float64, st.integers(1, MAX_DIM), elements=NORMAL),
+       beta=st.floats(0.0, 0.999), steps=st.integers(1, 300))
+def test_bias_correction_recovers_a_constant_gradient(g, beta, steps):
+    """``beta`` stops at 0.999, as in criterion 03: ``1 - beta**t`` loses about
+    ``eps / (1 - beta)`` to cancellation, which passes 1e-12 near 0.99999."""
+    opt = SofimOptimizer(len(g), SofimConfig(eta=0.1, rho=0.5, beta=beta))
+    w = np.zeros(len(g))
+    for _ in range(steps):
+        opt.step(w, g)
+        assert np.all(np.abs(bias_correct(opt.state) - g) <= 1e-12 * np.abs(g))
