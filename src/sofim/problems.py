@@ -319,27 +319,54 @@ def make_quadratic(d: int, condition_number: float, seed: int) -> QuadraticProbl
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax with max subtraction (no overflow)."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Row-wise log-softmax with max subtraction (no overflow).
+
+    The row max is reduced down the columns of a contiguous transpose,
+    which is about ten times faster than ``max(axis=1)`` on 5-wide rows.  A
+    max rounds nothing, so it is bitwise that ``max(axis=1)`` for any class
+    count, NaN, ``-inf`` and signed zeros included.  The row sum stays a
+    reduction along each row: numpy sums a row of 8 or more entries in
+    interleaved partial sums, so a sum down the columns would round
+    differently from 8 classes on.
+    """
+    shifted = logits - np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)[:, None]
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    return shifted
+
+
+def _mean(x: np.ndarray):
+    """``x.mean(axis=0)``: the same reduce and divide, bitwise, without the
+    Python-level wrapper of ``np.mean`` (about 3 us a call)."""
+    return np.add.reduce(x, axis=0) / x.shape[0]
+
+
+def _flat_index(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The C-order flat index of each row's ``logits[i, y[i]]``: one cheap
+    ``take`` instead of a two-array fancy index."""
+    rows, classes = logits.shape
+    return np.arange(0, rows * classes, classes) + y
 
 
 class _SigmoidHead:
     """Binary cross-entropy on one logit ``z`` per sample: the loss
     ``-(y log s + (1 - y) log(1 - s))``, ``s = sigmoid(z)``, is computed as
     ``log(1 + exp(z)) - y z`` for stability; the residual ``dloss/dz`` is
-    ``s - y``.  ``z == 0`` ties predict class 0."""
+    ``s - y``.  ``z == 0`` ties predict class 0.
+
+    ``s`` never overflows: with ``e = exp(-|z|)`` it is ``1 / (1 + e)`` for
+    ``z >= 0`` and ``e / (1 + e)`` for ``z < 0``.  ``e`` is ``exp(-z)`` on the
+    first branch and ``exp(z)`` on the second, so each element goes through
+    the same operations as in a masked two-branch form, bitwise, from one
+    ``exp`` call and no boolean gathers or scatters."""
 
     def losses(self, z, y):
         return np.logaddexp(0.0, z) - y * z
 
     def losses_and_residual(self, z, y):
-        s = np.empty_like(z)
-        pos = z >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        s[~pos] = ez / (1.0 + ez)
-        return self.losses(z, y), s - y
+        e = np.exp(-np.abs(z))
+        s = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        s -= y
+        return self.losses(z, y), s
 
     def predict(self, z):
         return (z > 0).astype(np.int64)
@@ -352,13 +379,13 @@ class _SoftmaxHead:
     ``np.argmax`` returns the first maximum."""
 
     def losses(self, logits, y):
-        return -_log_softmax(logits)[np.arange(logits.shape[0]), y]
+        return -_log_softmax(logits).take(_flat_index(logits, y))
 
     def losses_and_residual(self, logits, y):
-        log_p, rows = _log_softmax(logits), np.arange(logits.shape[0])
-        r = np.exp(log_p)
-        r[rows, y] -= 1.0
-        return -log_p[rows, y], r
+        log_p, at_y = _log_softmax(logits), _flat_index(logits, y)
+        r = np.exp(log_p, order="C")  # C order: reshape(-1) below is a view
+        r.reshape(-1)[at_y] -= 1.0
+        return -log_p.take(at_y), r
 
     def predict(self, logits):
         return np.argmax(logits, axis=1)
@@ -392,7 +419,7 @@ class _DatasetProblem(Problem):
         if batch is None:
             return self._x_train, self._y_train
         batch = np.asarray(batch, dtype=np.int64)
-        return self._x_train[batch], self._y_train[batch]
+        return self._x_train.take(batch, axis=0), self._y_train.take(batch)
 
     def _check_w(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)
@@ -402,7 +429,7 @@ class _DatasetProblem(Problem):
 
     def _mean_loss(self, w, x, y) -> float:
         outputs = self._forward(self._check_w(w), x)[0]  # [0] frees the cache early
-        return float(self.head.losses(outputs, y).mean())
+        return float(_mean(self.head.losses(outputs, y)))
 
     def _loss_and_blocks(self, w, batch):
         """The mean loss on a batch, the pull-back's ``(error, input)`` pairs
@@ -411,15 +438,16 @@ class _DatasetProblem(Problem):
         w = self._check_w(w)
         outputs, cache = self._forward(w, x)
         losses, residual = self.head.losses_and_residual(outputs, y)
-        return float(losses.mean()), self._pullback(w, cache, residual), x.shape[0]
+        return float(_mean(losses)), self._pullback(w, cache, residual), x.shape[0]
 
     def loss(self, w, batch=None) -> float:
         return self._mean_loss(w, *self._select(batch))
 
     def loss_and_grad(self, w, batch=None) -> tuple:
         loss, blocks, b = self._loss_and_blocks(w, batch)
-        return loss, np.concatenate([err.mean(axis=0) if inp is None else err.T @ inp / b
-                                     for err, inp in blocks], axis=None)
+        grads = [_mean(err) if inp is None else err.T @ inp / b for err, inp in blocks]
+        # One block is already a fresh array: return it flat, without a copy.
+        return loss, grads[0].ravel() if len(grads) == 1 else np.concatenate(grads, axis=None)
 
     def loss_and_per_sample_grads(self, w, batch=None) -> tuple:
         loss, blocks, b = self._loss_and_blocks(w, batch)
@@ -432,7 +460,7 @@ class _DatasetProblem(Problem):
 
     def test_accuracy(self, w) -> float:
         outputs = self._forward(self._check_w(w), self._x_test)[0]
-        return float(np.mean(self.head.predict(outputs) == self._y_test))
+        return np.count_nonzero(self.head.predict(outputs) == self._y_test) / len(self._y_test)
 
     def initial_point(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)

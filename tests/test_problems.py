@@ -6,8 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from sofim import problems
 from sofim.exceptions import ConfigError, DimensionMismatchError
 from sofim.problems import (
     Dataset,
@@ -81,6 +85,27 @@ class TestGradientOracle:
             assert loss == problem.loss(w, batch)
             assert np.array_equal(g, separate(w, batch))
 
+    @pytest.mark.parametrize("on", ["batch", "full"])
+    @pytest.mark.parametrize("label,problem,tol",
+                             problem_zoo(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_returned_gradient_is_not_aliased(self, label, problem, tol, on):
+        """Writing into a returned gradient changes neither w nor the next
+        call's result: no gradient is a view of the problem's or the
+        caller's arrays."""
+        rng = np.random.default_rng(3)
+        w = problem.initial_point(rng) + 0.1 * rng.standard_normal(problem.dim)
+        w_before = w.copy()
+        batch = rng.integers(0, problem.n_train, size=9) if on == "batch" else None
+        for call in (problem.loss_and_grad, problem.loss_and_per_sample_grads,
+                     lambda w, batch: (None, problem.grad(w, batch))):
+            loss, g = call(w, batch)
+            expected = g.copy()
+            g += 1.0
+            again = call(w, batch)
+            assert again[0] == loss and np.array_equal(again[1], expected)
+            assert not np.shares_memory(again[1], g)
+            assert np.array_equal(w, w_before)
+
     def test_finite_difference_helper(self):
         """The helper itself differentiates a known polynomial."""
         f = lambda w: float(w[0] ** 2 + 3.0 * w[1])
@@ -135,6 +160,95 @@ class TestReferenceValues:
                 assert value == pytest.approx(expected, rel=1e-12)
             pred = np.argmax(reference_logits(problem, w, x_test), axis=1)
             assert problem.test_accuracy(w) == float(np.mean(pred == y_test))
+
+
+def masked_sigmoid_residual(z, y):
+    """The sigmoid residual in its former two-branch form, as an oracle:
+    ``1 / (1 + exp(-z))`` on ``z >= 0`` and ``exp(z) / (1 + exp(z))`` on
+    ``z < 0``, gathered and scattered through boolean masks."""
+    s = np.empty_like(z)
+    pos = z >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    s[~pos] = ez / (1.0 + ez)
+    return s - y
+
+
+def rowmax_log_softmax(logits):
+    """The log-softmax in its former form, as an oracle: the row max taken
+    with ``max(axis=1)``."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def rowmax_softmax_losses_and_residual(logits, y):
+    """The softmax head's losses and residual in their former form."""
+    log_p, rows = rowmax_log_softmax(logits), np.arange(logits.shape[0])
+    r = np.exp(log_p)
+    r[rows, y] -= 1.0
+    return -log_p[rows, y], r
+
+
+def same_bits(a, b):
+    """Bitwise equal: signs of zeros and NaN bits included."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+TINY = 5e-324  # the smallest subnormal
+SPECIAL_Z = [0.0, -0.0, TINY, -TINY, 1e-310, -1e-310, 2.2250738585072014e-308,
+             745.0, -745.0, 745.2, -745.2, 1e308, -1e308, np.inf, -np.inf]
+HEADS = settings(deadline=None, max_examples=200)
+
+
+class TestHeadsMatchTheirFormerForms:
+    """The one-exp sigmoid residual and the transposed row max are bitwise
+    the masked two-branch sigmoid and the ``max(axis=1)`` log-softmax they
+    replaced, on the values where floating point is most fragile."""
+
+    @HEADS
+    @given(z=arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+               st.sampled_from(SPECIAL_Z), st.floats(allow_nan=False))),
+           data=st.data())
+    def test_sigmoid_residual(self, z, data):
+        y = data.draw(arrays(np.int64, z.shape, elements=st.integers(0, 1)), label="y")
+        with np.errstate(all="ignore"):  # inf * 0 in the loss of an infinite z
+            losses, residual = problems._SigmoidHead().losses_and_residual(z, y)
+            assert same_bits(losses, np.logaddexp(0.0, z) - y * z)
+        assert same_bits(residual, masked_sigmoid_residual(z, y))
+
+    def test_sigmoid_residual_at_every_special_value(self):
+        z = np.array(SPECIAL_Z)
+        for y in (np.zeros(len(z), np.int64), np.ones(len(z), np.int64)):
+            with np.errstate(all="ignore"):
+                residual = problems._SigmoidHead().losses_and_residual(z, y)[1]
+            assert same_bits(residual, masked_sigmoid_residual(z, y))
+
+    @HEADS
+    @given(classes=st.sampled_from([2, 5, 100]), rows=st.integers(1, 12), data=st.data())
+    def test_log_softmax_and_softmax_residual(self, classes, rows, data):
+        # Few distinct values make ties, signed zeros tie each other, -inf
+        # and NaN make rows with infinite and undefined maxima.
+        elements = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.5, -np.inf, np.nan, 1e308, -1e308]),
+            st.floats(-1e3, 1e3))
+        logits = data.draw(arrays(np.float64, (rows, classes), elements=elements), label="logits")
+        if data.draw(st.booleans(), label="nan row"):
+            logits[data.draw(st.integers(0, rows - 1), label="row")] = np.nan
+        y = data.draw(arrays(np.int64, rows, elements=st.integers(0, classes - 1)), label="y")
+        with np.errstate(all="ignore"):  # -inf - -inf and inf - inf make NaN
+            assert same_bits(problems._log_softmax(logits), rowmax_log_softmax(logits))
+            new = problems._SoftmaxHead().losses_and_residual(logits, y)
+            old = rowmax_softmax_losses_and_residual(logits, y)
+            assert same_bits(problems._SoftmaxHead().losses(logits, y), old[0])
+        assert same_bits(new[0], old[0]) and same_bits(new[1], old[1])
+
+    def test_softmax_residual_of_a_fortran_ordered_batch(self):
+        """The residual is written in C order whatever the logits' layout."""
+        rng = np.random.default_rng(0)
+        logits, y = np.asfortranarray(rng.standard_normal((7, 5))), rng.integers(0, 5, 7)
+        new = problems._SoftmaxHead().losses_and_residual(logits, y)
+        old = rowmax_softmax_losses_and_residual(logits, y)
+        assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
 
 
 class TestConvexity:

@@ -3,9 +3,11 @@ hyperparameters and gradient streams (Hypothesis).
 
 - Each O(d) stepper tracks its functional reference: ``sofim_step``,
   ``sgd_momentum_step`` and ``adam_step``.
-- A refused step (wrong shape, NaN or Inf entry) raises and leaves ``w``
-  and every attribute of the stepper bitwise unchanged; that holds for the
-  dense NGD and Newton oracles too.
+- A refused step (wrong shape, NaN or Inf entry, and for sofim a finite
+  ``g`` whose ``||m_hat||^2`` overflows) raises and leaves ``w`` and every
+  attribute of the stepper bitwise unchanged; that holds for the dense NGD
+  and Newton oracles too.  Sofim refuses exactly the steps whose
+  ``||m_hat||^2`` overflows in the functional ``sofim_step``.
 - A sofim step is never longer than ``eta / (2 sqrt(rho))``: the length
   ``eta ||m_hat|| / (rho + ||m_hat||^2)`` peaks at ``||m_hat|| = sqrt(rho)``.
 - Bias correction recovers a constant gradient stream: ``m_hat == g`` at
@@ -121,6 +123,9 @@ STEPPERS = {
 }
 #: Steppers whose g is a (B, d) array of per-sample gradients.
 PER_SAMPLE = ("ngd_oracle",)
+#: A finite entry this large makes sofim's ||m_hat||^2 overflow: with beta =
+#: 0.9, t <= 4 and the other entries at most 1e3, |m_hat_i| > 1e159.
+HUGE = st.floats(1e160, 1e300)
 
 
 def _snapshot(opt) -> dict:
@@ -130,34 +135,67 @@ def _snapshot(opt) -> dict:
     }
 
 
+FAULTS = ("g length", "g rank", "w length", "nan", "inf", "-inf")
+
+
 @pytest.mark.parametrize("name", STEPPERS)
 @PROPERTY
 @given(stream=streams(max_steps=3), data=st.data())
 def test_refused_step_changes_nothing(name, stream, data):
+    """Every fault in turn, sofim's overflow included, on one warm stepper."""
     w, grads = stream
     d = len(w)
     opt = STEPPERS[name](d)
     per_sample = name in PER_SAMPLE
     for g in [grads] if per_sample else grads:
         opt.step(w, g)
-    g = (grads if per_sample else grads[-1]).copy()
+    good = grads if per_sample else grads[-1]
     wrong = data.draw(st.integers(1, MAX_DIM + 2).filter(lambda n: n != d), label="wrong")
-    fault = data.draw(st.sampled_from(["g length", "g rank", "w length", "nan", "inf", "-inf"]))
-    if fault == "g length":
-        g = np.ones(g.shape[:-1] + (wrong,))  # a length-1 g used to be broadcast over w
-    elif fault == "g rank":
-        g = g[0] if per_sample else g[None, :]  # NGD needs the (B, d) batch
-    elif fault == "w length":
-        w = np.zeros(wrong)
-    else:
-        index = data.draw(st.integers(0, g.size - 1), label="index")
-        g[np.unravel_index(index, g.shape)] = float(fault)
-    expected = NonFiniteError if fault in ("nan", "inf", "-inf") else DimensionMismatchError
-    w_before, state_before = w.tobytes(), _snapshot(opt)
-    with pytest.raises(expected, match="g"):
-        opt.step(w, g)
-    assert w.tobytes() == w_before
-    assert _snapshot(opt) == state_before
+    index = np.unravel_index(data.draw(st.integers(0, good.size - 1), label="index"), good.shape)
+    huge = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(HUGE, label="huge")
+    for fault in FAULTS + ("overflow",) * (name == "sofim"):
+        w_in, g = w, good.copy()
+        if fault == "g length":
+            g = np.ones(g.shape[:-1] + (wrong,))  # a length-1 g used to be broadcast over w
+        elif fault == "g rank":
+            g = g[0] if per_sample else g[None, :]  # NGD needs the (B, d) batch
+        elif fault == "w length":
+            w_in = np.zeros(wrong)
+        else:
+            g[index] = huge if fault == "overflow" else float(fault)
+        expected = DimensionMismatchError if fault in FAULTS[:3] else NonFiniteError
+        w_before, state_before = w_in.tobytes(), _snapshot(opt)
+        with pytest.raises(expected, match="overflowed" if fault == "overflow" else "g"):
+            opt.step(w_in, g)
+        assert w_in.tobytes() == w_before, fault
+        assert _snapshot(opt) == state_before, fault
+
+
+@PROPERTY
+@given(stream=streams(max_steps=8), scales=arrays(np.float64, 8, elements=st.integers(140, 156)),
+       beta=st.floats(0.0, 0.999))
+def test_sofim_refuses_exactly_the_steps_that_overflow(stream, scales, beta):
+    """Gradients scaled by 1e140..1e156 straddle the point where ||m_hat||^2
+    overflows: the stepper refuses those steps, changing nothing, and takes
+    every other step as ``sofim_step`` does, steps its cheap bound cannot
+    clear included."""
+    w, grads = stream
+    cfg = SofimConfig(eta=0.1, rho=0.5, beta=beta)
+    opt, state, w_ref = SofimOptimizer(len(w), cfg), SofimState.initial(len(w), cfg), w.copy()
+    for g in grads * 10.0 ** scales[: len(grads), None]:
+        try:
+            with np.errstate(over="ignore"):  # np.dot warns where np.vdot does not
+                w_ref, state = sofim_step(w_ref, state, g)
+        except NonFiniteError:
+            w_before, state_before = w.tobytes(), _snapshot(opt)
+            with pytest.raises(NonFiniteError, match="overflowed"):
+                opt.step(w, g)
+            assert w.tobytes() == w_before and _snapshot(opt) == state_before
+        else:
+            opt.step(w, g)
+        assert opt.step_count == state.step
+        assert np.array_equal(opt.moment, state.moment)
+        assert close(w, w_ref)
 
 
 @PROPERTY
