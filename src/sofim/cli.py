@@ -9,15 +9,20 @@ rho-sweep  curvature-regularizer sweep for the sofim optimizer.
 scaling    per-step wall-time probe across dimensions; writes scaling.csv.
 gradcheck  finite-difference gradient verification on default problems.
 
-Config files are YAML mappings with top-level keys ``problem``,
-``optimizer``, ``hyperparameters``, ``iterations``, ``batch_size``,
-``eval_every``, ``seed``, ``output_dir``, ``loss_thresholds`` (plus
-``grid``, ``rhos``, ``dims``, ``repeats``, ``optimizers`` for the sweep
-and scaling subcommands).  Any scalar key can be overridden on the
-command line with ``--set key=value`` (dotted paths reach nested keys,
-e.g. ``--set hyperparameters.rho=0.5``).  Unknown keys are rejected by
-name.  The effective config is echoed to ``<output_dir>/config_echo.yaml``
-so every run can be reproduced from its own output directory.
+Config files are YAML mappings.  A run file's keys are the fields of
+``harness.ExperimentConfig``, with ``iterations`` for ``total_iterations``
+and ``hyperparameters`` for ``optimizer_params``: ``problem``,
+``optimizer``, ``hyperparameters``, ``batch_size``, ``iterations``,
+``eval_every``, ``seed``, ``loss_thresholds``, plus ``output_dir``.
+``sweep`` adds ``grid`` and ``rho-sweep`` adds ``rhos``; ``scaling`` takes
+``optimizers``, ``dims``, ``repeats``, ``seed``, ``hyperparameters`` and
+``output_dir``.  Any scalar key can be overridden on the command line with
+``--set key=value`` (dotted paths reach nested keys, e.g. ``--set
+hyperparameters.rho=0.5``).  Unknown keys are rejected by name.  Every
+key is checked before the output directory is created (a problem spec is
+checked when the problem is built).  The effective config is echoed to
+``<output_dir>/config_echo.yaml`` so every run can be reproduced from its
+own output directory.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
@@ -25,17 +30,20 @@ Exit codes: 0 success, 1 config error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
 
 from sofim import harness, problems
-from sofim.exceptions import ConfigError, ScaleCapError, convert
+from sofim.exceptions import ConfigError, ScaleCapError, convert, require
 
 DEFAULT_OUTPUT_DIR_ENV = "SOFIM_OUTPUT_DIR"
 DEFAULT_ETA_GRID = (1.0, 0.1, 0.01, 0.001, 0.0001)
@@ -50,40 +58,26 @@ GRADCHECK_TOLERANCES = {
     "mlp_tanh": 1e-5,
 }
 
-_RUN_KEYS = {
-    "problem", "optimizer", "hyperparameters", "iterations", "batch_size",
-    "eval_every", "seed", "output_dir", "loss_thresholds",
-}
-#: Integer keys of a run config, each with the ExperimentConfig field it sets.
-_RUN_INT_KEYS = {"batch_size": "batch_size", "iterations": "total_iterations",
-                 "eval_every": "eval_every", "seed": "seed"}
-_FILE_KEYS = {
-    "run": _RUN_KEYS,
-    "sweep": _RUN_KEYS | {"grid"},
-    "rho-sweep": _RUN_KEYS | {"rhos"},
-    "scaling": {"optimizers", "dims", "repeats", "seed", "output_dir", "hyperparameters"},
-}
-
-
-class CliError(Exception):
-    """A config/usage problem; reported on stderr and mapped to exit 1."""
+#: Run-file keys named differently from the ExperimentConfig field they set.
+_KEY_OF_FIELD = {"total_iterations": "iterations", "optimizer_params": "hyperparameters"}
+#: Each run-file key but ``output_dir``, with the ExperimentConfig field it sets.
+_RUN_FIELDS = {_KEY_OF_FIELD.get(f.name, f.name): f for f in fields(harness.ExperimentConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse calls sys.exit(2) on bad usage; we reserve 2 for runtime
-    # failures, so surface usage problems as CliError instead.
+    # failures, so surface usage problems as config errors (exit 1) instead.
     def error(self, message):
-        raise CliError(message)
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sofim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-
-    def add_config_command(name, help_text):
+    for name, command in _COMMANDS.items():
         # The config path is optional at the argparse level so a missing
         # path surfaces as a named config error (exit 1), not a usage trap.
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("config", nargs="?", default=None,
                          help="path to YAML experiment config")
         cmd.add_argument(
@@ -91,11 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config key (dotted paths for nested keys); repeatable",
         )
-
-    add_config_command("run", "run one experiment")
-    add_config_command("sweep", "run a hyperparameter grid and select the best point")
-    add_config_command("rho-sweep", "sweep the sofim curvature regularizer")
-    add_config_command("scaling", "measure per-step update cost across dimensions")
 
     gradcheck = sub.add_parser(
         "gradcheck", help="finite-difference gradient verification on default problems"
@@ -108,21 +97,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path_str: str | None, subcommand: str) -> dict:
     if path_str is None:
-        if subcommand == "scaling":
-            return {}
-        raise CliError(f"the {subcommand} subcommand requires a config file path")
+        require(subcommand == "scaling",
+                f"the {subcommand} subcommand requires a config file path")
+        return {}
     path = Path(path_str)
-    if not path.is_file():
-        raise CliError(f"config file not found: {path}")
+    require(path.is_file(), f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
-            raise CliError(f"config file {path} is not valid YAML: {exc}") from exc
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise CliError(f"config file {path} must be a mapping at top level")
+            raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
+    data = {} if data is None else data
+    require(isinstance(data, dict), f"config file {path} must be a mapping at top level")
     return data
 
 
@@ -130,12 +116,11 @@ def _apply_overrides(config: dict, overrides: list) -> dict:
     out = {k: (dict(v) if isinstance(v, dict) else v) for k, v in config.items()}
     for item in overrides:
         key, sep, raw = item.partition("=")
-        if not sep or not key:
-            raise CliError(f"override {item!r} is not of the form KEY=VALUE")
+        require(sep and key, f"override {item!r} is not of the form KEY=VALUE")
         try:
             value = yaml.safe_load(raw) if raw != "" else ""
         except yaml.YAMLError as exc:
-            raise CliError(f"override {item!r} has an unparsable value: {exc}") from exc
+            raise ConfigError(f"override {item!r} has an unparsable value: {exc}") from exc
         node = out
         parts = key.split(".")
         for part in parts[:-1]:
@@ -148,63 +133,53 @@ def _apply_overrides(config: dict, overrides: list) -> dict:
     return out
 
 
-def _check_keys(config: dict, subcommand: str) -> None:
-    allowed = _FILE_KEYS[subcommand]
-    unknown = set(config) - allowed
-    if unknown:
-        raise CliError(
-            f"unknown config key(s) for {subcommand}: {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
-        )
+def _output_dir(config: dict) -> Path:
+    """The output directory named by ``output_dir``, else by the
+    environment, else ``runs``; not created here."""
+    raw = config.get("output_dir")
+    require(raw is None or isinstance(raw, str), f"output_dir must be a path string, got {raw!r}")
+    return Path(raw or os.environ.get(DEFAULT_OUTPUT_DIR_ENV) or "runs")
 
 
-def _resolve_output_dir(config: dict) -> Path:
-    raw = config.get("output_dir") or os.environ.get(DEFAULT_OUTPUT_DIR_ENV) or "runs"
-    if not isinstance(raw, (str, os.PathLike)):
-        raise CliError(f"output_dir must be a path string, got {raw!r}")
-    out = Path(raw)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _int_field(config: dict, key: str) -> int:
-    value = config[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CliError(f"config key {key!r} must be an integer, got {value!r}")
+def _mapping(value, key: str) -> dict:
+    require(isinstance(value, dict), f"config key {key!r} must be a mapping")
     return value
 
 
-def _params(config: dict) -> dict:
-    params = config.get("hyperparameters", {})
-    if not isinstance(params, dict):
-        raise CliError("config key 'hyperparameters' must be a mapping")
-    return params
+def _integer(value, key: str) -> int:
+    require(isinstance(value, int) and not isinstance(value, bool),
+            f"config key {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _floats(values, key: str) -> list:
     return [convert(float, v, f"each entry of config key {key!r}") for v in values]
 
 
+def _numbers(value, key: str) -> tuple:
+    values = (value,) if isinstance(value, (int, float)) else value
+    require(isinstance(values, (list, tuple)),
+            f"config key {key!r} must be a number or a list of numbers, got {value!r}")
+    return tuple(_floats(values, key))
+
+
+#: How a run-file value is checked, by its ExperimentConfig field's
+#: annotation; a field not listed here (``optimizer``) is passed on as given.
+_CHECKS = {"dict": _mapping, "int": _integer, "tuple": _numbers}
+
+
 def _experiment_config(config: dict) -> harness.ExperimentConfig:
-    for required in ("problem", "optimizer"):
-        if required not in config:
-            raise CliError(f"config is missing required key {required!r}")
-    if not isinstance(config["problem"], dict):
-        raise CliError("config key 'problem' must be a mapping")
-    thresholds = config.get("loss_thresholds", ())
-    if isinstance(thresholds, (int, float)):
-        thresholds = (thresholds,)
-    if not isinstance(thresholds, (list, tuple)):
-        raise CliError(f"config key 'loss_thresholds' must be a number or a list of numbers, "
-                       f"got {thresholds!r}")
-    return harness.ExperimentConfig(
-        problem=config["problem"],
-        optimizer=config["optimizer"],
-        optimizer_params=_params(config),
-        loss_thresholds=tuple(_floats(thresholds, "loss_thresholds")),
-        # Keys the config leaves out keep ExperimentConfig's defaults.
-        **{name: _int_field(config, key) for key, name in _RUN_INT_KEYS.items() if key in config},
-    )
+    """The validated ExperimentConfig of a run file; keys the file leaves
+    out keep ExperimentConfig's defaults, and other keys are ignored."""
+    values = {}
+    for key, f in _RUN_FIELDS.items():
+        if key in config:
+            check = _CHECKS.get(f.type)
+            values[f.name] = check(config[key], key) if check else config[key]
+        else:
+            require(f.default is not MISSING or f.default_factory is not MISSING,
+                    f"config is missing required key {key!r}")
+    return harness.ExperimentConfig(**values)
 
 
 def _echo_config(config: dict, out_dir: Path) -> Path:
@@ -224,45 +199,37 @@ def _write_record(record: harness.RunRecord, out_dir: Path) -> Path:
     return csv_path
 
 
-def _print_summary(record: harness.RunRecord) -> None:
-    for key, value in record.summary().items():
-        print(f"{key}={value}")
-
-
-def _cmd_run(args) -> int:
-    config = _apply_overrides(_load_config(args.config, "run"), args.overrides)
-    _check_keys(config, "run")
-    out_dir = _resolve_output_dir(config)
-    cfg = _experiment_config(config)
+def _run(cfg: harness.ExperimentConfig, out_dir: Path) -> None:
     record = harness.run_experiment(cfg)
     csv_path = _write_record(record, out_dir)
-    _echo_config(config, out_dir)
-    _print_summary(record)
+    for key, value in record.summary().items():
+        print(f"{key}={value}")
     print(f"wrote {csv_path}")
-    return 0
 
 
-def _grid_points(config: dict) -> list:
+def _sweep_grid(config: dict) -> list:
+    base = _experiment_config(config)
     grid = config.get("grid", {"eta": list(DEFAULT_ETA_GRID)})
-    if not isinstance(grid, dict) or not grid:
-        raise CliError("config key 'grid' must be a non-empty mapping of "
-                       "hyperparameter name to list of values")
-    names = list(grid)
-    value_lists = []
-    for name in names:
-        values = grid[name]
-        if not isinstance(values, (list, tuple)) or not values:
-            raise CliError(f"grid entry {name!r} must be a non-empty list of values")
-        value_lists.append(list(values))
-    return [dict(zip(names, combo)) for combo in itertools.product(*value_lists)]
+    require(isinstance(grid, dict) and grid, "config key 'grid' must be a non-empty mapping "
+            "of hyperparameter name to list of values")
+    for name, values in grid.items():
+        require(isinstance(values, (list, tuple)) and values,
+                f"grid entry {name!r} must be a non-empty list of values")
+    return [replace(base, optimizer_params={**base.optimizer_params, **dict(zip(grid, combo))})
+            for combo in itertools.product(*grid.values())]
 
 
-def _report_sweep(result: harness.SweepResult, out_dir: Path, summary_name: str,
-                  point_label) -> list:
+def _rho_grid(config: dict) -> list:
+    rhos = config.get("rhos", list(DEFAULT_RHOS))
+    require(isinstance(rhos, (list, tuple)) and rhos, "config key 'rhos' must be a non-empty list")
+    return harness.rho_grid(_experiment_config(config), _floats(rhos, "rhos"))
+
+
+def _sweep(summary_name: str, point_label, grid: list, out_dir: Path) -> None:
+    result = harness.sweep(grid)
     lines = []
-    csv_paths = []
     for cfg, record in zip(result.configs, result.records):
-        csv_paths.append(_write_record(record, out_dir))
+        _write_record(record, out_dir)
         lines.append(
             f"point={point_label(cfg)} diverged={record.diverged} "
             f"final_train_loss={record.final_train_loss} "
@@ -275,66 +242,36 @@ def _report_sweep(result: harness.SweepResult, out_dir: Path, summary_name: str,
         best_cfg, best_record = result.best
         lines.append(f"best={point_label(best_cfg)} "
                      f"final_test_accuracy={best_record.final_test_accuracy}")
-    summary_path = out_dir / summary_name
-    summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out_dir / summary_name).write_text("\n".join(lines) + "\n", encoding="utf-8")
     for line in lines:
         print(line)
-    return csv_paths
 
 
-def _cmd_sweep(args) -> int:
-    config = _apply_overrides(_load_config(args.config, "sweep"), args.overrides)
-    _check_keys(config, "sweep")
-    out_dir = _resolve_output_dir(config)
-    base = _experiment_config({k: v for k, v in config.items() if k != "grid"})
-    points = _grid_points(config)
-    grid = [
-        replace(base, optimizer_params={**base.optimizer_params, **point})
-        for point in points
-    ]
-    result = harness.sweep(grid)
-    _report_sweep(result, out_dir, "sweep_summary.txt",
-                  lambda cfg: dict(cfg.optimizer_params))
-    _echo_config(config, out_dir)
-    return 0
-
-
-def _cmd_rho_sweep(args) -> int:
-    config = _apply_overrides(_load_config(args.config, "rho-sweep"), args.overrides)
-    _check_keys(config, "rho-sweep")
-    out_dir = _resolve_output_dir(config)
-    rhos = config.get("rhos", list(DEFAULT_RHOS))
-    if not isinstance(rhos, (list, tuple)) or not rhos:
-        raise CliError("config key 'rhos' must be a non-empty list")
-    base = _experiment_config({k: v for k, v in config.items() if k != "rhos"})
-    result = harness.rho_sweep(base, _floats(rhos, "rhos"))
-    _report_sweep(result, out_dir, "rho_sweep_summary.txt",
-                  lambda cfg: f"rho={cfg.optimizer_params['rho']:g}")
-    _echo_config(config, out_dir)
-    return 0
-
-
-def _cmd_scaling(args) -> int:
-    config = _apply_overrides(_load_config(args.config, "scaling"), args.overrides)
-    _check_keys(config, "scaling")
-    out_dir = _resolve_output_dir(config)
+def _scaling_job(config: dict) -> tuple:
+    """The optimizer ids and probe arguments of a scaling file, every
+    optimizer's arguments checked before any probe runs."""
     optimizers = config.get("optimizers", ["sofim", "sgd_momentum"])
     if isinstance(optimizers, str):
         optimizers = [optimizers]
-    if not isinstance(optimizers, (list, tuple)):
-        raise CliError(f"config key 'optimizers' must be an optimizer id or a list of them, "
-                       f"got {optimizers!r}")
+    require(isinstance(optimizers, (list, tuple)),
+            f"config key 'optimizers' must be an optimizer id or a list of them, "
+            f"got {optimizers!r}")
     dims = config.get("dims", list(DEFAULT_SCALING_DIMS))
-    if not isinstance(dims, (list, tuple)) or not dims:
-        raise CliError("config key 'dims' must be a non-empty list of integers")
-    probe_args = {key: _int_field(config, key) for key in ("repeats", "seed") if key in config}
-    params = _params(config)
+    require(isinstance(dims, (list, tuple)) and dims,
+            "config key 'dims' must be a non-empty list of integers")
+    probe_args = {key: _integer(config[key], key) for key in ("repeats", "seed") if key in config}
+    probe_args.update(dims=dims, optimizer_params=_mapping(config.get("hyperparameters", {}),
+                                                           "hyperparameters"))
+    for optimizer_id in optimizers:
+        harness.check_scaling_probe(optimizer_id, **probe_args)
+    return optimizers, probe_args
 
+
+def _scaling(job: tuple, out_dir: Path) -> None:
+    optimizers, probe_args = job
     rows = []
     for optimizer_id in optimizers:
-        for d, seconds in harness.scaling_probe(
-            optimizer_id, dims, optimizer_params=params, **probe_args
-        ):
+        for d, seconds in harness.scaling_probe(optimizer_id, **probe_args):
             rows.append((optimizer_id, d, seconds))
             print(f"{optimizer_id} d={d} median_step_seconds={seconds:.6e}")
 
@@ -343,8 +280,55 @@ def _cmd_scaling(args) -> int:
         fh.write("optimizer,d,median_step_seconds\n")
         for optimizer_id, d, seconds in rows:
             fh.write(f"{optimizer_id},{d},{seconds!r}\n")
-    _echo_config(config, out_dir)
     print(f"wrote {csv_path}")
+
+
+class _Command(NamedTuple):
+    """A config subcommand: its help line, the keys its file takes, how it
+    turns the config into a validated job, and how it runs that job into
+    the output directory."""
+
+    help: str
+    keys: set
+    build: Callable[[dict], object]
+    run: Callable[[object, Path], None]
+
+
+_RUN_FILE_KEYS = {*_RUN_FIELDS, "output_dir"}
+_COMMANDS = {
+    "run": _Command("run one experiment", _RUN_FILE_KEYS, _experiment_config, _run),
+    "sweep": _Command(
+        "run a hyperparameter grid and select the best point", _RUN_FILE_KEYS | {"grid"},
+        _sweep_grid,
+        functools.partial(_sweep, "sweep_summary.txt", lambda cfg: dict(cfg.optimizer_params)),
+    ),
+    "rho-sweep": _Command(
+        "sweep the sofim curvature regularizer", _RUN_FILE_KEYS | {"rhos"}, _rho_grid,
+        functools.partial(_sweep, "rho_sweep_summary.txt",
+                          lambda cfg: f"rho={cfg.optimizer_params['rho']:g}"),
+    ),
+    "scaling": _Command(
+        "measure per-step update cost across dimensions",
+        {"optimizers", "dims", "repeats", "seed", "output_dir", "hyperparameters"},
+        _scaling_job, _scaling,
+    ),
+}
+
+
+def _cmd_config(args) -> int:
+    """One config subcommand: load the file, apply the overrides, check the
+    keys, build and validate the job; only then create the output
+    directory, run the job and echo the config."""
+    command = _COMMANDS[args.subcommand]
+    config = _apply_overrides(_load_config(args.config, args.subcommand), args.overrides)
+    unknown = set(config) - command.keys
+    require(not unknown, f"unknown config key(s) for {args.subcommand}: {sorted(unknown)}; "
+            f"allowed: {sorted(command.keys)}")
+    out_dir = _output_dir(config)
+    job = command.build(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    command.run(job, out_dir)
+    _echo_config(config, out_dir)
     return 0
 
 
@@ -383,7 +367,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except CliError as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
@@ -392,16 +376,10 @@ def main(argv=None) -> int:
         print("config error: a subcommand is required "
               "(run, sweep, rho-sweep, scaling, gradcheck)", file=sys.stderr)
         return 1
-    handlers = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "rho-sweep": _cmd_rho_sweep,
-        "scaling": _cmd_scaling,
-        "gradcheck": _cmd_gradcheck,
-    }
+    handler = _cmd_gradcheck if args.subcommand == "gradcheck" else _cmd_config
     try:
-        return handlers[args.subcommand](args)
-    except (CliError, ConfigError, ScaleCapError) as exc:
+        return handler(args)
+    except (ConfigError, ScaleCapError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001, runtime failures map to exit 2

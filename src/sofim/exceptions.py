@@ -30,9 +30,14 @@ def require(ok: bool, message: str) -> None:
 
 def convert(kind, value, name: str):
     """``kind(value)`` for ``kind`` ``int`` or ``float``; a value that does
-    not convert raises :class:`ConfigError` naming ``name``."""
+    not convert, a boolean, or a non-integral number for ``int`` raises
+    :class:`ConfigError` naming ``name``."""
     try:
-        return kind(value)
+        out = kind(value)
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                        and out != value):
+            raise ValueError
+        return out
     except (TypeError, ValueError, OverflowError):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {noun}, got {value!r}") from None

@@ -334,15 +334,39 @@ def sweep(grid: list) -> SweepResult:
     return SweepResult(configs=list(grid), records=records, best_index=best_index)
 
 
-def rho_sweep(base: ExperimentConfig, rhos=(1.0, 0.5, 0.1)) -> SweepResult:
-    """Sweep the curvature regularizer of a SOFIM config over ``rhos``."""
+def rho_grid(base: ExperimentConfig, rhos=(1.0, 0.5, 0.1)) -> list:
+    """The validated configs of a rho sweep: the SOFIM config ``base`` at
+    each curvature regularizer in ``rhos``."""
     require(base.optimizer == "sofim",
             f"rho sweep requires the sofim optimizer, got {base.optimizer!r}")
-    grid = [
-        replace(base, optimizer_params={**base.optimizer_params, "rho": float(r)})
-        for r in rhos
-    ]
-    return sweep(grid)
+    return [replace(base, optimizer_params={**base.optimizer_params, "rho": float(r)})
+            for r in rhos]
+
+
+def rho_sweep(base: ExperimentConfig, rhos=(1.0, 0.5, 0.1)) -> SweepResult:
+    """Sweep the curvature regularizer of a SOFIM config over ``rhos``."""
+    return sweep(rho_grid(base, rhos))
+
+
+def check_scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
+                        optimizer_params: dict | None = None):
+    """The checked arguments of :func:`scaling_probe`: the optimizer's table
+    row, ``dims`` as integers and the hyperparameters.  A bad argument
+    raises ``ConfigError`` naming it, a dense oracle asked above its cap
+    ``ScaleCapError``."""
+    dims = [convert(int, d, "each entry of dims") for d in dims]
+    require(all(d >= 1 for d in dims), f"dims must be positive, got {dims}")
+    require(repeats >= 1, f"repeats must be >= 1, got {repeats}")
+    require(seed >= 0, f"seed must be >= 0, got {seed}")
+    params = dict(optimizer_params or {})
+    row = _hyperparameters(optimizer_id, params, repeats)[0]
+    too_big = [d for d in dims if row.dense and d > baselines.DENSE_FIM_CAP]
+    if too_big:
+        raise ScaleCapError(
+            f"{optimizer_id} is a dense small-scale oracle "
+            f"(d <= {baselines.DENSE_FIM_CAP}); refusing dims {too_big}"
+        )
+    return row, dims, params
 
 
 def scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
@@ -358,21 +382,11 @@ def scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
     the host reaches all dimensions rather than one.  A dimension's result
     is the smallest of its per-round medians.  Dense oracles refuse
     dimensions above their small-scale cap.  Returns a list of
-    ``(d, median_step_seconds)`` rows in the order of ``dims``.
+    ``(d, median_step_seconds)`` rows in the order of ``dims``; the
+    arguments are checked first by :func:`check_scaling_probe`.
     """
-    dims = [convert(int, d, "each entry of dims") for d in dims]
-    require(all(d >= 1 for d in dims), f"dims must be positive, got {dims}")
-    require(repeats >= 1, f"repeats must be >= 1, got {repeats}")
-    require(seed >= 0, f"seed must be >= 0, got {seed}")
-    params = dict(optimizer_params or {})
-    row = _hyperparameters(optimizer_id, params, repeats)[0]
-    too_big = [d for d in dims if row.dense and d > baselines.DENSE_FIM_CAP]
-    if too_big:
-        raise ScaleCapError(
-            f"{optimizer_id} is a dense small-scale oracle "
-            f"(d <= {baselines.DENSE_FIM_CAP}); refusing dims {too_big}"
-        )
-
+    row, dims, params = check_scaling_probe(optimizer_id, dims, repeats, seed,
+                                            optimizer_params)
     rng = np.random.default_rng(seed)
     steps = []
     for d in dims:

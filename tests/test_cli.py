@@ -5,6 +5,7 @@ Tests call cli.main() in process so exit codes are observed directly.
 """
 
 import csv
+from dataclasses import fields
 
 import pytest
 import yaml
@@ -179,6 +180,13 @@ class TestExitCodes:
         ("scaling", "hyperparameters.eta=x", "'eta'"),
         ("scaling", "optimizers=5", "'optimizers'"),
         ("scaling", "seed=-1", "seed"),
+        ("run", "hyperparameters.eta=true", "'eta'"),
+        ("run", "loss_thresholds=true", "'loss_thresholds'"),
+        ("run", "problem.p=6.5", "'p'"),
+        ("run", "problem.classes=on", "'classes'"),
+        ("run", "output_dir=false", "output_dir"),
+        ("run", "output_dir=0", "output_dir"),
+        ("scaling", "dims=[64.7]", "dims"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, subcommand, override,
                                              key):
@@ -190,6 +198,34 @@ class TestExitCodes:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err
+
+    @pytest.mark.parametrize("subcommand,overrides", [
+        ("run", ["hyperparameters.rho=-1"]),
+        ("sweep", ["grid.eta=[0.1, -1]"]),
+        ("rho-sweep", ["optimizer=adam", "hyperparameters={}"]),
+        ("scaling", ["optimizers=[sofim, adam, bogus]", "dims=[8]", "repeats=1"]),
+        ("scaling", ["optimizers=[ngd_oracle]", "dims=[4096]", "repeats=1"]),
+    ])
+    def test_refused_config_writes_nothing(self, tmp_path, capsys, subcommand, overrides):
+        """A config refused at validation exits 1 before its output
+        directory is created."""
+        out = tmp_path / "out"
+        config = [] if subcommand == "scaling" else [run_config(tmp_path)]
+        argv = [subcommand, *config, "--set", f"output_dir={out}"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
+    def test_bad_scaling_optimizer_starts_no_probe(self, tmp_path, monkeypatch, capsys):
+        """Every listed optimizer is checked before the first probe runs."""
+        calls = []
+        monkeypatch.setattr(harness, "scaling_probe", lambda *a, **k: calls.append(a) or [])
+        assert cli.main(["scaling", "--set", "optimizers=[sofim, adam, bogus]",
+                         "--set", "dims=[8]", "--set", f"output_dir={tmp_path}"]) == 1
+        assert "bogus" in capsys.readouterr().err
+        assert calls == []
 
     def test_invalid_yaml(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -223,6 +259,55 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "run" in capsys.readouterr().out
+
+
+class TestRunFileSchema:
+    #: Each run-file key with a value other than the base config's and the
+    #: ExperimentConfig field it must set to the given value.
+    CASES = {
+        "problem": ({"kind": "quadratic", "dim": 5, "condition_number": 2.0},
+                    "problem", {"kind": "quadratic", "dim": 5, "condition_number": 2.0}),
+        "optimizer": ("adam", "optimizer", "adam"),
+        "hyperparameters": ({"eta": 0.05}, "optimizer_params", {"eta": 0.05}),
+        "batch_size": (3, "batch_size", 3),
+        "iterations": (70, "total_iterations", 70),
+        "eval_every": (5, "eval_every", 5),
+        "seed": (4, "seed", 4),
+        "loss_thresholds": ([0.5, 2], "loss_thresholds", (0.5, 2.0)),
+    }
+
+    def captured_config(self, tmp_path, monkeypatch, **keys):
+        data = {"problem": {"kind": "quadratic", "dim": 4}, "optimizer": "sofim",
+                "output_dir": str(tmp_path / "out"), **keys}
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(harness, "run_experiment", capture)
+        assert cli.main(["run", write_yaml(tmp_path / "config.yaml", data)]) == 2
+        return seen[0]
+
+    def test_run_keys_are_the_experiment_config_fields(self, tmp_path, capsys):
+        """The keys a run file takes are ExperimentConfig's fields under their
+        file names, plus output_dir."""
+        file_names = {"total_iterations": "iterations", "optimizer_params": "hyperparameters"}
+        expected = {file_names.get(f.name, f.name) for f in fields(harness.ExperimentConfig)}
+        expected.add("output_dir")
+        assert cli.main(["run", run_config(tmp_path, bogus=1)]) == 1
+        assert f"allowed: {sorted(expected)}" in capsys.readouterr().err
+
+    def test_each_key_sets_its_field(self, tmp_path, monkeypatch):
+        """Setting a run-file key changes exactly the matching field of the
+        config handed to the harness."""
+        assert ({field for _, field, _ in self.CASES.values()}
+                == {f.name for f in fields(harness.ExperimentConfig)})
+        base = self.captured_config(tmp_path, monkeypatch)
+        for key, (value, field, expected) in self.CASES.items():
+            cfg = self.captured_config(tmp_path, monkeypatch, **{key: value})
+            assert getattr(cfg, field) == expected != getattr(base, field), key
+            assert cfg.to_dict() == {**base.to_dict(), field: expected}, key
 
 
 class TestSweepCommands:

@@ -11,7 +11,7 @@ import pytest
 
 from sofim import problems
 from sofim.core import SofimOptimizer
-from sofim.exceptions import ConfigError, ScaleCapError
+from sofim.exceptions import ConfigError, ScaleCapError, convert
 from sofim.harness import (
     CSV_COLUMNS,
     DIVERGENCE_LOSS,
@@ -98,6 +98,20 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="eta"):
             quick_config(problem=QUADRATIC, optimizer="newton_oracle",
                          optimizer_params={"eta": 0.0})
+
+    @pytest.mark.parametrize("kind,value", [
+        (float, True), (int, False), (int, 6.5), (int, "6.5"), (int, math.inf), (float, "x"),
+    ])
+    def test_convert_refuses_booleans_and_fractions(self, kind, value):
+        """A boolean is no number and a fraction no integer; the error names the key."""
+        with pytest.raises(ConfigError, match="'key' must be"):
+            convert(kind, value, "'key'")
+
+    def test_convert_keeps_integral_and_numeric_values(self):
+        assert convert(int, 6.0, "k") == 6 and type(convert(int, 6.0, "k")) is int
+        assert convert(int, "64", "k") == 64
+        assert convert(float, 2, "k") == 2.0
+        assert math.isnan(convert(float, math.nan, "k"))
 
 
 class TestRunExperiment:
