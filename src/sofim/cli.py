@@ -18,11 +18,11 @@ and ``hyperparameters`` for ``optimizer_params``: ``problem``,
 ``optimizers``, ``dims``, ``repeats``, ``seed``, ``hyperparameters`` and
 ``output_dir``.  Any scalar key can be overridden on the command line with
 ``--set key=value`` (dotted paths reach nested keys, e.g. ``--set
-hyperparameters.rho=0.5``).  Unknown keys are rejected by name.  Every
-key is checked before the output directory is created (a problem spec is
-checked when the problem is built).  The effective config is echoed to
-``<output_dir>/config_echo.yaml`` so every run can be reproduced from its
-own output directory.
+hyperparameters.rho=0.5``).  Unknown keys are rejected by name.  A
+refused config writes nothing: the output directory is created only when
+the first file is written, after the problem is built.  The effective
+config is echoed to ``<output_dir>/config_echo.yaml`` so every run can be
+reproduced from its own output directory.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
@@ -192,6 +192,7 @@ def _echo_config(config: dict, out_dir: Path) -> Path:
 
 
 def _write_record(record: harness.RunRecord, out_dir: Path) -> Path:
+    out_dir.mkdir(parents=True, exist_ok=True)
     stem = record.output_stem()
     csv_path = out_dir / f"{stem}.csv"
     record.write_csv(csv_path)
@@ -253,8 +254,8 @@ def _scaling_job(config: dict) -> tuple:
     optimizers = config.get("optimizers", ["sofim", "sgd_momentum"])
     if isinstance(optimizers, str):
         optimizers = [optimizers]
-    require(isinstance(optimizers, (list, tuple)),
-            f"config key 'optimizers' must be an optimizer id or a list of them, "
+    require(isinstance(optimizers, (list, tuple)) and optimizers,
+            f"config key 'optimizers' must be an optimizer id or a non-empty list of them, "
             f"got {optimizers!r}")
     dims = config.get("dims", list(DEFAULT_SCALING_DIMS))
     require(isinstance(dims, (list, tuple)) and dims,
@@ -275,6 +276,7 @@ def _scaling(job: tuple, out_dir: Path) -> None:
             rows.append((optimizer_id, d, seconds))
             print(f"{optimizer_id} d={d} median_step_seconds={seconds:.6e}")
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "scaling.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("optimizer,d,median_step_seconds\n")
@@ -317,17 +319,15 @@ _COMMANDS = {
 
 def _cmd_config(args) -> int:
     """One config subcommand: load the file, apply the overrides, check the
-    keys, build and validate the job; only then create the output
-    directory, run the job and echo the config."""
+    keys, build and validate the job, run it and echo the config.  The run
+    creates the output directory just before it writes its first file."""
     command = _COMMANDS[args.subcommand]
     config = _apply_overrides(_load_config(args.config, args.subcommand), args.overrides)
     unknown = set(config) - command.keys
     require(not unknown, f"unknown config key(s) for {args.subcommand}: {sorted(unknown)}; "
             f"allowed: {sorted(command.keys)}")
     out_dir = _output_dir(config)
-    job = command.build(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    command.run(job, out_dir)
+    command.run(command.build(config), out_dir)
     _echo_config(config, out_dir)
     return 0
 
@@ -342,7 +342,7 @@ def _gradcheck_problems(seed: int) -> dict:
         "quadratic": problems.make_quadratic(20, 10.0, seed),
         "logistic": problems.LogisticRegressionProblem(blobs2),
         "softmax": problems.SoftmaxRegressionProblem(blobs3),
-        "mlp_tanh": problems.MlpProblem(blobs3, mlp_spec, init_seed=seed),
+        "mlp_tanh": problems.MlpProblem(blobs3, mlp_spec),
     }
 
 

@@ -29,15 +29,15 @@ def require(ok: bool, message: str) -> None:
 
 
 def convert(kind, value, name: str):
-    """``kind(value)`` for ``kind`` ``int`` or ``float``; a value that does
-    not convert, a boolean, or a non-integral number for ``int`` raises
-    :class:`ConfigError` naming ``name``."""
+    """``kind(value)`` for ``kind`` ``int``, ``float`` or ``str``; a value
+    that does not convert, a boolean, a non-integral number for ``int`` or a
+    non-string for ``str`` raises :class:`ConfigError` naming ``name``."""
     try:
         out = kind(value)
-        if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                        and out != value):
+        if (isinstance(value, bool) or (kind is int and isinstance(value, float) and out != value)
+                or (kind is str and not isinstance(value, str))):
             raise ValueError
         return out
     except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
+        noun = {int: "an integer", float: "a number", str: "a string"}[kind]
         raise ConfigError(f"{name} must be {noun}, got {value!r}") from None

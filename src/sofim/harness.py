@@ -240,10 +240,7 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
 
     n_train = problem.n_train
     batch_size = min(cfg.batch_size, n_train)
-    full_batch = n_train == 1
-    batches = None if full_batch else problems.minibatch_epochs(
-        n_train, batch_size, np.random.default_rng(batch_ss)
-    )
+    batches = problems.minibatch_epochs(n_train, batch_size, np.random.default_rng(batch_ss))
 
     stepper = _build_stepper(cfg.optimizer, cfg.optimizer_params, cfg.total_iterations,
                              problem.dim, lambda: problem.exact_hessian(w))
@@ -256,8 +253,7 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for t in range(1, cfg.total_iterations + 1):
             tic = time.perf_counter()
-            batch = None if full_batch else next(batches)
-            batch_loss, g = loss_and_gradient(w, batch)
+            batch_loss, g = loss_and_gradient(w, next(batches))
             if not math.isfinite(batch_loss) or batch_loss > DIVERGENCE_LOSS:
                 diverged, diverged_at = True, t
                 break

@@ -38,6 +38,7 @@ __all__ = [
     "minibatch_epochs",
     "finite_difference_gradient",
     "gradient_check",
+    "SPEC_SCHEMA",
     "problem_from_spec",
 ]
 
@@ -546,7 +547,7 @@ class MlpProblem(_DatasetProblem):
 
     head = _SoftmaxHead()
 
-    def __init__(self, dataset: Dataset, spec: MlpSpec, init_seed: int = 0):
+    def __init__(self, dataset: Dataset, spec: MlpSpec):
         super().__init__(dataset)
         p, h, c = spec.widths
         if p != dataset.n_features:
@@ -558,7 +559,6 @@ class MlpProblem(_DatasetProblem):
                 f"spec expects {c} classes but dataset has {dataset.num_classes}"
             )
         self.spec = spec
-        self.init_seed = init_seed
         sizes = (h * p, h, c * h, c)
         starts = np.cumsum((0,) + sizes[:-1]).tolist()
         self._layout = tuple(zip(starts, sizes, ((h, p), (h,), (c, h), (c,))))
@@ -573,9 +573,7 @@ class MlpProblem(_DatasetProblem):
     def flatten(self, w1, b1, w2, b2) -> np.ndarray:
         return np.concatenate([w1.ravel(), b1.ravel(), w2.ravel(), b2.ravel()])
 
-    def initial_point(self, rng: np.random.Generator = None) -> np.ndarray:
-        if rng is None:
-            rng = np.random.default_rng(self.init_seed)
+    def initial_point(self, rng: np.random.Generator) -> np.ndarray:
         p, h, c = self.spec.widths
         bound1 = 1.0 / np.sqrt(p)
         bound2 = 1.0 / np.sqrt(h)
@@ -638,81 +636,53 @@ def gradient_check(problem: Problem, rng: np.random.Generator, n_points: int = 5
 # ---------------------------------------------------------------------------
 # declarative construction (used by the harness and CLI)
 
-_SPEC_KEYS = {
-    "quadratic": {"kind", "dim", "condition_number", "seed"},
-    "blobs": {"kind", "n", "p", "classes", "spread", "seed", "model",
-              "hidden", "activation", "init_seed"},
-    "csv": {"kind", "path", "label_column", "split_fraction", "seed", "model",
-            "hidden", "activation", "init_seed"},
+#: The model keys every dataset kind takes, each with its ``(type, default)``.
+_MODEL_KEYS = {"model": (str, "logistic"), "hidden": (int, 32), "activation": (str, "tanh")}
+
+#: The problem spec's schema: each kind's keys (``kind`` aside), each with its
+#: ``(type, default)``; a default of ``None`` marks a required key.
+SPEC_SCHEMA = {
+    "quadratic": {"dim": (int, 20), "condition_number": (float, 10.0), "seed": (int, 0)},
+    "blobs": {"n": (int, 2000), "p": (int, 20), "classes": (int, 2), "spread": (float, 3.0),
+              "seed": (int, 0), **_MODEL_KEYS},
+    "csv": {"path": (str, None), "label_column": (str, "label"),
+            "split_fraction": (float, 0.8), "seed": (int, 0), **_MODEL_KEYS},
 }
 
-_MODELS = ("logistic", "softmax", "mlp")
-
-
-def _spec_value(spec: dict, key: str, kind: type, default):
-    """``kind(spec[key])``, or ``default`` when the key is absent."""
-    return convert(kind, spec.get(key, default), f"problem key {key!r}")
-
-
-def _spec_seed(spec: dict, key: str) -> int:
-    """The seed ``spec[key]`` (default 0); ``np.random.default_rng`` refuses
-    a negative one."""
-    seed = _spec_value(spec, key, int, 0)
-    require(seed >= 0, f"problem key {key!r} must be >= 0, got {seed}")
-    return seed
+_MODELS = {"logistic": LogisticRegressionProblem, "softmax": SoftmaxRegressionProblem,
+           "mlp": MlpProblem}
 
 
 def problem_from_spec(spec: dict) -> Problem:
     """Build a problem from a declarative dict (as found in config files).
 
-    ``kind`` selects quadratic / blobs / csv; dataset kinds also need a
-    ``model`` (logistic, softmax or mlp).  Unknown keys are rejected by
-    name.
+    ``kind`` selects a row of :data:`SPEC_SCHEMA`.  Keys the spec leaves out
+    take the row's defaults, and each value is converted to its key's type;
+    an unknown kind, key or model, a missing required key or a malformed
+    value raises ``ConfigError`` naming it.
     """
-    if "kind" not in spec:
-        raise ConfigError("problem spec is missing 'kind'")
+    require("kind" in spec, "problem spec is missing 'kind'")
     kind = spec["kind"]
-    if kind not in _SPEC_KEYS:
-        raise ConfigError(f"unknown problem kind {kind!r}; expected one of {sorted(_SPEC_KEYS)}")
-    unknown = set(spec) - _SPEC_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"unknown problem key(s) {sorted(unknown)} for kind {kind!r}")
-    seed = _spec_seed(spec, "seed")
+    require(kind in tuple(SPEC_SCHEMA),
+            f"unknown problem kind {kind!r}; expected one of {sorted(SPEC_SCHEMA)}")
+    unknown = set(spec) - {"kind", *SPEC_SCHEMA[kind]}
+    require(not unknown, f"unknown problem key(s) {sorted(unknown)} for kind {kind!r}")
+    v = {}
+    for key, (key_type, default) in SPEC_SCHEMA[kind].items():
+        require(key in spec or default is not None, f"{kind} problem spec is missing {key!r}")
+        v[key] = convert(key_type, spec.get(key, default), f"problem key {key!r}")
+    # np.random.default_rng refuses a negative seed.
+    require(v["seed"] >= 0, f"problem key 'seed' must be >= 0, got {v['seed']}")
 
     if kind == "quadratic":
-        return make_quadratic(
-            d=_spec_value(spec, "dim", int, 20),
-            condition_number=_spec_value(spec, "condition_number", float, 10.0),
-            seed=seed,
-        )
-
+        return make_quadratic(v["dim"], v["condition_number"], v["seed"])
     if kind == "blobs":
-        dataset = make_blobs(
-            n=_spec_value(spec, "n", int, 2000),
-            p=_spec_value(spec, "p", int, 20),
-            c=_spec_value(spec, "classes", int, 2),
-            spread=_spec_value(spec, "spread", float, 3.0),
-            seed=seed,
-        )
+        dataset = make_blobs(v["n"], v["p"], v["classes"], v["spread"], v["seed"])
     else:
-        if "path" not in spec:
-            raise ConfigError("csv problem spec is missing 'path'")
-        dataset = load_csv_dataset(
-            path=spec["path"],
-            label_column=spec.get("label_column", "label"),
-            split_fraction=_spec_value(spec, "split_fraction", float, 0.8),
-            seed=seed,
-        )
-
-    model = spec.get("model", "logistic")
-    if model not in _MODELS:
-        raise ConfigError(f"unknown model {model!r}; expected one of {_MODELS}")
-    if model == "logistic":
-        return LogisticRegressionProblem(dataset)
-    if model == "softmax":
-        return SoftmaxRegressionProblem(dataset)
-    mlp_spec = MlpSpec(
-        widths=(dataset.n_features, _spec_value(spec, "hidden", int, 32), dataset.num_classes),
-        activation=spec.get("activation", "tanh"),
-    )
-    return MlpProblem(dataset, mlp_spec, init_seed=_spec_seed(spec, "init_seed"))
+        dataset = load_csv_dataset(v["path"], v["label_column"], v["split_fraction"], v["seed"])
+    require(v["model"] in _MODELS,
+            f"unknown model {v['model']!r}; expected one of {tuple(_MODELS)}")
+    if v["model"] != "mlp":
+        return _MODELS[v["model"]](dataset)
+    widths = (dataset.n_features, v["hidden"], dataset.num_classes)
+    return MlpProblem(dataset, MlpSpec(widths, v["activation"]))

@@ -152,7 +152,7 @@ def test_criterion_05_gradient_checks():
         ("quadratic", problems.make_quadratic(12, 10.0, seed=5), 1e-8),
         ("logistic", problems.LogisticRegressionProblem(blobs2), 1e-6),
         ("softmax", problems.SoftmaxRegressionProblem(blobs3), 1e-6),
-        ("mlp_tanh", problems.MlpProblem(blobs3, mlp_spec, init_seed=8), 1e-5),
+        ("mlp_tanh", problems.MlpProblem(blobs3, mlp_spec), 1e-5),
     )
     ok = True
     parts = []

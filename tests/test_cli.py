@@ -5,12 +5,16 @@ Tests call cli.main() in process so exit codes are observed directly.
 """
 
 import csv
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 import yaml
 
-from sofim import cli, harness
+from sofim import cli, harness, problems
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 
 def write_yaml(path, data):
@@ -205,10 +209,14 @@ class TestExitCodes:
         ("rho-sweep", ["optimizer=adam", "hyperparameters={}"]),
         ("scaling", ["optimizers=[sofim, adam, bogus]", "dims=[8]", "repeats=1"]),
         ("scaling", ["optimizers=[ngd_oracle]", "dims=[4096]", "repeats=1"]),
+        ("run", ["problem.classes=on"]),
+        ("sweep", ["problem.model=tree"]),
+        ("rho-sweep", ["problem.n=1"]),
+        ("scaling", ["optimizers=[]"]),
     ])
     def test_refused_config_writes_nothing(self, tmp_path, capsys, subcommand, overrides):
-        """A config refused at validation exits 1 before its output
-        directory is created."""
+        """A refused config exits 1 without creating its output directory,
+        a problem spec refused while the problem is built included."""
         out = tmp_path / "out"
         config = [] if subcommand == "scaling" else [run_config(tmp_path)]
         argv = [subcommand, *config, "--set", f"output_dir={out}"]
@@ -308,6 +316,23 @@ class TestRunFileSchema:
             cfg = self.captured_config(tmp_path, monkeypatch, **{key: value})
             assert getattr(cfg, field) == expected != getattr(base, field), key
             assert cfg.to_dict() == {**base.to_dict(), field: expected}, key
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
+    def test_config_passes_its_subcommand_checks(self, path):
+        """Each shipped config names its subcommand on a '# Usage: sofim
+        <subcommand>' line, and its keys, output directory, job and problem
+        spec pass that subcommand's checks; nothing is trained."""
+        usage = re.search(r"^# Usage: sofim (\S+)", path.read_text(encoding="utf-8"), re.M)
+        assert usage, f"{path.name} has no '# Usage: sofim <subcommand>' line"
+        command = cli._COMMANDS[usage.group(1)]
+        config = cli._load_config(str(path), usage.group(1))
+        assert set(config) <= command.keys
+        cli._output_dir(config)
+        command.build(config)
+        if "problem" in config:
+            problems.problem_from_spec(config["problem"])
 
 
 class TestSweepCommands:

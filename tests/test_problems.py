@@ -30,6 +30,16 @@ from sofim.problems import (
 )
 
 
+#: Every optional problem key at the default it had before the keys and
+#: defaults moved into one table, written out as literals.
+_MODEL_DEFAULTS = {"model": "logistic", "hidden": 32, "activation": "tanh"}
+FORMER_DEFAULTS = {
+    "quadratic": {"dim": 20, "condition_number": 10.0, "seed": 0},
+    "blobs": {"n": 2000, "p": 20, "classes": 2, "spread": 3.0, "seed": 0, **_MODEL_DEFAULTS},
+    "csv": {"label_column": "label", "split_fraction": 0.8, "seed": 0, **_MODEL_DEFAULTS},
+}
+
+
 def blobs2():
     return make_blobs(200, 6, 2, 3.0, 0)
 
@@ -395,9 +405,9 @@ class TestMlp:
 
     def test_initial_point_bounds_and_determinism(self):
         """Init weights are within per-layer fan-in bounds and reproducible."""
-        problem = MlpProblem(blobs3(), MlpSpec((5, 4, 3)), init_seed=9)
-        w = problem.initial_point()
-        assert_allclose(w, problem.initial_point(), rtol=0, atol=0)
+        problem = MlpProblem(blobs3(), MlpSpec((5, 4, 3)))
+        w = problem.initial_point(np.random.default_rng(9))
+        assert_allclose(w, problem.initial_point(np.random.default_rng(9)), rtol=0, atol=0)
         w1, b1, w2, b2 = problem.unflatten(w)
         bound1, bound2 = 1 / math.sqrt(5), 1 / math.sqrt(4)
         assert np.max(np.abs(w1)) <= bound1 and np.max(np.abs(b1)) <= bound1
@@ -650,5 +660,35 @@ class TestProblemFromSpec:
             problem_from_spec({"kind": "csv"})
         with pytest.raises(ConfigError, match="'seed' must be >= 0"):
             problem_from_spec({"kind": "quadratic", "seed": -1})
-        with pytest.raises(ConfigError, match="'init_seed' must be >= 0"):
+        with pytest.raises(ConfigError, match=r"unknown problem key\(s\) \['init_seed'\]"):
             problem_from_spec({"kind": "blobs", "n": 40, "model": "mlp", "init_seed": -1})
+
+    @pytest.mark.parametrize("kind,key", [(kind, key) for kind, keys in
+                                          problems.SPEC_SCHEMA.items() for key in keys])
+    def test_malformed_value_names_its_key(self, kind, key):
+        """Every key of every kind converts its value to the key's type and
+        refuses one that does not convert, by name."""
+        malformed = {int: "abc", float: "abc", str: ["abc"]}[problems.SPEC_SCHEMA[kind][key][0]]
+        spec = {"kind": kind, "path": "unused.csv"} if kind == "csv" else {"kind": kind}
+        with pytest.raises(ConfigError, match=f"problem key '{key}' must be"):
+            problem_from_spec({**spec, key: malformed})
+
+    @pytest.mark.parametrize("kind,given", [
+        ("quadratic", {}), ("blobs", {}), ("blobs", {"model": "mlp"}),
+        ("csv", {}), ("csv", {"model": "mlp"}),
+    ], ids=["quadratic", "blobs", "blobs-mlp", "csv", "csv-mlp"])
+    def test_omitted_keys_take_the_former_defaults(self, tmp_path, kind, given):
+        """A spec that leaves out every optional key builds the same problem
+        as one that writes the former defaults out, so an edit to a default
+        in SPEC_SCHEMA fails here."""
+        if kind == "csv":
+            features = np.random.default_rng(0).standard_normal((40, 2))
+            rows = "".join(f"{a},{b},{i % 2}\n" for i, (a, b) in enumerate(features))
+            given = {**given, "path": write_csv(tmp_path / "d.csv", "a,b,label\n" + rows)}
+        short = problem_from_spec({"kind": kind, **given})
+        full = problem_from_spec({"kind": kind, **FORMER_DEFAULTS[kind], **given})
+        assert (short.name, short.dim, short.n_train) == (full.name, full.dim, full.n_train)
+        points = (short.initial_point(np.random.default_rng(3)),
+                  np.random.default_rng(4).standard_normal(short.dim))
+        for w in points:
+            assert short.loss(w) == full.loss(w)
