@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sofim.core import check_step, require_finite, shape_error
+from sofim.core import BLOCK, blocked, check_step, require_finite, shape_error
 from sofim.exceptions import ConfigError, DimensionMismatchError, ScaleCapError, require
 
 #: Dense-Fisher operations refuse dimensions above this.
@@ -209,60 +209,73 @@ def newton_step_quadratic(w, problem, eta: float):
     return w - eta * np.linalg.solve(hess, g)
 
 
+def _sgd_block(w, g, v, scratch, momentum, weight_decay, lr):
+    v *= momentum
+    v += g
+    if weight_decay != 0.0:
+        v += np.multiply(w, weight_decay, out=scratch)
+    w -= np.multiply(v, lr, out=scratch)
+
+
 class SgdMomentumOptimizer:
-    """Stateful momentum-SGD stepper; mutates ``w`` in place, with its one
-    intermediate vector in an owned scratch vector, so a step allocates
-    nothing.  Equivalent to iterating :func:`sgd_momentum_step`."""
+    """Stateful momentum-SGD stepper; mutates ``w`` in place, block by block
+    (:func:`sofim.core.blocked`), so a step allocates nothing.  It owns
+    ``d + min(d, BLOCK)`` floats: the velocity and one scratch block for its
+    one intermediate.  Equivalent to iterating :func:`sgd_momentum_step`."""
 
     def __init__(self, dim: int, config: SgdConfig):
         self.config = config
         self.velocity = np.zeros(dim)
-        self._scratch = np.empty(dim)
+        self._scratch = np.empty(min(dim, BLOCK))
         self.step_count = 0
+        self._update = blocked(_sgd_block, 3, dim)
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
         check_step(w, g, self.velocity.shape)
-        lr = sgd_learning_rate(self.config, self.step_count)
-        v, scratch = self.velocity, self._scratch
-        v *= self.config.momentum
-        v += g
-        if self.config.weight_decay != 0.0:
-            v += np.multiply(w, self.config.weight_decay, out=scratch)
-        w -= np.multiply(v, lr, out=scratch)
+        cfg = self.config
+        self._update(w, g, self.velocity, self._scratch, cfg.momentum, cfg.weight_decay,
+                     sgd_learning_rate(cfg, self.step_count))
         self.step_count += 1
 
 
+def _adam_block(w, g, m, v, scratch, denom, cfg, bc1, bc2):
+    m *= cfg.beta1
+    m += np.multiply(g, 1.0 - cfg.beta1, out=scratch)
+    v *= cfg.beta2
+    np.square(g, out=scratch)
+    v += np.multiply(scratch, 1.0 - cfg.beta2, out=scratch)
+    # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with bc = 1 - beta**t
+    np.divide(m, bc1, out=scratch)
+    scratch *= cfg.eta
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += cfg.epsilon
+    scratch /= denom
+    w -= scratch
+
+
 class AdamOptimizer:
-    """Stateful Adam stepper; mutates ``w`` in place, with its intermediates
-    in two owned scratch vectors, so a step allocates nothing.  Equivalent
-    to iterating :func:`adam_step`."""
+    """Stateful Adam stepper; mutates ``w`` in place, block by block
+    (:func:`sofim.core.blocked`), so a step allocates nothing.  It owns
+    ``2d + 2 min(d, BLOCK)`` floats: the moments ``m`` and ``v`` and two
+    scratch blocks for its intermediates.  Equivalent to iterating
+    :func:`adam_step`."""
 
     def __init__(self, dim: int, config: AdamConfig):
         self.config = config
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
-        self._scratch = np.empty(dim)
-        self._denom = np.empty(dim)
+        self._scratch = np.empty(min(dim, BLOCK))
+        self._denom = np.empty(min(dim, BLOCK))
         self.step_count = 0
+        self._update = blocked(_adam_block, 4, dim)
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
         check_step(w, g, self.m.shape)
         self.step_count += 1
-        cfg = self.config
-        m, v, scratch, denom = self.m, self.v, self._scratch, self._denom
-        m *= cfg.beta1
-        m += np.multiply(g, 1.0 - cfg.beta1, out=scratch)
-        v *= cfg.beta2
-        np.square(g, out=scratch)
-        v += np.multiply(scratch, 1.0 - cfg.beta2, out=scratch)
-        # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with bc = 1 - beta**t
-        np.divide(m, 1.0 - cfg.beta1**self.step_count, out=scratch)
-        scratch *= cfg.eta
-        np.divide(v, 1.0 - cfg.beta2**self.step_count, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += cfg.epsilon
-        scratch /= denom
-        w -= scratch
+        cfg, t = self.config, self.step_count
+        self._update(w, g, self.m, self.v, self._scratch, self._denom, cfg,
+                     1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t)
 
 
 class NgdOracle:

@@ -20,9 +20,10 @@ and ``hyperparameters`` for ``optimizer_params``: ``problem``,
 ``--set key=value`` (dotted paths reach nested keys, e.g. ``--set
 hyperparameters.rho=0.5``).  Unknown keys are rejected by name.  A
 refused config writes nothing: the output directory is created only when
-the first file is written, after the problem is built.  The effective
-config is echoed to ``<output_dir>/config_echo.yaml`` so every run can be
-reproduced from its own output directory.
+the first file is written, after the problem is built, and an
+``output_dir`` that names an existing file is refused before any training.
+The effective config is echoed to ``<output_dir>/config_echo.yaml`` so
+every run can be reproduced from its own output directory.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
@@ -135,10 +136,17 @@ def _apply_overrides(config: dict, overrides: list) -> dict:
 
 def _output_dir(config: dict) -> Path:
     """The output directory named by ``output_dir``, else by the
-    environment, else ``runs``; not created here."""
+    environment, else ``runs``.  It is not created here, but it is refused
+    if it or a parent of it exists and is not a directory, so that no run
+    trains and then fails to write."""
     raw = config.get("output_dir")
     require(raw is None or isinstance(raw, str), f"output_dir must be a path string, got {raw!r}")
-    return Path(raw or os.environ.get(DEFAULT_OUTPUT_DIR_ENV) or "runs")
+    out_dir = Path(raw or os.environ.get(DEFAULT_OUTPUT_DIR_ENV) or "runs")
+    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    require(existing is None or existing.is_dir(),
+            f"output_dir {str(out_dir)!r} cannot be made a directory: {str(existing)!r} "
+            f"exists and is not a directory")
+    return out_dir
 
 
 def _mapping(value, key: str) -> dict:

@@ -226,6 +226,25 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["run", "sweep", "rho-sweep", "scaling"])
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    def test_output_dir_naming_a_file_is_refused_before_training(
+            self, tmp_path, monkeypatch, capsys, subcommand, below):
+        """An output_dir that is, or lies under, an existing file exits 1
+        naming output_dir, before any training, and writes nothing."""
+        calls = []
+        for name in ("run_experiment", "sweep", "scaling_probe"):
+            monkeypatch.setattr(harness, name, lambda *a, _name=name, **k: calls.append(_name))
+        config = [] if subcommand == "scaling" else [run_config(tmp_path)]
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main([subcommand, *config, "--set", f"output_dir={taken / below}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "output_dir" in err
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "keep\n"
+
     def test_bad_scaling_optimizer_starts_no_probe(self, tmp_path, monkeypatch, capsys):
         """Every listed optimizer is checked before the first probe runs."""
         calls = []

@@ -2,6 +2,9 @@
 
 The oracles at the top build the d x d matrices the library never forms
 and solve them with LAPACK; the library's O(d) closed forms must agree.
+The in-place steppers' former whole-vector step bodies are kept as oracles
+for the cache-blocked momentum-SGD and Adam steps, and for sofim's step,
+which must all match them bitwise.
 """
 
 import tracemalloc
@@ -10,8 +13,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sofim.baselines import AdamConfig, AdamOptimizer, SgdConfig, SgdMomentumOptimizer
+from sofim.baselines import (
+    AdamConfig,
+    AdamOptimizer,
+    SgdConfig,
+    SgdMomentumOptimizer,
+    sgd_learning_rate,
+)
 from sofim.core import (
+    BLOCK,
     SM_DENOM_TOL,
     SofimConfig,
     SofimOptimizer,
@@ -51,6 +61,69 @@ def reference_sofim_trajectory(w0, grads, config):
         m_hat = m / (1.0 - config.beta**t)
         w = w - config.eta * dense_direction(m_hat, config.rho)
     return w
+
+
+class WholeVectorSofim:
+    """``SofimOptimizer.step`` in its former form, as an oracle: each
+    operation is one numpy call over all d entries.  Refusals are left out."""
+
+    def __init__(self, dim, config):
+        self.config, self.moment = config, np.zeros(dim)
+        self.step_count, self._beta_pow, self._last_sq = 0, 1.0, 0.0
+
+    def step(self, w, g):
+        beta, beta_pow = self.config.beta, self._beta_pow * self.config.beta
+        self.step_count += 1
+        self._beta_pow = beta_pow
+        m, scratch = self.moment, np.empty(len(w))
+        m *= beta
+        np.multiply(g, 1.0 - beta, out=scratch)
+        m += scratch
+        m_hat = np.divide(m, 1.0 - beta_pow, out=scratch)
+        sq = self._last_sq = float(np.vdot(m_hat, m_hat))
+        m_hat *= self.config.eta / (self.config.rho + sq)
+        w -= m_hat
+
+
+class WholeVectorSgd:
+    """``SgdMomentumOptimizer.step`` in its former whole-vector form."""
+
+    def __init__(self, dim, config):
+        self.config, self.velocity, self.step_count = config, np.zeros(dim), 0
+
+    def step(self, w, g):
+        lr = sgd_learning_rate(self.config, self.step_count)
+        v, scratch = self.velocity, np.empty(len(w))
+        v *= self.config.momentum
+        v += g
+        if self.config.weight_decay != 0.0:
+            v += np.multiply(w, self.config.weight_decay, out=scratch)
+        w -= np.multiply(v, lr, out=scratch)
+        self.step_count += 1
+
+
+class WholeVectorAdam:
+    """``AdamOptimizer.step`` in its former whole-vector form."""
+
+    def __init__(self, dim, config):
+        self.config, self.m, self.v, self.step_count = config, np.zeros(dim), np.zeros(dim), 0
+
+    def step(self, w, g):
+        self.step_count += 1
+        cfg = self.config
+        m, v, scratch, denom = self.m, self.v, np.empty(len(w)), np.empty(len(w))
+        m *= cfg.beta1
+        m += np.multiply(g, 1.0 - cfg.beta1, out=scratch)
+        v *= cfg.beta2
+        np.square(g, out=scratch)
+        v += np.multiply(scratch, 1.0 - cfg.beta2, out=scratch)
+        np.divide(m, 1.0 - cfg.beta1**self.step_count, out=scratch)
+        scratch *= cfg.eta
+        np.divide(v, 1.0 - cfg.beta2**self.step_count, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += cfg.epsilon
+        scratch /= denom
+        w -= scratch
 
 
 class TestShermanMorrison:
@@ -340,15 +413,23 @@ class TestSofimOptimizer:
     def test_warm_step_allocates_less_than_one_vector(self):
         """A warm step keeps its intermediates in owned buffers: numpy
         allocates less than one d-length float64 vector inside it.  The
-        momentum-SGD (with weight decay) and Adam steppers are held to the
-        same bound."""
-        d = 100_000
+        momentum-SGD (with weight decay) and Adam steppers, whose scratch is
+        one block, allocate less than one block.  Each stepper owns the
+        float64 arrays its docstring states: sofim 2d, SGD d plus a block,
+        Adam 2d plus two blocks."""
+        d = 100_000  # four blocks, the last one short
+        block = min(d, BLOCK)
         steppers = [
-            SofimOptimizer(d, SofimConfig(eta=0.01, rho=0.5, beta=0.9)),
-            SgdMomentumOptimizer(d, SgdConfig(eta=0.01, momentum=0.9, weight_decay=1e-4)),
-            AdamOptimizer(d, AdamConfig(eta=0.01)),
+            (SofimOptimizer(d, SofimConfig(eta=0.01, rho=0.5, beta=0.9)), 2 * d, d),
+            (SgdMomentumOptimizer(d, SgdConfig(eta=0.01, momentum=0.9, weight_decay=1e-4)),
+             d + block, block),
+            (AdamOptimizer(d, AdamConfig(eta=0.01)), 2 * d + 2 * block, block),
         ]
-        for opt in steppers:
+        for opt, owned, peak_bound in steppers:
+            name = type(opt).__name__
+            arrays = [a for a in vars(opt).values() if isinstance(a, np.ndarray)]
+            assert all(a.dtype == np.float64 for a in arrays), name
+            assert sum(a.size for a in arrays) == owned, name
             rng = np.random.default_rng(0)
             w, g = rng.standard_normal(d), rng.standard_normal(d)
             opt.step(w, g)
@@ -359,5 +440,35 @@ class TestSofimOptimizer:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            name = type(opt).__name__
-            assert peak < d * 8, f"one warm {name} step allocated {peak} bytes at d={d}"
+            assert peak < peak_bound * 8, f"one warm {name} step allocated {peak} bytes at d={d}"
+
+
+class TestBlockedStepsMatchTheirFormerForms:
+    """The momentum-SGD and Adam steppers, blocked over ``BLOCK`` elements,
+    and sofim's whole-vector step keep ``w`` and their state bitwise equal
+    to the former whole-vector steps, at dimensions on both sides of each
+    block edge and with a short last block."""
+
+    CASES = {
+        "sofim": (SofimOptimizer, WholeVectorSofim, SofimConfig(eta=0.01, rho=0.5, beta=0.9)),
+        "sgd_momentum": (SgdMomentumOptimizer, WholeVectorSgd, SgdConfig(eta=0.05, momentum=0.9)),
+        "sgd_decay_cosine": (SgdMomentumOptimizer, WholeVectorSgd, SgdConfig(
+            eta=0.05, momentum=0.5, weight_decay=1e-3, schedule="cosine", total_steps=3)),
+        "adam": (AdamOptimizer, WholeVectorAdam, AdamConfig(eta=0.01)),
+    }
+
+    @pytest.mark.parametrize("d", [1, 21, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("case", CASES)
+    def test_bitwise_equal(self, case, d):
+        stepper, oracle, cfg = self.CASES[case]
+        opt, ref = stepper(d, cfg), oracle(d, cfg)
+        rng = np.random.default_rng(d)
+        w = rng.standard_normal(d)
+        w_ref = w.copy()
+        for step in range(4):
+            g = rng.standard_normal(d)
+            opt.step(w, g)
+            ref.step(w_ref, g)
+            assert np.array_equal(w, w_ref), step
+            for name, value in vars(ref).items():
+                assert np.array_equal(getattr(opt, name), value), (step, name)

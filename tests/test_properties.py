@@ -5,8 +5,8 @@ hyperparameters and gradient streams (Hypothesis).
   ``sgd_momentum_step`` and ``adam_step``.
 - A refused step (wrong shape, NaN or Inf entry, and for sofim a finite
   ``g`` whose ``||m_hat||^2`` overflows) raises and leaves ``w`` and every
-  attribute of the stepper bitwise unchanged; that holds for the dense NGD
-  and Newton oracles too.  Sofim refuses exactly the steps whose
+  attribute of the stepper bitwise unchanged, at a dimension of several
+  blocks too; that holds for the dense NGD and Newton oracles as well.  Sofim refuses exactly the steps whose
   ``||m_hat||^2`` overflows in the functional ``sofim_step``.
 - A sofim step is never longer than ``eta / (2 sqrt(rho))``: the length
   ``eta ||m_hat|| / (rho + ||m_hat||^2)`` peaks at ``||m_hat|| = sqrt(rho)``.
@@ -35,7 +35,7 @@ from sofim.baselines import (
     adam_step,
     sgd_momentum_step,
 )
-from sofim.core import SofimConfig, SofimOptimizer, SofimState, bias_correct, sofim_step
+from sofim.core import BLOCK, SofimConfig, SofimOptimizer, SofimState, bias_correct, sofim_step
 from sofim.exceptions import DimensionMismatchError, NonFiniteError
 
 MAX_DIM = 64
@@ -136,14 +136,17 @@ def _snapshot(opt) -> dict:
 
 
 FAULTS = ("g length", "g rank", "w length", "nan", "inf", "-inf")
+#: The O(d) steppers, checked again at MULTI_BLOCK_DIM: momentum SGD and
+#: Adam step over blocks of BLOCK elements there, and sofim over whole vectors.
+O_D_STEPPERS = ("sofim", "sgd_momentum", "adam")
+#: Three whole blocks and a short fourth one.
+MULTI_BLOCK_DIM = 3 * BLOCK + 5
 
 
-@pytest.mark.parametrize("name", STEPPERS)
-@PROPERTY
-@given(stream=streams(max_steps=3), data=st.data())
-def test_refused_step_changes_nothing(name, stream, data):
-    """Every fault in turn, sofim's overflow included, on one warm stepper."""
-    w, grads = stream
+def refuse_each_fault(name, w, grads, data, first_index=0):
+    """Warm a fresh stepper on ``grads``, then make every fault in turn, the
+    bad entry of ``g`` at or after ``first_index``, and check that each is
+    refused without changing ``w`` or any attribute of the stepper."""
     d = len(w)
     opt = STEPPERS[name](d)
     per_sample = name in PER_SAMPLE
@@ -151,7 +154,8 @@ def test_refused_step_changes_nothing(name, stream, data):
         opt.step(w, g)
     good = grads if per_sample else grads[-1]
     wrong = data.draw(st.integers(1, MAX_DIM + 2).filter(lambda n: n != d), label="wrong")
-    index = np.unravel_index(data.draw(st.integers(0, good.size - 1), label="index"), good.shape)
+    index = np.unravel_index(
+        data.draw(st.integers(first_index, good.size - 1), label="index"), good.shape)
     huge = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(HUGE, label="huge")
     for fault in FAULTS + ("overflow",) * (name == "sofim"):
         w_in, g = w, good.copy()
@@ -169,6 +173,20 @@ def test_refused_step_changes_nothing(name, stream, data):
             opt.step(w_in, g)
         assert w_in.tobytes() == w_before, fault
         assert _snapshot(opt) == state_before, fault
+
+
+@pytest.mark.parametrize("name", STEPPERS)
+@PROPERTY
+@given(stream=streams(max_steps=3), data=st.data())
+def test_refused_step_changes_nothing(name, stream, data):
+    """Every fault in turn, sofim's overflow included, on one warm stepper.
+    An O(d) stepper is also checked at ``MULTI_BLOCK_DIM``, on the stream
+    tiled to that length, with the bad entry in the short last block."""
+    w, grads = stream
+    refuse_each_fault(name, w, grads, data)
+    if name in O_D_STEPPERS:
+        tiled = np.resize(w, MULTI_BLOCK_DIM), np.resize(grads, (len(grads), MULTI_BLOCK_DIM))
+        refuse_each_fault(name, *tiled, data, first_index=MULTI_BLOCK_DIM // BLOCK * BLOCK)
 
 
 @PROPERTY
