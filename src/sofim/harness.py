@@ -23,7 +23,6 @@ import functools
 import hashlib
 import json
 import math
-import statistics
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
@@ -365,6 +364,14 @@ def check_scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 
     return row, dims, params
 
 
+def _median(values: list) -> float:
+    """The median of a non-empty list, as ``statistics.median`` takes it:
+    the middle value, or the mean of the two middle values."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
                   optimizer_params: dict | None = None) -> list:
     """Wall time of one optimizer update at each dimension.
@@ -405,5 +412,5 @@ def scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
                 tic = time.perf_counter()
                 do_step()
                 times.append(time.perf_counter() - tic)
-            medians.append(statistics.median(times))
+            medians.append(_median(times))
     return [(d, min(medians)) for d, medians in zip(dims, round_medians)]

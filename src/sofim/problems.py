@@ -49,7 +49,8 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """Feature matrix + integer labels with a fixed train/test split."""
+    """Feature matrix + integer labels with a fixed train/test split: both
+    splits are non-empty, index rows in ``[0, n)`` and share no row."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -74,8 +75,7 @@ class Dataset:
                 f"labels must lie in [0, {self.num_classes}), "
                 f"got range [{self.labels.min()}, {self.labels.max()}]"
             )
-        if np.intersect1d(self.train_idx, self.test_idx).size:
-            raise ConfigError("train and test splits overlap")
+        _check_splits(n, self.train_idx, self.test_idx)
 
     @property
     def n_train(self) -> int:
@@ -88,6 +88,21 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+
+def _check_splits(n: int, train_idx: np.ndarray, test_idx: np.ndarray):
+    """Refuse an empty split, an index outside ``[0, n)`` (a negative index
+    would wrap onto a row the other split may hold) and a row in both
+    splits, each with a ``ConfigError`` naming the split."""
+    for name, idx in (("train", train_idx), ("test", test_idx)):
+        require(idx.size, f"the {name} split is empty: {train_idx.size} of {n} rows "
+                          f"go to train and {test_idx.size} to test")
+        lo, hi = idx.min(), idx.max()
+        require(lo >= 0 and hi < n,
+                f"{name} split indices must lie in [0, {n}), got range [{lo}, {hi}]")
+    in_train = np.zeros(n, dtype=bool)
+    in_train[train_idx] = True
+    require(not in_train[test_idx].any(), "train and test splits overlap")
 
 
 def make_blobs(n: int, p: int, c: int, spread: float, seed: int) -> Dataset:
@@ -108,7 +123,8 @@ def make_blobs(n: int, p: int, c: int, spread: float, seed: int) -> Dataset:
     counts = np.full(c, base)
     counts[:rem] += 1
     labels = np.repeat(np.arange(c), counts)
-    features = centers[labels] + rng.standard_normal((n, p))
+    features = rng.standard_normal((n, p))
+    features += centers[labels]
 
     perm = rng.permutation(n)
     n_train = int(round(0.8 * n))
@@ -170,6 +186,7 @@ def load_csv_dataset(path, label_column: str, split_fraction: float, seed: int) 
     perm = rng.permutation(n)
     n_train = int(round(split_fraction * n))
     train_idx, test_idx = perm[:n_train], perm[n_train:]
+    _check_splits(n, train_idx, test_idx)  # an empty train split has no statistics
 
     mean = features[train_idx].mean(axis=0)
     std = features[train_idx].std(axis=0)
@@ -585,14 +602,23 @@ class MlpProblem(_DatasetProblem):
 
     def _forward(self, w, x):
         w1, b1, w2, b2 = self.unflatten(w)
-        z1 = x @ w1.T + b1
-        a1 = np.tanh(z1) if self.spec.activation == "tanh" else np.maximum(z1, 0.0)
-        return a1 @ w2.T + b2, (x, z1, a1)
+        # One n x hidden buffer holds the pre-activation, then the activation.
+        a1 = x @ w1.T
+        a1 += b1
+        if self.spec.activation == "tanh":
+            np.tanh(a1, out=a1)
+        else:
+            np.maximum(a1, 0.0, out=a1)
+        out = a1 @ w2.T
+        out += b2
+        return out, (x, a1)
 
     def _pullback(self, w, cache, r):
-        x, z1, a1 = cache
+        x, a1 = cache
+        # relu(z) > 0 exactly where z > 0 (NaN and -0.0 included), so the
+        # ReLU derivative needs no pre-activation.
         tanh = self.spec.activation == "tanh"
-        act_deriv = 1.0 - a1 * a1 if tanh else (z1 > 0.0).astype(np.float64)
+        act_deriv = 1.0 - a1 * a1 if tanh else (a1 > 0.0).astype(np.float64)
         dz1 = (r @ self.unflatten(w)[2]) * act_deriv
         return [(dz1, x), (dz1, None), (r, a1), (r, None)]
 

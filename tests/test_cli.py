@@ -5,7 +5,10 @@ Tests call cli.main() in process so exit codes are observed directly.
 """
 
 import csv
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,7 +17,8 @@ import yaml
 
 from sofim import cli, harness, problems
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+REPO = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((REPO / "configs").glob("*.yaml"))
 
 
 def write_yaml(path, data):
@@ -226,6 +230,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem,message", [
+        ({"kind": "blobs", "n": 2, "p": 6, "classes": 2},
+         "the test split is empty: 2 of 2 rows go to train and 0 to test"),
+        ({"kind": "csv", "path": "two_rows.csv", "split_fraction": 0.1},
+         "the train split is empty: 0 of 2 rows go to train and 2 to test"),
+    ], ids=["blobs-n2", "csv-fraction-0.1"])
+    def test_empty_split_is_refused_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                       problem, message):
+        """A problem whose train or test split is empty exits 1 saying which,
+        before any training or standardizing, and writes nothing."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "two_rows.csv").write_text("a,b,label\n1,2,0\n3,4,1\n")
+        assert cli.main(["run", run_config(tmp_path, problem=problem)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("subcommand", ["run", "sweep", "rho-sweep", "scaling"])
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
     def test_output_dir_naming_a_file_is_refused_before_training(
@@ -432,3 +452,32 @@ class TestGradcheckCommand:
         monkeypatch.setitem(cli.GRADCHECK_TOLERANCES, "quadratic", 1e-30)
         assert cli.main(["gradcheck", "--points", "2"]) == 2
         assert "quadratic" in capsys.readouterr().err
+
+
+#: Runs a shortened ``run`` and ``sweep`` of the shipped configs and a
+#: one-dimension ``scaling`` through ``cli.main`` in a fresh interpreter, then
+#: prints which of the modules a training process has no use for it loaded.
+FOOTPRINT_SCRIPT = """
+import sys
+from sofim import cli
+configs, out = sys.argv[1:]
+for argv in (["run", f"{configs}/blobs_logistic_sofim.yaml", "--set", "iterations=50"],
+             ["sweep", f"{configs}/blobs_mlp_sofim_sweep.yaml", "--set", "iterations=50"],
+             ["scaling", f"{configs}/scaling.yaml", "--set", "dims=[1000]",
+              "--set", "repeats=2"]):
+    assert cli.main([*argv, "--set", f"output_dir={out}"]) == 0, argv
+print(sorted(name for name in ("numpy.ma", "statistics") if name in sys.modules))
+"""
+
+
+class TestFootprint:
+    def test_training_imports_neither_numpy_ma_nor_statistics(self, tmp_path):
+        """A fresh process that runs, sweeps and probes never imports
+        ``numpy.ma`` (about 1.2 MB resident) or ``statistics`` (about
+        0.6 MB); nothing it does needs them."""
+        done = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_SCRIPT, str(REPO / "configs"), str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"

@@ -4,12 +4,13 @@ handling, sweep selection, epoch accounting and the CSV contract.
 
 import csv
 import math
+import statistics
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sofim import problems
+from sofim import harness, problems
 from sofim.core import SofimOptimizer
 from sofim.exceptions import ConfigError, ScaleCapError, convert
 from sofim.harness import (
@@ -340,6 +341,16 @@ class TestScalingProbe:
             calls.clear()
             scaling_probe("sofim", [16, 32], repeats=repeats)
             assert calls == {16: 3 + repeats, 32: 3 + repeats}
+
+    def test_round_median_is_statistics_median(self):
+        """The probe's round median is ``statistics.median``'s, bitwise and
+        as a Python float, for odd and even counts, ties included."""
+        rng = np.random.default_rng(4)
+        for count in range(1, 12):
+            for times in (rng.exponential(1e-4, count).tolist(),
+                          rng.integers(1, 4, count).astype(float).tolist()):
+                got = harness._median(times)
+                assert type(got) is float and got == statistics.median(times)
 
     def test_gradient_only_optimizers_supported(self):
         """SGD and Adam probe without error."""

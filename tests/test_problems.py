@@ -116,6 +116,25 @@ class TestGradientOracle:
             assert not np.shares_memory(again[1], g)
             assert np.array_equal(w, w_before)
 
+    @pytest.mark.parametrize("label", ["logistic", "softmax", "mlp_tanh", "mlp_relu"])
+    def test_public_methods_leave_their_inputs_unchanged(self, label):
+        """No public method writes into ``w`` or the train and test features,
+        bitwise, on a batch or on a full split: the forward pass works in
+        its own buffers."""
+        problem = {name: prob for name, prob, _ in problem_zoo()}[label]
+        rng = np.random.default_rng(8)
+        w = rng.standard_normal(problem.dim)
+        watched = (w, problem._x_train, problem._x_test)
+        before = [a.copy() for a in watched]
+        batch = rng.integers(0, problem.n_train, size=9)
+        for call in (problem.loss, problem.loss_and_grad, problem.loss_and_per_sample_grads):
+            call(w, batch)
+            call(w)
+        problem.test_loss(w)
+        problem.test_accuracy(w)
+        for array, copy in zip(watched, before):
+            assert same_bits(array, copy)
+
     def test_finite_difference_helper(self):
         """The helper itself differentiates a known polynomial."""
         f = lambda w: float(w[0] ** 2 + 3.0 * w[1])
@@ -478,11 +497,13 @@ class TestBlobs:
             assert np.linalg.norm(center) == pytest.approx(5.0, abs=0.5)
 
     def test_validation(self):
-        """Need at least two classes and n >= c."""
+        """Need at least two classes, n >= c and a non-empty test split."""
         with pytest.raises(ConfigError):
             make_blobs(10, 3, 1, 1.0, 0)
         with pytest.raises(ConfigError):
             make_blobs(2, 3, 4, 1.0, 0)
+        with pytest.raises(ConfigError, match="the test split is empty: 2 of 2 rows"):
+            make_blobs(2, 3, 2, 1.0, 0)
 
 
 class TestDatasetInvariants:
@@ -491,6 +512,21 @@ class TestDatasetInvariants:
         with pytest.raises(ConfigError):
             Dataset(np.zeros((4, 2)), np.zeros(4, dtype=int),
                     train_idx=[0, 1, 2], test_idx=[2, 3], num_classes=2)
+
+    @pytest.mark.parametrize("train_idx,test_idx,message", [
+        ([0, 1, 3], [-1], r"test split indices must lie in \[0, 4\), got range \[-1, -1\]"),
+        ([0, 1, 2], [7], r"test split indices must lie in \[0, 4\), got range \[7, 7\]"),
+        ([-4, 1], [2, 3], r"train split indices must lie in \[0, 4\)"),
+        ([0, 1, 2, 3], [], "the test split is empty: 4 of 4 rows go to train and 0 to test"),
+        ([], [0, 1], "the train split is empty: 0 of 4 rows go to train and 2 to test"),
+    ], ids=["negative-wraps-onto-train", "past-the-end", "negative-train", "empty-test",
+            "empty-train"])
+    def test_bad_split_rejected_naming_it(self, train_idx, test_idx, message):
+        """An index outside [0, n) and an empty split are refused, naming the
+        split; a negative index would otherwise wrap past the overlap check."""
+        with pytest.raises(ConfigError, match=message):
+            Dataset(np.zeros((4, 2)), np.zeros(4, dtype=int),
+                    train_idx=train_idx, test_idx=test_idx, num_classes=2)
 
     def test_label_range_checked(self):
         """Labels outside [0, C) are rejected."""
@@ -573,6 +609,17 @@ class TestCsvDataset:
             load_csv_dataset(empty, "label", 0.5, seed=0)
         with pytest.raises(ConfigError):
             load_csv_dataset(path, "label", 1.0, seed=0)
+
+    @pytest.mark.parametrize("fraction,message", [
+        (0.1, "the train split is empty: 0 of 2 rows go to train and 2 to test"),
+        (0.9, "the test split is empty: 2 of 2 rows go to train and 0 to test"),
+    ])
+    def test_empty_split_refused_before_standardizing(self, tmp_path, fraction, message):
+        """A split fraction that leaves one side of a small file empty is
+        refused by name, without standardizing on no rows."""
+        path = write_csv(tmp_path / "d.csv", "a,b,label\n1,2,0\n3,4,1\n")
+        with pytest.raises(ConfigError, match=message):
+            load_csv_dataset(path, "label", fraction, seed=0)
 
     def test_loaded_dataset_trains(self, tmp_path):
         """A loaded CSV dataset plugs into a problem and yields gradients."""
