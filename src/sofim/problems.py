@@ -11,6 +11,17 @@ pull-back from the head's residual to the gradient.  ``loss_and_grad`` and
 ``loss_and_per_sample_grads`` return the batch loss with a gradient from
 that one forward pass, so a training step runs the model forward once.
 
+Forward-only evaluation (``loss``, ``test_loss``, ``test_accuracy``) runs
+over balanced row blocks, each holding at most :data:`sofim.core.BLOCK`
+float64 elements of the model's widest per-row intermediate, so its memory
+is O(block x width) rather than O(rows x width).  Per-row losses fill one
+vector that is averaged once, and accuracy counts hits per block, so the
+results are bitwise those of one pass wherever the BLAS rounds a block's
+rows as it rounds the whole split's; it does for the shipped shapes.
+Gradients are not blocked: their row sums are reductions, and summing them
+block by block would round differently.  A problem keeps only its gathered
+train and test splits, not the dataset it was built from.
+
 Parameters are always a single flat float64 vector; problems with several
 weight arrays (the MLP) define a fixed, documented flattening order.
 """
@@ -22,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sofim.core import BLOCK
 from sofim.exceptions import ConfigError, DimensionMismatchError, convert, require
 
 __all__ = [
@@ -50,7 +62,8 @@ __all__ = [
 @dataclass
 class Dataset:
     """Feature matrix + integer labels with a fixed train/test split: both
-    splits are non-empty, index rows in ``[0, n)`` and share no row."""
+    splits are non-empty, index rows in ``[0, n)``, list no row twice and
+    share no row."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -92,17 +105,22 @@ class Dataset:
 
 def _check_splits(n: int, train_idx: np.ndarray, test_idx: np.ndarray):
     """Refuse an empty split, an index outside ``[0, n)`` (a negative index
-    would wrap onto a row the other split may hold) and a row in both
+    would wrap onto a row the other split may hold), a row listed twice in
+    one split (it would weigh twice in every mean) and a row in both
     splits, each with a ``ConfigError`` naming the split."""
+    taken, listed = np.zeros(n, dtype=bool), 0
     for name, idx in (("train", train_idx), ("test", test_idx)):
         require(idx.size, f"the {name} split is empty: {train_idx.size} of {n} rows "
                           f"go to train and {test_idx.size} to test")
         lo, hi = idx.min(), idx.max()
         require(lo >= 0 and hi < n,
                 f"{name} split indices must lie in [0, {n}), got range [{lo}, {hi}]")
-    in_train = np.zeros(n, dtype=bool)
-    in_train[train_idx] = True
-    require(not in_train[test_idx].any(), "train and test splits overlap")
+        require(not taken[idx].any(), "train and test splits overlap")
+        taken[idx] = True
+        listed += idx.size
+        if np.count_nonzero(taken) < listed:
+            row = np.flatnonzero(np.bincount(idx) > 1)[0]
+            raise ConfigError(f"the {name} split lists row {row} more than once")
 
 
 def make_blobs(n: int, p: int, c: int, spread: float, seed: int) -> Dataset:
@@ -124,7 +142,12 @@ def make_blobs(n: int, p: int, c: int, spread: float, seed: int) -> Dataset:
     counts[:rem] += 1
     labels = np.repeat(np.arange(c), counts)
     features = rng.standard_normal((n, p))
-    features += centers[labels]
+    # The labels come sorted, so each center is added to its own run of
+    # rows, with no n x p gather of centers.
+    start = 0
+    for center, count in zip(centers, counts.tolist()):
+        features[start : start + count] += center
+        start += count
 
     perm = rng.permutation(n)
     n_train = int(round(0.8 * n))
@@ -157,6 +180,8 @@ def load_csv_dataset(path, label_column: str, split_fraction: float, seed: int) 
         if label_column not in header:
             raise ConfigError(f"{path}: label column {label_column!r} not in header {header}")
         label_pos = header.index(label_column)
+        if len(header) == 1:
+            raise ConfigError(f"{path}: no feature columns besides label column {label_column!r}")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -418,20 +443,42 @@ class _DatasetProblem(Problem):
     parameter block in flat-layout order.  A weight block's per-sample
     gradient is ``error outer input``; a bias block's input is ``None`` and
     its per-sample gradient is ``error``.  Every public method is built here.
+
+    ``_row_width`` is the widest per-row intermediate of a forward pass: the
+    logit count, or the MLP's wider layer.  Forward-only evaluation runs
+    over row blocks of at most ``BLOCK // _row_width`` rows.  The problem
+    keeps its gathered splits only, so the dataset's feature matrix is freed
+    once nothing else holds it.
     """
 
     head: _SigmoidHead | _SoftmaxHead
+    _row_width: int
 
     def __init__(self, dataset: Dataset):
-        self.dataset = dataset
-        self._x_train = dataset.features[dataset.train_idx]
+        self._x_train = self._inputs(dataset.features, dataset.train_idx)
         self._y_train = dataset.labels[dataset.train_idx]
-        self._x_test = dataset.features[dataset.test_idx]
+        self._x_test = self._inputs(dataset.features, dataset.test_idx)
         self._y_test = dataset.labels[dataset.test_idx]
+
+    @staticmethod
+    def _inputs(features, idx):
+        """The model inputs of feature rows ``idx``."""
+        return features[idx]
 
     @property
     def n_train(self) -> int:
         return self._x_train.shape[0]
+
+    @property
+    def n_test(self) -> int:
+        return self._x_test.shape[0]
+
+    def _row_blocks(self, n: int) -> list:
+        """The fewest contiguous row slices covering ``range(n)`` that hold at
+        most ``BLOCK`` elements of ``_row_width``-wide rows each (one row at
+        least); their sizes differ by at most one."""
+        k = -(-n // max(1, BLOCK // self._row_width))
+        return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
     def _select(self, batch):
         if batch is None:
@@ -446,8 +493,17 @@ class _DatasetProblem(Problem):
         return w
 
     def _mean_loss(self, w, x, y) -> float:
-        outputs = self._forward(self._check_w(w), x)[0]  # [0] frees the cache early
-        return float(_mean(self.head.losses(outputs, y)))
+        """The mean loss over rows ``x``, forward only.  Several blocks write
+        their per-row losses into one vector, whose single mean rounds as
+        the one-pass mean does."""
+        w = self._check_w(w)
+        blocks = self._row_blocks(x.shape[0])
+        if len(blocks) == 1:
+            return float(_mean(self.head.losses(self._forward(w, x)[0], y)))
+        losses = np.empty(x.shape[0])
+        for rows in blocks:  # [0] frees each block's cache early
+            losses[rows] = self.head.losses(self._forward(w, x[rows])[0], y[rows])
+        return float(_mean(losses))
 
     def _loss_and_blocks(self, w, batch):
         """The mean loss on a batch, the pull-back's ``(error, input)`` pairs
@@ -477,8 +533,10 @@ class _DatasetProblem(Problem):
         return self._mean_loss(w, self._x_test, self._y_test)
 
     def test_accuracy(self, w) -> float:
-        outputs = self._forward(self._check_w(w), self._x_test)[0]
-        return np.count_nonzero(self.head.predict(outputs) == self._y_test) / len(self._y_test)
+        w, x, y = self._check_w(w), self._x_test, self._y_test
+        hits = sum(np.count_nonzero(self.head.predict(self._forward(w, x[rows])[0]) == y[rows])
+                   for rows in self._row_blocks(len(y)))
+        return hits / len(y)
 
     def initial_point(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
@@ -501,6 +559,7 @@ class LogisticRegressionProblem(_LinearProblem):
     bias is the last weight."""
 
     head = _SigmoidHead()
+    _row_width = 1
 
     def __init__(self, dataset: Dataset):
         if dataset.num_classes != 2:
@@ -508,11 +567,13 @@ class LogisticRegressionProblem(_LinearProblem):
                 f"logistic regression needs binary labels, got {dataset.num_classes} classes"
             )
         super().__init__(dataset)
-        augmented = np.hstack([dataset.features, np.ones((dataset.features.shape[0], 1))])
-        self._x_train = augmented[dataset.train_idx]
-        self._x_test = augmented[dataset.test_idx]
-        self.dim = augmented.shape[1]
+        self.dim = dataset.n_features + 1
         self.name = f"logistic{self.dim}"
+
+    @staticmethod
+    def _inputs(features, idx):
+        """Feature rows ``idx`` with the constant-1 bias feature appended."""
+        return np.hstack([features[idx], np.ones((idx.size, 1))])
 
     def _weights(self, w):
         return w
@@ -530,7 +591,7 @@ class SoftmaxRegressionProblem(_LinearProblem):
 
     def __init__(self, dataset: Dataset):
         super().__init__(dataset)
-        self.num_classes = dataset.num_classes
+        self.num_classes = self._row_width = dataset.num_classes
         self.n_features = dataset.n_features
         self.dim = self.n_features * self.num_classes
         self.name = f"softmax{self.num_classes}x{self.n_features}"
@@ -576,6 +637,7 @@ class MlpProblem(_DatasetProblem):
                 f"spec expects {c} classes but dataset has {dataset.num_classes}"
             )
         self.spec = spec
+        self._row_width = max(h, c)
         sizes = (h * p, h, c * h, c)
         starts = np.cumsum((0,) + sizes[:-1]).tolist()
         self._layout = tuple(zip(starts, sizes, ((h, p), (h,), (c, h), (c,))))

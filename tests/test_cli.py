@@ -246,6 +246,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_label_only_csv_is_refused_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        """A CSV whose only column is the label exits 1 naming the file,
+        instead of training a zero-parameter model, and writes nothing."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "labels.csv").write_text("label\n0\n1\n2\n0\n1\n2\n")
+        problem = {"kind": "csv", "path": "labels.csv", "model": "softmax"}
+        assert cli.main(["run", run_config(tmp_path, problem=problem)]) == 1
+        assert capsys.readouterr().err == ("config error: labels.csv: no feature columns "
+                                           "besides label column 'label'\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("subcommand", ["run", "sweep", "rho-sweep", "scaling"])
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
     def test_output_dir_naming_a_file_is_refused_before_training(

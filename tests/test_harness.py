@@ -163,7 +163,7 @@ class TestRunExperiment:
 
         problem._forward = counted
         run_experiment(cfg, problem=problem)
-        n_train, n_test = problem.n_train, problem.dataset.n_test
+        n_train, n_test = problem.n_train, problem.n_test
         assert sizes[:7] == [cfg.batch_size] * 7
         assert sorted(sizes[7:]) == sorted([n_train, n_test, n_test])
 

@@ -3,6 +3,8 @@ identities at known points, dataset determinism, and CSV loading.
 """
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from sofim import problems
+from sofim.core import BLOCK
 from sofim.exceptions import ConfigError, DimensionMismatchError
 from sofim.problems import (
     Dataset,
@@ -172,7 +175,7 @@ class TestReferenceValues:
         a cross-entropy computed here from the documented layout, and
         test_accuracy(w) is exactly the argmax accuracy of the same logits."""
         problem = {name: prob for name, prob, _ in problem_zoo()}[label]
-        ds = problem.dataset
+        ds = blobs2() if label == "logistic" else blobs3()
         x_train, y_train = ds.features[ds.train_idx], ds.labels[ds.train_idx]
         x_test, y_test = ds.features[ds.test_idx], ds.labels[ds.test_idx]
         rng = np.random.default_rng(11)
@@ -189,6 +192,122 @@ class TestReferenceValues:
                 assert value == pytest.approx(expected, rel=1e-12)
             pred = np.argmax(reference_logits(problem, w, x_test), axis=1)
             assert problem.test_accuracy(w) == float(np.mean(pred == y_test))
+
+
+def split_problem(model, n, hidden=32):
+    """A problem over random rows with train and test splits of ``n`` rows
+    each: ``logistic`` (3 features), ``softmax`` (20 features, 100
+    classes), or an MLP of widths (20, hidden, 5) with activation
+    ``model``."""
+    rng = np.random.default_rng(n)
+    classes = {"logistic": 2, "softmax": 100}.get(model, 5)
+    p = 3 if model == "logistic" else 20
+    ds = Dataset(rng.standard_normal((2 * n, p)), rng.integers(0, classes, 2 * n),
+                 train_idx=np.arange(n), test_idx=np.arange(n, 2 * n), num_classes=classes)
+    if model == "logistic":
+        return LogisticRegressionProblem(ds)
+    if model == "softmax":
+        return SoftmaxRegressionProblem(ds)
+    return MlpProblem(ds, MlpSpec((p, hidden, classes), model))
+
+
+def one_pass(problem, w, x, y):
+    """The former full-split evaluation, as an oracle: the mean loss and
+    the accuracy from one forward pass over all rows of ``x``."""
+    outputs = problem._forward(w, x)[0]
+    hits = np.count_nonzero(problem.head.predict(outputs) == y)
+    return float(problem.head.losses(outputs, y).mean()), hits / len(y)
+
+
+#: Rows in one evaluation block: BLOCK elements of each model's widest
+#: per-row intermediate (the logit, 100 logits, the 32-wide hidden layer).
+BLOCK_ROWS = {"logistic": BLOCK, "softmax": BLOCK // 100, "tanh": BLOCK // 32,
+              "relu": BLOCK // 32}
+
+
+class TestBlockedEvaluation:
+    @pytest.mark.parametrize("blocks,extra", [(1, 0), (3, 0), (2, 1), (3, 2)],
+                             ids=["one-block", "exact-multiple", "multiple-plus-one",
+                                  "two-row-tail"])
+    @pytest.mark.parametrize("model", ["logistic", "softmax", "tanh", "relu"])
+    def test_full_splits_match_one_pass_bitwise(self, model, blocks, extra):
+        """loss(w), test_loss(w) and test_accuracy(w) over a split of one
+        block, of exactly three, of two blocks and a row, and of three
+        blocks and two rows (fixed-size blocks would end in a 2-row tail)
+        are bitwise those of one pass over the whole split."""
+        n = blocks * BLOCK_ROWS[model] + extra
+        problem = split_problem(model, n)
+        assert len(problem._row_blocks(n)) == blocks + (extra > 0)
+        w = np.random.default_rng(1).standard_normal(problem.dim)
+        train_loss = one_pass(problem, w, problem._x_train, problem._y_train)[0]
+        test_loss, accuracy = one_pass(problem, w, problem._x_test, problem._y_test)
+        assert problem.loss(w).hex() == train_loss.hex()
+        assert problem.test_loss(w).hex() == test_loss.hex()
+        assert problem.test_accuracy(w) == accuracy
+
+    @pytest.mark.parametrize("model", ["logistic", "softmax", "tanh"])
+    @pytest.mark.parametrize("n", [1, 1024, 1025, 4000, 32769, 98306])
+    def test_row_blocks_are_balanced_and_bounded(self, model, n):
+        """The blocks cover every row once, in order, as few as hold at most
+        BLOCK elements of the widest per-row intermediate each, and their
+        sizes differ by at most one: 4000 MLP rows are 4 blocks of 1000."""
+        problem = split_problem(model, 1)
+        blocks = problem._row_blocks(n)
+        sizes = [rows.stop - rows.start for rows in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) <= BLOCK_ROWS[model] and max(sizes) - min(sizes) <= 1
+        assert len(blocks) == -(-n // BLOCK_ROWS[model])
+        if (model, n) == ("tanh", 4000):
+            assert sizes == [1000] * 4
+
+    def test_wide_hidden_layer_stays_within_rounding(self):
+        """A 300-wide hidden layer evaluates in 109-row blocks.  There the
+        BLAS may round a block's products differently from a whole split's,
+        so the losses agree with one pass to rounding, not bitwise."""
+        n = 3 * (BLOCK // 300)
+        problem = split_problem("tanh", n, hidden=300)
+        w = np.random.default_rng(4).standard_normal(problem.dim)
+        assert len(problem._row_blocks(n)) == 3
+        assert problem.loss(w) == pytest.approx(
+            one_pass(problem, w, problem._x_train, problem._y_train)[0], rel=1e-13)
+        test_loss, accuracy = one_pass(problem, w, problem._x_test, problem._y_test)
+        assert problem.test_loss(w) == pytest.approx(test_loss, rel=1e-13)
+        assert problem.test_accuracy(w) == accuracy
+
+    def test_full_split_loss_memory_is_bounded_by_the_block(self):
+        """One loss(w) over 4000 train rows of a hidden-32 MLP allocates at
+        most two blocks' worth of float64s at its peak (one pass held a
+        4000 x 32 hidden layer plus the 4000 x 5 head temporaries, about
+        1.2 MB)."""
+        problem = problem_from_spec({"kind": "blobs", "n": 5000, "p": 20, "classes": 5,
+                                     "model": "mlp", "hidden": 32})
+        w = problem.initial_point(np.random.default_rng(0))
+        problem.loss(w)
+        tracemalloc.start()
+        try:
+            problem.loss(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert problem.n_train == 4000
+        assert peak <= 2 * BLOCK * 8
+
+    @pytest.mark.parametrize("model", ["logistic", "softmax", "mlp"])
+    def test_dataset_features_are_freed_once_the_problem_is_built(self, monkeypatch, model):
+        """A built problem holds its gathered splits, not the dataset, so
+        the full feature matrix dies when problem_from_spec returns."""
+        made = []
+
+        def recording_make_blobs(*args):
+            made.append(make_blobs(*args))
+            return made[-1]
+
+        monkeypatch.setattr(problems, "make_blobs", recording_make_blobs)
+        problem = problem_from_spec({"kind": "blobs", "n": 50, "p": 3, "model": model})
+        features = weakref.ref(made.pop().features)
+        assert features() is None
+        assert (problem.n_train, problem.n_test) == (40, 10)
 
 
 def masked_sigmoid_residual(z, y):
@@ -355,9 +474,9 @@ class TestLogistic:
 
     def test_zero_weights_predicts_class_zero(self):
         """z=0 ties break to the lowest class index."""
-        problem = LogisticRegressionProblem(blobs2())
-        acc = problem.test_accuracy(np.zeros(problem.dim))
-        y_test = problem.dataset.labels[problem.dataset.test_idx]
+        ds = blobs2()
+        acc = LogisticRegressionProblem(ds).test_accuracy(np.zeros(ds.n_features + 1))
+        y_test = ds.labels[ds.test_idx]
         assert acc == pytest.approx(float(np.mean(y_test == 0)))
 
     def test_bias_column_appended(self):
@@ -388,9 +507,9 @@ class TestSoftmax:
 
     def test_zero_weights_predicts_class_zero(self):
         """Equal logits tie-break to the lowest class index."""
-        problem = SoftmaxRegressionProblem(blobs3())
-        acc = problem.test_accuracy(np.zeros(problem.dim))
-        y_test = problem.dataset.labels[problem.dataset.test_idx]
+        ds = blobs3()
+        acc = SoftmaxRegressionProblem(ds).test_accuracy(np.zeros(ds.n_features * 3))
+        y_test = ds.labels[ds.test_idx]
         assert acc == pytest.approx(float(np.mean(y_test == 0)))
 
     def test_parameter_layout(self):
@@ -489,6 +608,18 @@ class TestBlobs:
         assert np.array_equal(a.train_idx, b.train_idx)
         assert not np.allclose(a.features, c.features)
 
+    def test_features_match_the_gathered_center_form(self):
+        """Adding each center to its class's run of rows gives the bits of
+        adding the gathered ``centers[labels]``, from the same draws."""
+        for n, p, c, seed in [(10, 3, 3, 0), (257, 20, 5, 1), (5000, 20, 5, 0)]:
+            rng = np.random.default_rng(seed)
+            centers = rng.standard_normal((c, p))
+            centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+            centers *= 3.0
+            labels = np.repeat(np.arange(c), [n // c + (k < n % c) for k in range(c)])
+            features = rng.standard_normal((n, p)) + centers[labels]
+            assert same_bits(make_blobs(n, p, c, 3.0, seed).features, features)
+
     def test_spread_sets_center_scale(self):
         """Class means sit near radius `spread` from the origin."""
         ds = make_blobs(3000, 10, 2, 5.0, 0)
@@ -519,11 +650,15 @@ class TestDatasetInvariants:
         ([-4, 1], [2, 3], r"train split indices must lie in \[0, 4\)"),
         ([0, 1, 2, 3], [], "the test split is empty: 4 of 4 rows go to train and 0 to test"),
         ([], [0, 1], "the train split is empty: 0 of 4 rows go to train and 2 to test"),
+        ([0, 0, 1], [2, 3], "the train split lists row 0 more than once"),
+        ([0, 1], [3, 2, 3], "the test split lists row 3 more than once"),
     ], ids=["negative-wraps-onto-train", "past-the-end", "negative-train", "empty-test",
-            "empty-train"])
+            "empty-train", "repeated-train-row", "repeated-test-row"])
     def test_bad_split_rejected_naming_it(self, train_idx, test_idx, message):
-        """An index outside [0, n) and an empty split are refused, naming the
-        split; a negative index would otherwise wrap past the overlap check."""
+        """An index outside [0, n), an empty split and a row listed twice in
+        one split are refused, naming the split; a negative index would
+        otherwise wrap past the overlap check, and a repeated row would
+        weigh twice in every mean."""
         with pytest.raises(ConfigError, match=message):
             Dataset(np.zeros((4, 2)), np.zeros(4, dtype=int),
                     train_idx=train_idx, test_idx=test_idx, num_classes=2)
@@ -609,6 +744,15 @@ class TestCsvDataset:
             load_csv_dataset(empty, "label", 0.5, seed=0)
         with pytest.raises(ConfigError):
             load_csv_dataset(path, "label", 1.0, seed=0)
+
+    def test_label_only_file_refused_naming_it(self, tmp_path):
+        """A file whose only column is the label has no features to learn
+        from; it is refused by name instead of building a zero-parameter
+        model."""
+        path = write_csv(tmp_path / "labels.csv", "label\n0\n1\n2\n0\n1\n2\n")
+        with pytest.raises(ConfigError, match=r"labels\.csv: no feature columns besides "
+                                              r"label column 'label'"):
+            load_csv_dataset(path, "label", 0.5, seed=0)
 
     @pytest.mark.parametrize("fraction,message", [
         (0.1, "the train split is empty: 0 of 2 rows go to train and 2 to test"),
