@@ -271,7 +271,11 @@ class Problem:
     def loss_and_grad(self, w, batch=None) -> tuple:
         """``(loss(w, batch), grad(w, batch))``.  A problem overrides either
         this or ``grad``; dataset problems override this with one forward
-        pass."""
+        pass.  On the full split (``batch=None``) that pass covers every
+        row while ``loss`` runs over row blocks, so the two losses are equal
+        bitwise only where the BLAS rounds a block's rows as it rounds the
+        whole split's; it does for the shipped shapes, not for every hidden
+        width (see the module docstring)."""
         return self.loss(w, batch), self.grad(w, batch)
 
     def loss_and_per_sample_grads(self, w, batch=None) -> tuple:
@@ -493,15 +497,12 @@ class _DatasetProblem(Problem):
         return w
 
     def _mean_loss(self, w, x, y) -> float:
-        """The mean loss over rows ``x``, forward only.  Several blocks write
+        """The mean loss over rows ``x``, forward only.  The blocks write
         their per-row losses into one vector, whose single mean rounds as
         the one-pass mean does."""
         w = self._check_w(w)
-        blocks = self._row_blocks(x.shape[0])
-        if len(blocks) == 1:
-            return float(_mean(self.head.losses(self._forward(w, x)[0], y)))
         losses = np.empty(x.shape[0])
-        for rows in blocks:  # [0] frees each block's cache early
+        for rows in self._row_blocks(x.shape[0]):  # [0] frees each block's cache early
             losses[rows] = self.head.losses(self._forward(w, x[rows])[0], y[rows])
         return float(_mean(losses))
 

@@ -245,6 +245,19 @@ class TestBlockedEvaluation:
         assert problem.test_loss(w).hex() == test_loss.hex()
         assert problem.test_accuracy(w) == accuracy
 
+    @pytest.mark.parametrize("model", ["softmax", "tanh", "relu"])
+    def test_fused_full_split_loss_equals_blocked_loss(self, model):
+        """On a full split of two blocks and a row, the one-pass loss of
+        loss_and_grad and loss_and_per_sample_grads is bitwise the blocked
+        loss(w): the fused calls keep their contract at the shipped shapes."""
+        n = 2 * BLOCK_ROWS[model] + 1
+        problem = split_problem(model, n)
+        w = np.random.default_rng(6).standard_normal(problem.dim)
+        assert len(problem._row_blocks(n)) == 3
+        loss = problem.loss(w)
+        assert problem.loss_and_grad(w)[0].hex() == loss.hex()
+        assert problem.loss_and_per_sample_grads(w)[0].hex() == loss.hex()
+
     @pytest.mark.parametrize("model", ["logistic", "softmax", "tanh"])
     @pytest.mark.parametrize("n", [1, 1024, 1025, 4000, 32769, 98306])
     def test_row_blocks_are_balanced_and_bounded(self, model, n):
