@@ -7,7 +7,7 @@ each step costs O(d) time and memory like SGD with momentum.
 
 Modules:
 
-- :mod:`sofim.core` - the optimizer and its algebraic building blocks.
+- :mod:`sofim.core` - the optimizer and the step checks all steppers share.
 - :mod:`sofim.baselines` - SGD momentum, Adam, dense natural-gradient and
   Newton oracles for comparison and testing.
 - :mod:`sofim.problems` - convex and small neural test problems on
@@ -16,26 +16,13 @@ Modules:
 - :mod:`sofim.cli` - command-line front end.
 
 The sofim, momentum-SGD and Adam steppers update in place with numpy
-and allocate nothing per step.
+and allocate nothing per step.  Each stepper is the only implementation
+of its update; the tests hold the formula-only references it is checked
+against.
 """
 
-from sofim.core import (
-    SofimConfig,
-    SofimOptimizer,
-    SofimState,
-    bias_correct,
-    first_moment_update,
-    sherman_morrison_inverse_apply,
-    sofim_direction,
-    sofim_step,
-)
-from sofim.exceptions import (
-    ConfigError,
-    DimensionMismatchError,
-    NonFiniteError,
-    ScaleCapError,
-    SingularUpdateError,
-)
+from sofim.core import SofimConfig, SofimOptimizer
+from sofim.exceptions import ConfigError, DimensionMismatchError, NonFiniteError, ScaleCapError
 
 __version__ = "0.1.0"
 
@@ -46,16 +33,9 @@ __all__ = [
     "KERNEL_BACKEND",
     "SofimConfig",
     "SofimOptimizer",
-    "SofimState",
-    "bias_correct",
-    "first_moment_update",
-    "sherman_morrison_inverse_apply",
-    "sofim_direction",
-    "sofim_step",
     "ConfigError",
     "DimensionMismatchError",
     "NonFiniteError",
     "ScaleCapError",
-    "SingularUpdateError",
     "__version__",
 ]

@@ -98,63 +98,8 @@ def sgd_learning_rate(cfg: SgdConfig, step_index: int) -> float:
     return 0.5 * cfg.eta * (1.0 + math.cos(math.pi * s / cfg.total_steps))
 
 
-def sgd_momentum_step(w, velocity, g, cfg: SgdConfig, step_index: int):
-    """One momentum-SGD step; returns ``(w_new, velocity_new)``.
-
-    Coupled weight decay is folded into the gradient before the velocity
-    update: ``g' = g + weight_decay * w``; ``v' = momentum * v + g'``;
-    ``w' = w - eta(step_index) * v'``.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    velocity = np.asarray(velocity, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if not (w.shape == velocity.shape == g.shape):
-        raise DimensionMismatchError(
-            f"shape mismatch: w {w.shape}, velocity {velocity.shape}, g {g.shape}"
-        )
-    g_eff = g + cfg.weight_decay * w
-    v_new = cfg.momentum * velocity + g_eff
-    w_new = w - sgd_learning_rate(cfg, step_index) * v_new
-    return w_new, v_new
-
-
-def adam_step(w, m, v, g, cfg: AdamConfig, t: int):
-    """One Adam step at iteration ``t`` (1-based); returns ``(w', m', v')``."""
-    require(t >= 1, f"t must be >= 1, got {t}")
-    w = np.asarray(w, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if w.shape != g.shape:
-        raise DimensionMismatchError(f"shape mismatch: w {w.shape}, g {g.shape}")
-    m_new = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-    v_new = cfg.beta2 * v + (1.0 - cfg.beta2) * np.square(g)
-    m_hat = m_new / (1.0 - cfg.beta1**t)
-    v_hat = v_new / (1.0 - cfg.beta2**t)
-    w_new = w - cfg.eta * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    return w_new, m_new, v_new
-
-
-@dataclass
-class EmpiricalFim:
-    """Dense empirical Fisher matrix ``mean_i g_i g_i^T`` (small scale only)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.matrix, dtype=np.float64)
-        if f.ndim != 2 or f.shape[0] != f.shape[1]:
-            raise DimensionMismatchError(f"Fisher matrix must be square, got {f.shape}")
-        asym = np.max(np.abs(f - f.T)) if f.size else 0.0
-        if asym > 1e-12:
-            raise ConfigError(f"Fisher matrix asymmetry {asym:.3e} exceeds 1e-12")
-        self.matrix = f
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def empirical_fim(per_sample_grads, cap: int = DENSE_FIM_CAP) -> EmpiricalFim:
-    """Average of the per-sample gradient outer products.
+def empirical_fim(per_sample_grads, cap: int = DENSE_FIM_CAP) -> np.ndarray:
+    """Dense empirical Fisher matrix ``mean_i g_i g_i^T``, exactly symmetric.
 
     ``per_sample_grads`` is a sequence of length-d vectors (or a (B, d)
     array).  Refuses d above ``cap``: this is a verification oracle with
@@ -166,9 +111,8 @@ def empirical_fim(per_sample_grads, cap: int = DENSE_FIM_CAP) -> EmpiricalFim:
     if d > cap:
         raise ScaleCapError(f"dense Fisher oracle capped at d <= {cap}, got d = {d}")
     f = grads.T @ grads / grads.shape[0]
-    # Enforce exact symmetry against BLAS round-off before validation.
-    f = 0.5 * (f + f.T)
-    return EmpiricalFim(matrix=f)
+    # Enforce exact symmetry against BLAS round-off.
+    return 0.5 * (f + f.T)
 
 
 def ngd_step(w, per_sample_grads, eta: float, damping: float = DEFAULT_NGD_DAMPING):
@@ -185,9 +129,8 @@ def ngd_step(w, per_sample_grads, eta: float, damping: float = DEFAULT_NGD_DAMPI
         raise DimensionMismatchError(
             f"gradients have length {grads.shape[1]} but w has length {w.shape[0]}"
         )
-    fim = empirical_fim(grads)
     g_bar = grads.mean(axis=0)
-    a = fim.matrix + damping * np.eye(fim.dim)
+    a = empirical_fim(grads) + damping * np.eye(grads.shape[1])
     direction = np.linalg.solve(a, g_bar)
     return w - eta * direction
 
@@ -199,16 +142,6 @@ def _require_positive_definite(hess) -> None:
         raise ConfigError("Hessian is not positive definite") from exc
 
 
-def newton_step_quadratic(w, problem, eta: float):
-    """Exact Newton step ``w - eta * H^{-1} grad`` for a problem exposing a
-    constant positive-definite Hessian."""
-    w = np.asarray(w, dtype=np.float64)
-    hess = problem.exact_hessian(w)
-    _require_positive_definite(hess)
-    g = problem.grad(w)
-    return w - eta * np.linalg.solve(hess, g)
-
-
 def _sgd_block(w, g, v, scratch, momentum, weight_decay, lr):
     v *= momentum
     v += g
@@ -218,10 +151,14 @@ def _sgd_block(w, g, v, scratch, momentum, weight_decay, lr):
 
 
 class SgdMomentumOptimizer:
-    """Stateful momentum-SGD stepper; mutates ``w`` in place, block by block
-    (:func:`sofim.core.blocked`), so a step allocates nothing.  It owns
-    ``d + min(d, BLOCK)`` floats: the velocity and one scratch block for its
-    one intermediate.  Equivalent to iterating :func:`sgd_momentum_step`."""
+    """Stateful momentum-SGD stepper.  Step ``s`` (0-based) folds coupled
+    weight decay into the gradient and sets ``v = momentum v + g +
+    weight_decay w`` and ``w = w - eta(s) v``, with ``eta(s)`` from
+    :func:`sgd_learning_rate`.
+
+    It mutates ``w`` in place, block by block (:func:`sofim.core.blocked`),
+    so a step allocates nothing.  It owns ``d + min(d, BLOCK)`` floats: the
+    velocity and one scratch block for its one intermediate."""
 
     def __init__(self, dim: int, config: SgdConfig):
         self.config = config
@@ -255,11 +192,15 @@ def _adam_block(w, g, m, v, scratch, denom, cfg, bc1, bc2):
 
 
 class AdamOptimizer:
-    """Stateful Adam stepper; mutates ``w`` in place, block by block
-    (:func:`sofim.core.blocked`), so a step allocates nothing.  It owns
-    ``2d + 2 min(d, BLOCK)`` floats: the moments ``m`` and ``v`` and two
-    scratch blocks for its intermediates.  Equivalent to iterating
-    :func:`adam_step`."""
+    """Stateful Adam stepper.  Step ``t`` (1-based) sets ``m = beta1 m +
+    (1 - beta1) g``, ``v = beta2 v + (1 - beta2) g^2`` and ``w = w - eta
+    m_hat / (sqrt(v_hat) + epsilon)``, where ``m_hat = m / (1 - beta1^t)``
+    and ``v_hat = v / (1 - beta2^t)``.
+
+    It mutates ``w`` in place, block by block (:func:`sofim.core.blocked`),
+    so a step allocates nothing.  It owns ``2d + 2 min(d, BLOCK)`` floats:
+    the moments ``m`` and ``v`` and two scratch blocks for its
+    intermediates."""
 
     def __init__(self, dim: int, config: AdamConfig):
         self.config = config

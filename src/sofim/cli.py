@@ -355,6 +355,8 @@ def _gradcheck_problems(seed: int) -> dict:
 
 
 def _cmd_gradcheck(args) -> int:
+    require(args.points >= 1, f"--points must be >= 1, got {args.points}")
+    require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     failures = []
     for name, problem in _gradcheck_problems(args.seed).items():

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class DimensionMismatchError(ValueError):
     """Vector or matrix operands have incompatible shapes."""
@@ -7,10 +9,6 @@ class DimensionMismatchError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """An input or intermediate value is NaN or infinite."""
-
-
-class SingularUpdateError(ArithmeticError):
-    """A rank-one inverse update has a (near-)zero denominator."""
 
 
 class ScaleCapError(ValueError):
@@ -30,14 +28,16 @@ def require(ok: bool, message: str) -> None:
 
 def convert(kind, value, name: str):
     """``kind(value)`` for ``kind`` ``int``, ``float`` or ``str``; a value
-    that does not convert, a boolean, a non-integral number for ``int`` or a
-    non-string for ``str`` raises :class:`ConfigError` naming ``name``."""
+    that does not convert, a boolean, a non-integral number for ``int``, a
+    NaN or infinity for ``float`` or a non-string for ``str`` raises
+    :class:`ConfigError` naming ``name``."""
     try:
         out = kind(value)
         if (isinstance(value, bool) or (kind is int and isinstance(value, float) and out != value)
+                or (kind is float and not math.isfinite(out))
                 or (kind is str and not isinstance(value, str))):
             raise ValueError
         return out
     except (TypeError, ValueError, OverflowError):
-        noun = {int: "an integer", float: "a number", str: "a string"}[kind]
+        noun = {int: "an integer", float: "a finite number", str: "a string"}[kind]
         raise ConfigError(f"{name} must be {noun}, got {value!r}") from None

@@ -154,10 +154,6 @@ class RunRecord:
     diverged: bool = False
     diverged_at: int | None = None
 
-    def column(self, name: str) -> np.ndarray:
-        i = CSV_COLUMNS.index(name)
-        return np.array([row[i] for row in self.rows])
-
     @property
     def final_train_loss(self) -> float:
         return self.rows[-1][3] if self.rows else math.nan
@@ -336,11 +332,6 @@ def rho_grid(base: ExperimentConfig, rhos=(1.0, 0.5, 0.1)) -> list:
             f"rho sweep requires the sofim optimizer, got {base.optimizer!r}")
     return [replace(base, optimizer_params={**base.optimizer_params, "rho": float(r)})
             for r in rhos]
-
-
-def rho_sweep(base: ExperimentConfig, rhos=(1.0, 0.5, 0.1)) -> SweepResult:
-    """Sweep the curvature regularizer of a SOFIM config over ``rhos``."""
-    return sweep(rho_grid(base, rhos))
 
 
 def check_scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,

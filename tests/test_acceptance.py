@@ -30,6 +30,8 @@ import yaml
 from sofim import baselines, cli, core, harness, problems
 from sofim.exceptions import ConfigError
 
+from reference import sherman_morrison_apply, stepped_direction, stepped_m_hat
+
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> str:
     status = "PASS" if ok else "FAIL"
@@ -46,7 +48,8 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> str:
 
 def test_criterion_01_rank_one_solve_matches_dense():
     """100 random (a, u, v, b) instances over d in {5, 20, 50}: the O(d)
-    inverse application matches LAPACK on the explicit matrix to 1e-10."""
+    rank-one inverse formula, the identity the sofim step collapses,
+    matches LAPACK on the explicit matrix to 1e-10."""
     rng = np.random.default_rng(101)
     worst = 0.0
     for i in range(100):
@@ -58,7 +61,7 @@ def test_criterion_01_rank_one_solve_matches_dense():
         while abs(1.0 + float(v @ u) / a) < 0.1:
             v = rng.standard_normal(d)
         b = rng.standard_normal(d)
-        fast = core.sherman_morrison_inverse_apply(a, u, v, b)
+        fast = sherman_morrison_apply(a, u, v, b)
         dense = np.linalg.solve(a * np.eye(d) + np.outer(u, v), b)
         worst = max(worst, float(np.linalg.norm(fast - dense) / np.linalg.norm(dense)))
     ok = worst <= 1e-10
@@ -71,15 +74,16 @@ def test_criterion_01_rank_one_solve_matches_dense():
 
 
 def test_criterion_02_direction_closed_form():
-    """1000 random (m_hat, rho) with rho in [0.01, 10]: sofim_direction
-    equals m_hat / (rho + ||m_hat||^2) to 1e-12 relative."""
+    """1000 random (m_hat, rho) with rho in [0.01, 10]: the direction of a
+    fresh beta = 0, eta = 1 stepper's step from w = 0 on gradient m_hat,
+    which is -w, equals m_hat / (rho + ||m_hat||^2) to 1e-12 relative."""
     rng = np.random.default_rng(202)
     worst = 0.0
     for _ in range(1000):
         d = int(rng.integers(1, 51))
         m_hat = rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 3.0)
         rho = float(rng.uniform(0.01, 10.0))
-        got = core.sofim_direction(m_hat, rho)
+        got = stepped_direction(m_hat, rho)
         want = m_hat / (rho + float(m_hat @ m_hat))
         worst = max(worst, float(np.linalg.norm(got - want) / np.linalg.norm(want)))
     ok = worst <= 1e-12
@@ -93,16 +97,16 @@ def test_criterion_02_direction_closed_form():
 
 def test_criterion_03_bias_correction_identity():
     """A constant gradient stream must yield m_hat_t == g at every step
-    t <= 1e4 for beta in {0, 0.9, 0.999}, to 1e-12 relative."""
+    t <= 1e4 for beta in {0, 0.9, 0.999}, to 1e-12 relative; m_hat_t is
+    read back from the stepper's step t, taken from w = 0."""
     rng = np.random.default_rng(303)
     g = rng.standard_normal(7)
     scale = float(np.max(np.abs(g)))
     worst = 0.0
     for beta in (0.0, 0.9, 0.999):
-        state = core.SofimState.initial(7, core.SofimConfig(eta=0.1, rho=0.5, beta=beta))
+        opt = core.SofimOptimizer(7, core.SofimConfig(eta=0.1, rho=0.5, beta=beta))
         for _ in range(10_000):
-            state = core.first_moment_update(state, g)
-            m_hat = core.bias_correct(state)
+            m_hat = stepped_m_hat(opt, g)
             worst = max(worst, float(np.max(np.abs(m_hat - g))) / scale)
     ok = worst <= 1e-12
     assert ok, _verdict(3, "bias-correction identity", ok, f"max rel err {worst:.3e} > 1e-12")
@@ -115,7 +119,7 @@ def test_criterion_03_bias_correction_identity():
 
 def test_criterion_04_rank_one_ngd_consistency():
     """100 random 10-dim logistic instances: the dense damped
-    natural-gradient step on a single sample equals the beta=0 update to
+    natural-gradient step on a single sample equals a beta=0 sofim step to
     1e-10 relative."""
     rng = np.random.default_rng(404)
     worst = 0.0
@@ -130,7 +134,8 @@ def test_criterion_04_rank_one_ngd_consistency():
         eta = float(rng.uniform(0.01, 1.0))
         dense = baselines.ngd_step(w, grads, eta, damping=rho)
         cfg = core.SofimConfig(eta=eta, rho=rho, beta=0.0)
-        fast, _ = core.sofim_step(w, core.SofimState.initial(prob.dim, cfg), grads[0])
+        fast = w.copy()
+        core.SofimOptimizer(prob.dim, cfg).step(fast, grads[0])
         worst = max(worst, float(np.linalg.norm(fast - dense) / np.linalg.norm(dense)))
     ok = worst <= 1e-10
     assert ok, _verdict(4, "rank-one NGD consistency", ok, f"max rel err {worst:.3e} > 1e-10")
@@ -323,7 +328,7 @@ def test_criterion_08_rho_sensitivity(comparative):
         eval_every=50,
         seed=0,
     )
-    result = harness.rho_sweep(base, rhos=(1.0, 0.5, 0.1))
+    result = harness.sweep(harness.rho_grid(base, rhos=(1.0, 0.5, 0.1)))
     accs = {
         cfg.optimizer_params["rho"]: rec.final_test_accuracy
         for cfg, rec in zip(result.configs, result.records)

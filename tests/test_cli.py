@@ -195,6 +195,11 @@ class TestExitCodes:
         ("run", "output_dir=false", "output_dir"),
         ("run", "output_dir=0", "output_dir"),
         ("scaling", "dims=[64.7]", "dims"),
+        ("run", "hyperparameters.rho=.inf", "'rho'"),
+        ("run", "hyperparameters.eta=.inf", "'eta'"),
+        ("run", "problem={kind: quadratic, condition_number: .inf}", "'condition_number'"),
+        ("run", "loss_thresholds=.nan", "'loss_thresholds'"),
+        ("rho-sweep", "rhos=[0.5, .inf]", "'rhos'"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, subcommand, override,
                                              key):
@@ -463,6 +468,15 @@ class TestGradcheckCommand:
         monkeypatch.setitem(cli.GRADCHECK_TOLERANCES, "quadratic", 1e-30)
         assert cli.main(["gradcheck", "--points", "2"]) == 2
         assert "quadratic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--points", "0"], ["--points", "-3"], ["--seed", "-1"]])
+    def test_bad_argument_is_config_error(self, capsys, args):
+        """A point count below 1 or a negative seed exits 1 naming its
+        option, before any problem is checked."""
+        assert cli.main(["gradcheck", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error") and args[0] in captured.err
 
 
 #: Runs a shortened ``run`` and ``sweep`` of the shipped configs and a

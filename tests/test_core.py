@@ -1,10 +1,13 @@
 """Core update algebra checked against dense linear-algebra oracles.
 
 The oracles at the top build the d x d matrices the library never forms
-and solve them with LAPACK; the library's O(d) closed forms must agree.
-The in-place steppers' former whole-vector step bodies are kept as oracles
-for the cache-blocked momentum-SGD and Adam steps, and for sofim's step,
-which must all match them bitwise.
+and solve them with LAPACK; the sofim stepper's O(d) closed form must
+agree.  A beta = 0, eta = 1 step from ``w = 0`` moves ``w`` by exactly
+minus the direction (``reference.stepped_direction``), and
+``reference.stepped_m_hat`` reads a step's bias-corrected moment back.
+The in-place steppers' former whole-vector step bodies are kept as
+oracles for the cache-blocked momentum-SGD and Adam steps, and for
+sofim's step, which must all match them bitwise.
 """
 
 import tracemalloc
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import sofim
 from sofim.baselines import (
     AdamConfig,
     AdamOptimizer,
@@ -20,25 +24,10 @@ from sofim.baselines import (
     SgdMomentumOptimizer,
     sgd_learning_rate,
 )
-from sofim.core import (
-    BLOCK,
-    SM_DENOM_TOL,
-    SofimConfig,
-    SofimOptimizer,
-    SofimState,
-    bias_correct,
-    first_moment_update,
-    sherman_morrison_inverse_apply,
-    sofim_direction,
-    sofim_step,
-)
-from sofim.exceptions import (
-    ConfigError,
-    DimensionMismatchError,
-    NonFiniteError,
-    SingularUpdateError,
-)
+from sofim.core import BLOCK, SofimConfig, SofimOptimizer
+from sofim.exceptions import ConfigError, DimensionMismatchError, NonFiniteError
 
+from reference import sherman_morrison_apply, sofim_step, stepped_direction, stepped_m_hat
 
 def dense_rank_one_solve(a_diag, u, v, b):
     """Oracle: solve (a_diag * I + u v^T) x = b with a dense factorization."""
@@ -126,6 +115,17 @@ class WholeVectorAdam:
         w -= scratch
 
 
+def test_names_the_benchmark_uses_resolve():
+    """Every name in ``sofim.__all__`` resolves, and so do the ones
+    ``perfbench/`` reads off the package.  ``perfbench/spans.py`` wraps each
+    O(d) stepper's ``step`` found in the class's own ``__dict__``, so each
+    keeps it there."""
+    for name in [*sofim.__all__, "SofimConfig", "SofimOptimizer", "KERNEL_BACKEND"]:
+        assert hasattr(sofim, name), name
+    for cls in (SofimOptimizer, SgdMomentumOptimizer, AdamOptimizer):
+        assert "step" in vars(cls), cls.__name__
+
+
 class TestShermanMorrison:
     def test_matches_dense_solve(self):
         """100 random instances over d in {5, 20, 50} agree with LAPACK to 1e-10."""
@@ -137,7 +137,7 @@ class TestShermanMorrison:
             v = rng.standard_normal(d)
             b = rng.standard_normal(d)
             expected = dense_rank_one_solve(a, u, v, b)
-            got = sherman_morrison_inverse_apply(a, u, v, b)
+            got = sherman_morrison_apply(a, u, v, b)
             err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
             assert err <= 1e-10, f"instance {i}: relative error {err:.3e}"
 
@@ -146,41 +146,14 @@ class TestShermanMorrison:
         rng = np.random.default_rng(7)
         a = 0.5
         u, v, b = rng.standard_normal((3, 20))
-        x = sherman_morrison_inverse_apply(a, u, v, b)
+        x = sherman_morrison_apply(a, u, v, b)
         assert_allclose((a * np.eye(20) + np.outer(u, v)) @ x, b, atol=1e-12)
 
     def test_zero_update_reduces_to_scaling(self):
         """With u = 0 the result is exactly b / a_diag."""
         b = np.array([1.0, -2.0, 3.0])
-        out = sherman_morrison_inverse_apply(2.0, np.zeros(3), np.ones(3), b)
+        out = sherman_morrison_apply(2.0, np.zeros(3), np.ones(3), b)
         assert_allclose(out, b / 2.0, rtol=0, atol=0)
-
-    def test_singular_denominator_raises(self):
-        """u chosen so 1 + v.u/a = 0 must raise, not return garbage."""
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(10)
-        a = 1.5
-        u = -a * v / np.dot(v, v)
-        with pytest.raises(SingularUpdateError):
-            sherman_morrison_inverse_apply(a, u, v, rng.standard_normal(10))
-        # Just above the tolerance it must still solve.
-        u_ok = u * (1.0 - 1e-6)
-        got = sherman_morrison_inverse_apply(a, u_ok, v, v)
-        assert np.all(np.isfinite(got))
-
-    def test_denominator_tolerance_exposed(self):
-        """The singularity cutoff is a named module constant."""
-        assert SM_DENOM_TOL == 1e-12
-
-    def test_input_validation(self):
-        """Non-positive a_diag, shape mismatch and matrices are rejected."""
-        ok = np.ones(4)
-        with pytest.raises(ConfigError):
-            sherman_morrison_inverse_apply(0.0, ok, ok, ok)
-        with pytest.raises(DimensionMismatchError):
-            sherman_morrison_inverse_apply(1.0, ok, np.ones(5), ok)
-        with pytest.raises(DimensionMismatchError):
-            sherman_morrison_inverse_apply(1.0, np.ones((2, 2)), ok, ok)
 
 
 class TestSofimDirection:
@@ -192,7 +165,7 @@ class TestSofimDirection:
             m_hat = rng.standard_normal(d) * float(rng.uniform(0.1, 10.0))
             rho = float(rng.uniform(0.01, 10.0))
             expected = dense_direction(m_hat, rho)
-            got = sofim_direction(m_hat, rho)
+            got = stepped_direction(m_hat, rho)
             err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
             assert err <= 1e-10
 
@@ -204,12 +177,12 @@ class TestSofimDirection:
             m_hat = rng.standard_normal(d)
             rho = float(rng.uniform(0.01, 10.0))
             expected = m_hat / (rho + np.dot(m_hat, m_hat))
-            assert_allclose(sofim_direction(m_hat, rho), expected, rtol=1e-12, atol=0)
+            assert_allclose(stepped_direction(m_hat, rho), expected, rtol=1e-12, atol=0)
 
     def test_parallel_to_moment(self):
         """The direction is a positive multiple of m_hat."""
         m_hat = np.array([3.0, -4.0])
-        out = sofim_direction(m_hat, 0.5)
+        out = stepped_direction(m_hat, 0.5)
         scale = out[0] / m_hat[0]
         assert scale > 0
         assert_allclose(out, scale * m_hat, rtol=1e-15)
@@ -221,39 +194,38 @@ class TestSofimDirection:
         rng = np.random.default_rng(5)
         for scale in [1e-6, 1e-2, 1.0, 1e2, 1e6]:
             m_hat = scale * rng.standard_normal(30)
-            assert np.linalg.norm(sofim_direction(m_hat, rho)) <= bound + 1e-15
+            assert np.linalg.norm(stepped_direction(m_hat, rho)) <= bound + 1e-15
 
     def test_huge_moment_does_not_cancel(self):
         """||m_hat||^2 >> rho is exactly the regime the stable form protects."""
         m_hat = np.full(10, 1e8)
-        out = sofim_direction(m_hat, 0.01)
+        out = stepped_direction(m_hat, 0.01)
         assert_allclose(out, m_hat / (0.01 + np.dot(m_hat, m_hat)), rtol=1e-15)
 
     def test_validation(self):
-        """rho <= 0 and non-finite moments are rejected."""
+        """rho <= 0 is refused by the config, a non-finite moment by the step."""
         with pytest.raises(ConfigError):
-            sofim_direction(np.ones(3), 0.0)
+            SofimConfig(eta=0.1, rho=0.0)
         with pytest.raises(ConfigError):
-            sofim_direction(np.ones(3), -0.5)
+            SofimConfig(eta=0.1, rho=-0.5)
         with pytest.raises(NonFiniteError):
-            sofim_direction(np.array([1.0, np.nan]), 0.5)
+            stepped_direction(np.array([1.0, np.nan]), 0.5)
 
 
 class TestMomentAndBiasCorrection:
     def test_recurrence_matches_manual_loop(self):
-        """first_moment_update reproduces m_t = beta m_{t-1} + (1-beta) g_t."""
+        """The moment follows m_t = beta m_{t-1} + (1-beta) g_t."""
         rng = np.random.default_rng(42)
         beta = 0.9
-        cfg = SofimConfig(eta=0.1, rho=0.5, beta=beta)
-        state = SofimState.initial(6, cfg)
-        manual = np.zeros(6)
+        opt = SofimOptimizer(6, SofimConfig(eta=0.1, rho=0.5, beta=beta))
+        manual, w = np.zeros(6), np.zeros(6)
         for t in range(1, 20):
             g = rng.standard_normal(6)
             manual = beta * manual + (1 - beta) * g
-            state = first_moment_update(state, g)
-            assert state.step == t
-            assert_allclose(state.moment, manual, rtol=1e-15)
-            assert_allclose(state.beta_pow, 0.9**t, rtol=1e-13)
+            opt.step(w, g)
+            assert opt.step_count == t
+            assert_allclose(opt.moment, manual, rtol=1e-15)
+            assert_allclose(opt._beta_pow, 0.9**t, rtol=1e-13)
 
     @pytest.mark.parametrize("beta", [0.0, 0.9, 0.999])
     def test_constant_gradient_identity(self, beta):
@@ -261,45 +233,27 @@ class TestMomentAndBiasCorrection:
         rng = np.random.default_rng(1)
         g = rng.standard_normal(10)
         scale = np.max(np.abs(g))
-        state = SofimState.initial(10, SofimConfig(eta=0.1, rho=0.5, beta=beta))
+        opt = SofimOptimizer(10, SofimConfig(eta=0.1, rho=0.5, beta=beta))
         for _ in range(10_000):
-            state = first_moment_update(state, g)
-            err = np.max(np.abs(bias_correct(state) - g)) / scale
+            err = np.max(np.abs(stepped_m_hat(opt, g) - g)) / scale
             assert err <= 1e-12
 
     def test_bias_correction_denominator(self):
         """After t steps the correction divides by 1 - beta^t."""
-        cfg = SofimConfig(eta=0.1, rho=0.5, beta=0.5)
-        state = SofimState.initial(3, cfg)
+        opt = SofimOptimizer(3, SofimConfig(eta=0.1, rho=0.5, beta=0.5))
         g = np.ones(3)
-        state = first_moment_update(state, g)
         # m_1 = 0.5, denominator 1 - 0.5 = 0.5
-        assert_allclose(bias_correct(state), np.ones(3), rtol=0, atol=0)
-        state = first_moment_update(state, g)
+        assert_allclose(stepped_m_hat(opt, g), np.ones(3), rtol=0, atol=0)
         # m_2 = 0.75, denominator 1 - 0.25 = 0.75
-        assert_allclose(bias_correct(state), np.ones(3), rtol=1e-15)
-
-    def test_bias_correct_requires_a_step(self):
-        """At step 0 the denominator is zero; the call must be rejected."""
-        state = SofimState.initial(4, SofimConfig(eta=0.1, rho=0.5))
-        with pytest.raises(ConfigError):
-            bias_correct(state)
-
-    def test_states_are_not_mutated(self):
-        """first_moment_update returns a new state, leaving the input alone."""
-        state = SofimState.initial(3, SofimConfig(eta=0.1, rho=0.5))
-        before = state.moment.copy()
-        first_moment_update(state, np.ones(3))
-        assert state.step == 0
-        assert_allclose(state.moment, before, rtol=0, atol=0)
+        assert_allclose(stepped_m_hat(opt, g), np.ones(3), rtol=1e-15)
 
     def test_gradient_validation(self):
         """Wrong length and non-finite gradients are rejected."""
-        state = SofimState.initial(3, SofimConfig(eta=0.1, rho=0.5))
+        opt = SofimOptimizer(3, SofimConfig(eta=0.1, rho=0.5))
         with pytest.raises(DimensionMismatchError):
-            first_moment_update(state, np.ones(4))
+            opt.step(np.zeros(3), np.ones(4))
         with pytest.raises(NonFiniteError):
-            first_moment_update(state, np.array([1.0, np.inf, 0.0]))
+            opt.step(np.zeros(3), np.array([1.0, np.inf, 0.0]))
 
 
 class TestConfigAndState:
@@ -318,40 +272,32 @@ class TestConfigAndState:
         with pytest.raises(ConfigError):
             SofimConfig(eta=float("nan"), rho=0.5)
 
-    def test_state_invariants(self):
-        """Step 0 requires a zero moment; negative steps are rejected."""
-        cfg = SofimConfig(eta=0.1, rho=0.5)
-        with pytest.raises(ConfigError):
-            SofimState(moment=np.ones(3), step=0, config=cfg)
-        with pytest.raises(ConfigError):
-            SofimState(moment=np.zeros(3), step=-1, config=cfg)
-        with pytest.raises(ConfigError):
-            SofimState.initial(0, cfg)
-        state = SofimState.initial(5, cfg)
-        assert state.dim == 5 and state.step == 0
-
 
 class TestSofimStep:
     def test_composition(self):
-        """One step equals moment update + bias correction + direction."""
+        """A step from a warm moment equals moment update, bias correction
+        and closed-form direction, composed."""
         rng = np.random.default_rng(42)
         cfg = SofimConfig(eta=0.05, rho=0.5, beta=0.9)
-        state = SofimState.initial(8, cfg)
-        w = rng.standard_normal(8)
-        g = rng.standard_normal(8)
-        w_new, state_new = sofim_step(w, state, g)
-        inner = first_moment_update(state, g)
-        expected = w - cfg.eta * sofim_direction(bias_correct(inner), cfg.rho)
-        assert_allclose(w_new, expected, rtol=0, atol=0)
-        assert state_new.step == 1
+        opt = SofimOptimizer(8, cfg)
+        w, g0, g = rng.standard_normal((3, 8))
+        opt.step(w.copy(), g0)
+        m = (1.0 - cfg.beta) * g0
+        m = cfg.beta * m + (1.0 - cfg.beta) * g
+        m_hat = m / (1.0 - cfg.beta**2)
+        expected = w - cfg.eta * m_hat / (cfg.rho + np.dot(m_hat, m_hat))
+        opt.step(w, g)
+        assert_allclose(w, expected, rtol=1e-14)
+        assert opt.step_count == 2
 
     def test_first_step_direction(self):
         """At t=1 bias correction cancels (1-beta), so m_hat = g exactly."""
         cfg = SofimConfig(eta=0.1, rho=0.5, beta=0.9)
         g = np.array([2.0, 0.0])
-        w_new, _ = sofim_step(np.zeros(2), SofimState.initial(2, cfg), g)
+        w = np.zeros(2)
+        SofimOptimizer(2, cfg).step(w, g)
         expected = -cfg.eta * g / (cfg.rho + 4.0)
-        assert_allclose(w_new, expected, rtol=1e-15)
+        assert_allclose(w, expected, rtol=1e-15)
 
     def test_matches_dense_reference_trajectory(self):
         """20 steps agree with the dense-solve reference to 1e-10."""
@@ -359,47 +305,34 @@ class TestSofimStep:
         cfg = SofimConfig(eta=0.2, rho=0.3, beta=0.8)
         w0 = rng.standard_normal(12)
         grads = [rng.standard_normal(12) for _ in range(20)]
-        w = w0.copy()
-        state = SofimState.initial(12, cfg)
+        w, opt = w0.copy(), SofimOptimizer(12, cfg)
         for g in grads:
-            w, state = sofim_step(w, state, g)
+            opt.step(w, g)
         expected = reference_sofim_trajectory(w0, grads, cfg)
         assert_allclose(w, expected, rtol=1e-10)
 
     def test_shape_mismatch(self):
-        """w and state dimensions must agree."""
-        cfg = SofimConfig(eta=0.1, rho=0.5)
+        """w and the stepper's dimension must agree."""
+        opt = SofimOptimizer(4, SofimConfig(eta=0.1, rho=0.5))
         with pytest.raises(DimensionMismatchError):
-            sofim_step(np.zeros(3), SofimState.initial(4, cfg), np.zeros(4))
+            opt.step(np.zeros(3), np.zeros(4))
 
 
 class TestSofimOptimizer:
     def test_matches_functional_path(self):
-        """The in-place stepper tracks iterated sofim_step to 1e-12."""
+        """The in-place stepper tracks the closed-form reference step to 1e-12."""
         rng = np.random.default_rng(42)
         cfg = SofimConfig(eta=0.1, rho=0.5, beta=0.9)
         opt = SofimOptimizer(10, cfg)
         w_fast = rng.standard_normal(10)
-        w_ref = w_fast.copy()
-        state = SofimState.initial(10, cfg)
-        for _ in range(200):
+        w_ref, m_ref = w_fast.copy(), np.zeros(10)
+        for t in range(1, 201):
             g = rng.standard_normal(10)
             opt.step(w_fast, g)
-            w_ref, state = sofim_step(w_ref, state, g)
+            w_ref, m_ref = sofim_step(w_ref, m_ref, g, cfg, t)
         assert_allclose(w_fast, w_ref, rtol=1e-12, atol=1e-12)
-        assert opt.step_count == state.step
-        assert_allclose(opt.moment, state.moment, rtol=1e-12, atol=1e-12)
-
-    def test_state_snapshot(self):
-        """The state property exposes a consistent SofimState copy."""
-        cfg = SofimConfig(eta=0.1, rho=0.5)
-        opt = SofimOptimizer(4, cfg)
-        w = np.ones(4)
-        opt.step(w, np.full(4, 2.0))
-        snap = opt.state
-        assert snap.step == 1
-        snap.moment[:] = 0.0
-        assert np.any(opt.moment != 0.0), "snapshot must not alias the buffer"
+        assert opt.step_count == 200
+        assert_allclose(opt.moment, m_ref, rtol=1e-12, atol=1e-12)
 
     def test_overflow_raises(self):
         """A finite gradient stream that overflows ||m_hat||^2 raises

@@ -19,8 +19,8 @@ from sofim.harness import (
     SCALING_ROUNDS,
     ExperimentConfig,
     RunRecord,
+    rho_grid,
     run_experiment,
-    rho_sweep,
     scaling_probe,
     sweep,
 )
@@ -102,9 +102,11 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("kind,value", [
         (float, True), (int, False), (int, 6.5), (int, "6.5"), (int, math.inf), (float, "x"),
+        (float, math.nan), (float, -math.inf), (float, "inf"),
     ])
     def test_convert_refuses_booleans_and_fractions(self, kind, value):
-        """A boolean is no number and a fraction no integer; the error names the key."""
+        """A boolean is no number, a fraction no integer and a NaN or
+        infinity no finite number; the error names the key."""
         with pytest.raises(ConfigError, match="'key' must be"):
             convert(kind, value, "'key'")
 
@@ -112,7 +114,6 @@ class TestExperimentConfig:
         assert convert(int, 6.0, "k") == 6 and type(convert(int, 6.0, "k")) is int
         assert convert(int, "64", "k") == 64
         assert convert(float, 2, "k") == 2.0
-        assert math.isnan(convert(float, math.nan, "k"))
 
 
 class TestRunExperiment:
@@ -133,9 +134,8 @@ class TestRunExperiment:
     def test_row_invariants(self):
         """Iterations increase, wall time is nondecreasing, accuracy in [0,1]."""
         record = run_experiment(quick_config())
-        iters = record.column("iteration")
-        wall = record.column("wall_ms")
-        acc = record.column("test_accuracy")
+        column = dict(zip(CSV_COLUMNS, np.array(record.rows).T))
+        iters, wall, acc = column["iteration"], column["wall_ms"], column["test_accuracy"]
         assert np.all(np.diff(iters) > 0)
         assert np.all(np.diff(wall) >= 0)
         assert np.all((acc >= 0) & (acc <= 1))
@@ -305,7 +305,7 @@ class TestSweep:
 class TestRhoSweep:
     def test_runs_each_rho(self):
         """One record per rho, best chosen by the selection rule."""
-        result = rho_sweep(quick_config(), rhos=(1.0, 0.5, 0.1))
+        result = sweep(rho_grid(quick_config(), rhos=(1.0, 0.5, 0.1)))
         assert len(result.records) == 3
         rhos = [cfg.optimizer_params["rho"] for cfg in result.configs]
         assert rhos == [1.0, 0.5, 0.1]
@@ -315,7 +315,7 @@ class TestRhoSweep:
         """rho is a sofim hyperparameter; other optimizers are rejected."""
         cfg = quick_config(optimizer="adam", optimizer_params={"eta": 0.001})
         with pytest.raises(ConfigError):
-            rho_sweep(cfg, rhos=(0.5,))
+            sweep(rho_grid(cfg, rhos=(0.5,)))
 
 
 class TestScalingProbe:
