@@ -98,18 +98,18 @@ def sgd_learning_rate(cfg: SgdConfig, step_index: int) -> float:
     return 0.5 * cfg.eta * (1.0 + math.cos(math.pi * s / cfg.total_steps))
 
 
-def empirical_fim(per_sample_grads, cap: int = DENSE_FIM_CAP) -> np.ndarray:
+def empirical_fim(per_sample_grads) -> np.ndarray:
     """Dense empirical Fisher matrix ``mean_i g_i g_i^T``, exactly symmetric.
 
     ``per_sample_grads`` is a sequence of length-d vectors (or a (B, d)
-    array).  Refuses d above ``cap``: this is a verification oracle with
-    O(B d^2) cost, not a large-scale operation.
+    array).  Refuses d above ``DENSE_FIM_CAP``: this is a verification
+    oracle with O(B d^2) cost, not a large-scale operation.
     """
     grads = np.atleast_2d(np.asarray(per_sample_grads, dtype=np.float64))
     require(grads.size > 0, "per_sample_grads must contain at least one gradient")
     d = grads.shape[1]
-    if d > cap:
-        raise ScaleCapError(f"dense Fisher oracle capped at d <= {cap}, got d = {d}")
+    if d > DENSE_FIM_CAP:
+        raise ScaleCapError(f"dense Fisher oracle capped at d <= {DENSE_FIM_CAP}, got d = {d}")
     f = grads.T @ grads / grads.shape[0]
     # Enforce exact symmetry against BLAS round-off.
     return 0.5 * (f + f.T)

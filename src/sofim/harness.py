@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -325,13 +326,17 @@ def sweep(grid: list) -> SweepResult:
     return SweepResult(configs=list(grid), records=records, best_index=best_index)
 
 
-def rho_grid(base: ExperimentConfig, rhos=(1.0, 0.5, 0.1)) -> list:
-    """The validated configs of a rho sweep: the SOFIM config ``base`` at
-    each curvature regularizer in ``rhos``."""
-    require(base.optimizer == "sofim",
-            f"rho sweep requires the sofim optimizer, got {base.optimizer!r}")
-    return [replace(base, optimizer_params={**base.optimizer_params, "rho": float(r)})
-            for r in rhos]
+def grid(base: ExperimentConfig, axes) -> list:
+    """The validated configs of a grid sweep: ``base`` at every combination
+    of the hyperparameter values in ``axes``, a mapping of hyperparameter
+    name to list of values (the last name varies fastest)."""
+    require(isinstance(axes, dict) and axes, "config key 'grid' must be a non-empty mapping "
+            "of hyperparameter name to list of values")
+    for name, values in axes.items():
+        require(isinstance(values, (list, tuple)) and values,
+                f"grid entry {name!r} must be a non-empty list of values")
+    return [replace(base, optimizer_params={**base.optimizer_params, **dict(zip(axes, combo))})
+            for combo in itertools.product(*axes.values())]
 
 
 def check_scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,

@@ -690,8 +690,9 @@ class MlpProblem(_DatasetProblem):
 # verification helpers
 
 
-def finite_difference_gradient(f, w, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector."""
+def finite_difference_gradient(f, w) -> np.ndarray:
+    """Central-difference gradient, step 1e-5, of a scalar function of a flat vector."""
+    h = 1e-5
     w = np.asarray(w, dtype=np.float64)
     grad = np.empty_like(w)
     for j in range(w.shape[0]):
@@ -701,25 +702,24 @@ def finite_difference_gradient(f, w, h: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def gradient_check(problem: Problem, rng: np.random.Generator, n_points: int = 5,
-                   batch_size: int = 8, h: float = 1e-5) -> float:
+def gradient_check(problem: Problem, rng: np.random.Generator, n_points: int = 5) -> float:
     """Max relative error between analytic and central-difference gradients
-    over random (point, batch) pairs.
+    over random (point, batch of 8 rows) pairs.
 
-    Relative error is ``max|fd - g| / max(max|g|, 1e-8)``.
+    Relative error is ``max|fd - g| / max(max|g|, 1e-8)``; a NaN error at
+    any point makes the result NaN.
     """
-    worst = 0.0
+    errors = []
     for _ in range(n_points):
         w = problem.initial_point(rng) + 0.1 * rng.standard_normal(problem.dim)
         if problem.n_train > 1:
-            batch = rng.integers(0, problem.n_train, size=min(batch_size, problem.n_train))
+            batch = rng.integers(0, problem.n_train, size=min(8, problem.n_train))
         else:
             batch = None
         analytic = problem.grad(w, batch)
-        fd = finite_difference_gradient(lambda wv: problem.loss(wv, batch), w, h=h)
-        err = np.max(np.abs(fd - analytic)) / max(np.max(np.abs(analytic)), 1e-8)
-        worst = max(worst, float(err))
-    return worst
+        fd = finite_difference_gradient(lambda wv: problem.loss(wv, batch), w)
+        errors.append(np.max(np.abs(fd - analytic)) / max(np.max(np.abs(analytic)), 1e-8))
+    return float(np.max(errors, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

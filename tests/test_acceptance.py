@@ -328,7 +328,7 @@ def test_criterion_08_rho_sensitivity(comparative):
         eval_every=50,
         seed=0,
     )
-    result = harness.sweep(harness.rho_grid(base, rhos=(1.0, 0.5, 0.1)))
+    result = harness.sweep(harness.grid(base, {"rho": [1.0, 0.5, 0.1]}))
     accs = {
         cfg.optimizer_params["rho"]: rec.final_test_accuracy
         for cfg, rec in zip(result.configs, result.records)

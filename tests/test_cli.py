@@ -4,6 +4,7 @@ round-trips, overrides, and the no-stray-writes guarantee.
 Tests call cli.main() in process so exit codes are observed directly.
 """
 
+import argparse
 import csv
 import os
 import re
@@ -12,6 +13,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -182,7 +184,7 @@ class TestExitCodes:
         ("run", "seed=-1", "seed"),
         ("run", "problem.seed=-1", "'seed'"),
         ("sweep", "grid.eta=[x]", "'eta'"),
-        ("rho-sweep", "rhos=[x]", "'rhos'"),
+        ("sweep", "grid.rho=[x]", "'rho'"),
         ("scaling", "dims=[x]", "dims"),
         ("scaling", "hyperparameters=[1]", "'hyperparameters'"),
         ("scaling", "hyperparameters.eta=x", "'eta'"),
@@ -199,7 +201,7 @@ class TestExitCodes:
         ("run", "hyperparameters.eta=.inf", "'eta'"),
         ("run", "problem={kind: quadratic, condition_number: .inf}", "'condition_number'"),
         ("run", "loss_thresholds=.nan", "'loss_thresholds'"),
-        ("rho-sweep", "rhos=[0.5, .inf]", "'rhos'"),
+        ("sweep", "grid.rho=[0.5, .inf]", "'rho'"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, subcommand, override,
                                              key):
@@ -215,12 +217,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("subcommand,overrides", [
         ("run", ["hyperparameters.rho=-1"]),
         ("sweep", ["grid.eta=[0.1, -1]"]),
-        ("rho-sweep", ["optimizer=adam", "hyperparameters={}"]),
+        ("sweep", ["optimizer=adam", "hyperparameters={}", "grid.rho=[0.5]"]),
         ("scaling", ["optimizers=[sofim, adam, bogus]", "dims=[8]", "repeats=1"]),
         ("scaling", ["optimizers=[ngd_oracle]", "dims=[4096]", "repeats=1"]),
         ("run", ["problem.classes=on"]),
         ("sweep", ["problem.model=tree"]),
-        ("rho-sweep", ["problem.n=1"]),
+        ("sweep", ["grid.rho=[1.0, 0.5]", "problem.n=1"]),
         ("scaling", ["optimizers=[]"]),
     ])
     def test_refused_config_writes_nothing(self, tmp_path, capsys, subcommand, overrides):
@@ -262,10 +264,12 @@ class TestExitCodes:
                                            "besides label column 'label'\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("subcommand", ["run", "sweep", "rho-sweep", "scaling"])
+    @pytest.mark.parametrize("subcommand,overrides", [
+        ("run", []), ("sweep", []), ("sweep", ["grid.rho=[1.0, 0.5]"]), ("scaling", []),
+    ], ids=["run", "sweep", "sweep-rho", "scaling"])
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
     def test_output_dir_naming_a_file_is_refused_before_training(
-            self, tmp_path, monkeypatch, capsys, subcommand, below):
+            self, tmp_path, monkeypatch, capsys, subcommand, overrides, below):
         """An output_dir that is, or lies under, an existing file exits 1
         naming output_dir, before any training, and writes nothing."""
         calls = []
@@ -275,7 +279,10 @@ class TestExitCodes:
         taken = tmp_path / "taken"
         taken.write_text("keep\n")
         before = sorted(tmp_path.rglob("*"))
-        assert cli.main([subcommand, *config, "--set", f"output_dir={taken / below}"]) == 1
+        argv = [subcommand, *config, "--set", f"output_dir={taken / below}"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and "output_dir" in err
         assert calls == []
@@ -309,6 +316,16 @@ class TestExitCodes:
     def test_no_subcommand(self, capsys):
         assert cli.main([]) == 1
         assert "subcommand" in capsys.readouterr().err
+
+    def test_no_subcommand_names_exactly_the_parsers_subcommands(self, capsys):
+        """The missing-subcommand message lists the subcommands the parser
+        accepts, no more and no fewer."""
+        (subparsers,) = [action for action in cli.build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        assert cli.main([]) == 1
+        listed = re.fullmatch(r"config error: a subcommand is required \((.*)\)\n",
+                              capsys.readouterr().err)
+        assert listed and listed.group(1).split(", ") == list(subparsers.choices)
 
     def test_runtime_failure_maps_to_two(self, tmp_path, monkeypatch, capsys):
         """Unexpected exceptions inside a run exit 2, not a traceback."""
@@ -401,22 +418,42 @@ class TestSweepCommands:
         assert "best=" in summary
         assert "best=none" not in summary
 
-    def test_rho_sweep_three_csvs_and_best(self, tmp_path):
-        """The default rho grid {1, 0.5, 0.1} writes 3 CSVs plus a summary
-        naming the selected best rho."""
-        config = run_config(tmp_path, iterations=30)
-        assert cli.main(["rho-sweep", config]) == 0
+    def test_rho_grid_three_csvs_and_best(self, tmp_path):
+        """A rho grid {1, 0.5, 0.1} writes 3 CSVs plus a summary naming
+        each point and the selected best one by its hyperparameters."""
+        config = run_config(tmp_path, iterations=30, grid={"rho": [1.0, 0.5, 0.1]})
+        assert cli.main(["sweep", config]) == 0
         out = tmp_path / "out"
         assert len(list(out.glob("logistic7_sofim_*.csv"))) == 3
-        summary = (out / "rho_sweep_summary.txt").read_text()
-        assert summary.count("point=rho=") == 3
-        assert "best=rho=" in summary
+        lines = (out / "sweep_summary.txt").read_text().splitlines()
+        assert [line.split(" diverged=")[0] for line in lines[:3]] == [
+            f"point={{'eta': 0.1, 'rho': {rho}}}" for rho in (1.0, 0.5, 0.1)]
+        assert lines[3].startswith("best={'eta': 0.1, 'rho': ")
 
-    def test_rho_sweep_rejects_non_sofim(self, tmp_path, capsys):
-        config = run_config(tmp_path, optimizer="adam",
-                            hyperparameters={"eta": 0.001})
-        assert cli.main(["rho-sweep", config]) == 1
-        assert "sofim" in capsys.readouterr().err
+    def test_rho_grid_rejects_non_sofim(self, tmp_path, capsys):
+        """rho is sofim's alone: a rho grid for adam is refused naming it."""
+        config = run_config(tmp_path, optimizer="adam", hyperparameters={"eta": 0.001},
+                            grid={"rho": [0.5]})
+        assert cli.main(["sweep", config]) == 1
+        assert "unknown hyperparameter(s) ['rho']" in capsys.readouterr().err
+
+    def test_damping_config_keeps_its_point_identities(self, tmp_path, capsys):
+        """The shipped damping config, swept at 50 iterations, writes the
+        three points the former ``rho-sweep`` subcommand wrote, under the
+        same config hashes; ``rho-sweep`` itself is gone (exit 1)."""
+        config = str(REPO / "configs" / "blobs_mlp_rho_sweep.yaml")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", config, "--set", "iterations=50",
+                         "--set", f"output_dir={out}"]) == 0
+        capsys.readouterr()
+        assert sorted(path.stem for path in out.glob("*.csv")) == [
+            "mlp50x32x5tanh_sofim_278ff08fa9",  # rho 0.5
+            "mlp50x32x5tanh_sofim_39fae354c5",  # rho 1.0
+            "mlp50x32x5tanh_sofim_4ed5d1bea4",  # rho 0.1
+        ]
+        assert cli.main(["rho-sweep", config, "--set", f"output_dir={tmp_path / 'old'}"]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "old").exists()
 
     def test_sweep_rejects_bad_grid(self, tmp_path, capsys):
         config = run_config(tmp_path, grid={"eta": []})
@@ -468,6 +505,17 @@ class TestGradcheckCommand:
         monkeypatch.setitem(cli.GRADCHECK_TOLERANCES, "quadratic", 1e-30)
         assert cli.main(["gradcheck", "--points", "2"]) == 2
         assert "quadratic" in capsys.readouterr().err
+
+    def test_nan_gradient_fails(self, monkeypatch, capsys):
+        """A problem whose gradient is all NaN reads a NaN error, FAIL and
+        exit 2, not ok."""
+        quadratic = problems.make_quadratic(5, 10.0, 0)
+        monkeypatch.setattr(quadratic, "grad", lambda w, batch=None: np.full(5, np.nan))
+        monkeypatch.setattr(cli, "_gradcheck_problems", lambda seed: {"quadratic": quadratic})
+        assert cli.main(["gradcheck", "--points", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "quadratic: max relative error nan (tolerance 1e-08) FAIL\n"
+        assert "quadratic" in captured.err
 
     @pytest.mark.parametrize("args", [["--points", "0"], ["--points", "-3"], ["--seed", "-1"]])
     def test_bad_argument_is_config_error(self, capsys, args):

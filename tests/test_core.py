@@ -17,6 +17,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sofim
+from sofim import cli, harness, problems
 from sofim.baselines import (
     AdamConfig,
     AdamOptimizer,
@@ -117,13 +118,22 @@ class WholeVectorAdam:
 
 def test_names_the_benchmark_uses_resolve():
     """Every name in ``sofim.__all__`` resolves, and so do the ones
-    ``perfbench/`` reads off the package.  ``perfbench/spans.py`` wraps each
-    O(d) stepper's ``step`` found in the class's own ``__dict__``, so each
-    keeps it there."""
+    ``perfbench/`` reads off the package.  ``perfbench/spans.py`` and
+    ``perfbench/child.py`` patch each stepper's ``step`` and the CLI,
+    harness and problem functions below through their owner's own
+    ``__dict__``, so each keeps its name there."""
     for name in [*sofim.__all__, "SofimConfig", "SofimOptimizer", "KERNEL_BACKEND"]:
         assert hasattr(sofim, name), name
-    for cls in (SofimOptimizer, SgdMomentumOptimizer, AdamOptimizer):
-        assert "step" in vars(cls), cls.__name__
+    patched = {
+        SofimOptimizer: ["step"], SgdMomentumOptimizer: ["step"], AdamOptimizer: ["step"],
+        cli: ["main", "_echo_config"],
+        harness: ["sweep", "run_experiment", "scaling_probe", "RunRecord"],
+        harness.RunRecord: ["write_csv", "write_summary"],
+        problems: ["problem_from_spec", "minibatch_epochs"],
+    }
+    for owner, names in patched.items():
+        for name in names:
+            assert name in vars(owner), f"{owner.__name__}.{name}"
 
 
 class TestShermanMorrison:

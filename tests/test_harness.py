@@ -19,7 +19,7 @@ from sofim.harness import (
     SCALING_ROUNDS,
     ExperimentConfig,
     RunRecord,
-    rho_grid,
+    grid,
     run_experiment,
     scaling_probe,
     sweep,
@@ -302,20 +302,40 @@ class TestSweep:
             sweep([])
 
 
-class TestRhoSweep:
+class TestGrid:
+    def test_product_of_the_axes(self):
+        """One config per combination, the last axis varying fastest, each
+        the base config with those hyperparameters set."""
+        base = quick_config()
+        assert grid(base, {"eta": [0.1, 0.01], "rho": [1.0, 0.5, 0.1]}) == [
+            replace(base, optimizer_params={**base.optimizer_params, "eta": eta, "rho": rho})
+            for eta in (0.1, 0.01) for rho in (1.0, 0.5, 0.1)]
+
     def test_runs_each_rho(self):
-        """One record per rho, best chosen by the selection rule."""
-        result = sweep(rho_grid(quick_config(), rhos=(1.0, 0.5, 0.1)))
+        """The damping study is a rho grid: one record per rho, best chosen
+        by the selection rule."""
+        result = sweep(grid(quick_config(), {"rho": [1.0, 0.5, 0.1]}))
         assert len(result.records) == 3
         rhos = [cfg.optimizer_params["rho"] for cfg in result.configs]
         assert rhos == [1.0, 0.5, 0.1]
         assert result.best_index is not None
 
-    def test_requires_sofim(self):
-        """rho is a sofim hyperparameter; other optimizers are rejected."""
+    def test_rho_requires_sofim(self):
+        """rho is a sofim hyperparameter; a rho grid for another optimizer
+        is refused naming it."""
         cfg = quick_config(optimizer="adam", optimizer_params={"eta": 0.001})
-        with pytest.raises(ConfigError):
-            sweep(rho_grid(cfg, rhos=(0.5,)))
+        with pytest.raises(ConfigError, match=r"unknown hyperparameter\(s\) \['rho'\]"):
+            grid(cfg, {"rho": [0.5]})
+
+    @pytest.mark.parametrize("axes,named", [
+        ({}, "'grid'"), ([0.1], "'grid'"), ({"eta": []}, "'eta'"), ({"eta": 0.1}, "'eta'"),
+        ({"eta": [0.1], "rho": []}, "'rho'"),
+    ], ids=["empty", "list", "empty-entry", "scalar-entry", "second-entry-empty"])
+    def test_malformed_axes_refused(self, axes, named):
+        """Anything but a non-empty mapping of non-empty lists is a
+        ConfigError naming the grid or the bad entry."""
+        with pytest.raises(ConfigError, match=named):
+            grid(quick_config(), axes)
 
 
 class TestScalingProbe:

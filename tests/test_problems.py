@@ -138,6 +138,23 @@ class TestGradientOracle:
         for array, copy in zip(watched, before):
             assert same_bits(array, copy)
 
+    @pytest.mark.parametrize("nan_calls", [None, 1], ids=["every-point", "first-point"])
+    def test_nan_gradient_propagates(self, monkeypatch, nan_calls):
+        """A NaN gradient at any checked point makes the error NaN, so no
+        tolerance passes it; a later finite point does not hide it."""
+        problem = make_quadratic(5, 10.0, 0)
+        exact, calls = problem.grad, []
+
+        def grad(w, batch=None):
+            calls.append(w)
+            if nan_calls is None or len(calls) <= nan_calls:
+                return np.full(problem.dim, np.nan)
+            return exact(w, batch)
+
+        monkeypatch.setattr(problem, "grad", grad)
+        assert math.isnan(gradient_check(problem, np.random.default_rng(0), n_points=3))
+        assert len(calls) == 3
+
     def test_finite_difference_helper(self):
         """The helper itself differentiates a known polynomial."""
         f = lambda w: float(w[0] ** 2 + 3.0 * w[1])
