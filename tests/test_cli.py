@@ -217,12 +217,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("subcommand,overrides", [
         ("run", ["hyperparameters.rho=-1"]),
         ("sweep", ["grid.eta=[0.1, -1]"]),
-        ("sweep", ["optimizer=adam", "hyperparameters={}", "grid.rho=[0.5]"]),
+        pytest.param("sweep", ["optimizer=adam", "hyperparameters={}", "grid.rho=[0.5]"],
+                     id="rho-sweep-overrides2"),
         ("scaling", ["optimizers=[sofim, adam, bogus]", "dims=[8]", "repeats=1"]),
         ("scaling", ["optimizers=[ngd_oracle]", "dims=[4096]", "repeats=1"]),
         ("run", ["problem.classes=on"]),
         ("sweep", ["problem.model=tree"]),
-        ("sweep", ["grid.rho=[1.0, 0.5]", "problem.n=1"]),
+        pytest.param("sweep", ["grid.rho=[1.0, 0.5]", "problem.n=1"], id="rho-sweep-overrides7"),
         ("scaling", ["optimizers=[]"]),
     ])
     def test_refused_config_writes_nothing(self, tmp_path, capsys, subcommand, overrides):
@@ -266,7 +267,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("subcommand,overrides", [
         ("run", []), ("sweep", []), ("sweep", ["grid.rho=[1.0, 0.5]"]), ("scaling", []),
-    ], ids=["run", "sweep", "sweep-rho", "scaling"])
+    ], ids=["run", "sweep", "rho-sweep", "scaling"])
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
     def test_output_dir_naming_a_file_is_refused_before_training(
             self, tmp_path, monkeypatch, capsys, subcommand, overrides, below):
@@ -418,7 +419,7 @@ class TestSweepCommands:
         assert "best=" in summary
         assert "best=none" not in summary
 
-    def test_rho_grid_three_csvs_and_best(self, tmp_path):
+    def test_rho_sweep_three_csvs_and_best(self, tmp_path):
         """A rho grid {1, 0.5, 0.1} writes 3 CSVs plus a summary naming
         each point and the selected best one by its hyperparameters."""
         config = run_config(tmp_path, iterations=30, grid={"rho": [1.0, 0.5, 0.1]})
@@ -430,7 +431,7 @@ class TestSweepCommands:
             f"point={{'eta': 0.1, 'rho': {rho}}}" for rho in (1.0, 0.5, 0.1)]
         assert lines[3].startswith("best={'eta': 0.1, 'rho': ")
 
-    def test_rho_grid_rejects_non_sofim(self, tmp_path, capsys):
+    def test_rho_sweep_rejects_non_sofim(self, tmp_path, capsys):
         """rho is sofim's alone: a rho grid for adam is refused naming it."""
         config = run_config(tmp_path, optimizer="adam", hyperparameters={"eta": 0.001},
                             grid={"rho": [0.5]})

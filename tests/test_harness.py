@@ -311,22 +311,6 @@ class TestGrid:
             replace(base, optimizer_params={**base.optimizer_params, "eta": eta, "rho": rho})
             for eta in (0.1, 0.01) for rho in (1.0, 0.5, 0.1)]
 
-    def test_runs_each_rho(self):
-        """The damping study is a rho grid: one record per rho, best chosen
-        by the selection rule."""
-        result = sweep(grid(quick_config(), {"rho": [1.0, 0.5, 0.1]}))
-        assert len(result.records) == 3
-        rhos = [cfg.optimizer_params["rho"] for cfg in result.configs]
-        assert rhos == [1.0, 0.5, 0.1]
-        assert result.best_index is not None
-
-    def test_rho_requires_sofim(self):
-        """rho is a sofim hyperparameter; a rho grid for another optimizer
-        is refused naming it."""
-        cfg = quick_config(optimizer="adam", optimizer_params={"eta": 0.001})
-        with pytest.raises(ConfigError, match=r"unknown hyperparameter\(s\) \['rho'\]"):
-            grid(cfg, {"rho": [0.5]})
-
     @pytest.mark.parametrize("axes,named", [
         ({}, "'grid'"), ([0.1], "'grid'"), ({"eta": []}, "'eta'"), ({"eta": 0.1}, "'eta'"),
         ({"eta": [0.1], "rho": []}, "'rho'"),
@@ -336,6 +320,24 @@ class TestGrid:
         ConfigError naming the grid or the bad entry."""
         with pytest.raises(ConfigError, match=named):
             grid(quick_config(), axes)
+
+
+class TestRhoSweep:
+    def test_runs_each_rho(self):
+        """The damping study is a rho grid: one record per rho, best chosen
+        by the selection rule."""
+        result = sweep(grid(quick_config(), {"rho": [1.0, 0.5, 0.1]}))
+        assert len(result.records) == 3
+        rhos = [cfg.optimizer_params["rho"] for cfg in result.configs]
+        assert rhos == [1.0, 0.5, 0.1]
+        assert result.best_index is not None
+
+    def test_requires_sofim(self):
+        """rho is a sofim hyperparameter; a rho grid for another optimizer
+        is refused naming it."""
+        cfg = quick_config(optimizer="adam", optimizer_params={"eta": 0.001})
+        with pytest.raises(ConfigError, match=r"unknown hyperparameter\(s\) \['rho'\]"):
+            grid(cfg, {"rho": [0.5]})
 
 
 class TestScalingProbe:
