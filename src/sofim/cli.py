@@ -18,10 +18,14 @@ and ``hyperparameters`` for ``optimizer_params``: ``problem``,
 ``repeats``, ``seed``, ``hyperparameters`` and ``output_dir``.  Any scalar
 key can be overridden on the command line with ``--set key=value``
 (dotted paths reach nested keys, e.g. ``--set hyperparameters.rho=0.5``).
-Unknown keys are rejected by name.  A refused config writes nothing: the
-output directory is created only when the first file is written, after
-the problem is built, and an ``output_dir`` that names an existing file
-is refused before any training.
+Unknown keys are rejected by name, and so are a quoted number (YAML reads
+``1e-3`` as a string: write ``1.0e-3``) and a repeated grid or ``dims``
+value.  A refused config writes nothing: the output directory is created
+only when the first file is written, after the problem is built, and an
+``output_dir`` that names an existing file is refused before any training.
+A run's ``<confighash>`` hashes its values coerced to their types, and of
+``problem`` and ``hyperparameters`` only the keys the config gives, not
+their defaults; so ``rho: 1`` and ``rho: 1.0`` name one run.
 The effective config is echoed to ``<output_dir>/config_echo.yaml`` so
 every run can be reproduced from its own output directory.
 
@@ -146,37 +150,16 @@ def _output_dir(config: dict) -> Path:
     return out_dir
 
 
-def _mapping(value, key: str) -> dict:
-    require(isinstance(value, dict), f"config key {key!r} must be a mapping")
-    return value
-
-
-def _integer(value, key: str) -> int:
-    require(isinstance(value, int) and not isinstance(value, bool),
-            f"config key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _numbers(value, key: str) -> tuple:
-    values = (value,) if isinstance(value, (int, float)) else value
-    require(isinstance(values, (list, tuple)),
-            f"config key {key!r} must be a number or a list of numbers, got {value!r}")
-    return tuple(convert(float, v, f"each entry of config key {key!r}") for v in values)
-
-
-#: How a run-file value is checked, by its ExperimentConfig field's
-#: annotation; a field not listed here (``optimizer``) is passed on as given.
-_CHECKS = {"dict": _mapping, "int": _integer, "tuple": _numbers}
-
-
 def _experiment_config(config: dict) -> harness.ExperimentConfig:
     """The validated ExperimentConfig of a run file; keys the file leaves
-    out keep ExperimentConfig's defaults, and other keys are ignored."""
+    out keep ExperimentConfig's defaults, and other keys are ignored.  The
+    config coerces its values itself, but an integer key is converted
+    here, so that its error names the key as the file does."""
     values = {}
     for key, f in _RUN_FIELDS.items():
         if key in config:
-            check = _CHECKS.get(f.type)
-            values[f.name] = check(config[key], key) if check else config[key]
+            values[f.name] = (convert(int, config[key], f"config key {key!r}")
+                              if f.type == "int" else config[key])
         else:
             require(f.default is not MISSING or f.default_factory is not MISSING,
                     f"config is missing required key {key!r}")
@@ -250,9 +233,9 @@ def _scaling_job(config: dict) -> tuple:
     dims = config.get("dims", list(DEFAULT_SCALING_DIMS))
     require(isinstance(dims, (list, tuple)) and dims,
             "config key 'dims' must be a non-empty list of integers")
-    probe_args = {key: _integer(config[key], key) for key in ("repeats", "seed") if key in config}
-    probe_args.update(dims=dims, optimizer_params=_mapping(config.get("hyperparameters", {}),
-                                                           "hyperparameters"))
+    probe_args = {key: convert(int, config[key], f"config key {key!r}")
+                  for key in ("repeats", "seed") if key in config}
+    probe_args.update(dims=dims, optimizer_params=config.get("hyperparameters", {}))
     for optimizer_id in optimizers:
         harness.check_scaling_probe(optimizer_id, **probe_args)
     return optimizers, probe_args

@@ -27,15 +27,15 @@ def require(ok: bool, message: str) -> None:
 
 
 def convert(kind, value, name: str):
-    """``kind(value)`` for ``kind`` ``int``, ``float`` or ``str``; a value
-    that does not convert, a boolean, a non-integral number for ``int``, a
-    NaN or infinity for ``float`` or a non-string for ``str`` raises
+    """``kind(value)`` for ``kind`` ``int``, ``float`` or ``str``, the one
+    rule by which a config value gets its type; a value that does not
+    convert, a boolean, a string for a number, a non-string for ``str``, a
+    non-integral number for ``int`` or a NaN or infinity for ``float`` raises
     :class:`ConfigError` naming ``name``."""
     try:
         out = kind(value)
-        if (isinstance(value, bool) or (kind is int and isinstance(value, float) and out != value)
-                or (kind is float and not math.isfinite(out))
-                or (kind is str and not isinstance(value, str))):
+        if (isinstance(value, bool) or isinstance(value, str) != (kind is str)
+                or (kind is int and out != value) or (kind is float and not math.isfinite(out))):
             raise ValueError
         return out
     except (TypeError, ValueError, OverflowError):

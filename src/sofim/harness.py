@@ -74,19 +74,20 @@ OPTIMIZERS = {
                                 hessian=True, dense=True),
 }
 
-#: How a hyperparameter value is coerced, by its dataclass field's annotation;
-#: a field not listed here (``schedule``) is taken as given.
-_COERCE = {"float": float, "int | None": int}
+#: How a hyperparameter value is coerced, by its dataclass field's annotation.
+_COERCE = {"float": float, "int | None": int, "str": str}
 
 
 def _hyperparameters(optimizer_id: str, params: dict, total_iterations: int):
     """The table row of ``optimizer_id`` and its validated hyperparameter
     dataclass: the row's defaults overridden by ``params``, each value
     coerced to its field's type."""
+    require(isinstance(params, dict),
+            f"config key 'hyperparameters' must be a mapping, got {params!r}")
     require(optimizer_id in tuple(OPTIMIZERS),
             f"unknown optimizer {optimizer_id!r}; expected one of {tuple(OPTIMIZERS)}")
     row = OPTIMIZERS[optimizer_id]
-    coerce = {f.name: _COERCE.get(f.type) for f in fields(row.config)}
+    coerce = {f.name: _COERCE[f.type] for f in fields(row.config)}
     unknown = set(params) - set(coerce)
     require(not unknown,
             f"unknown hyperparameter(s) {sorted(unknown)} for optimizer {optimizer_id!r}")
@@ -94,7 +95,7 @@ def _hyperparameters(optimizer_id: str, params: dict, total_iterations: int):
     if row.iterations_key:
         values.setdefault(row.iterations_key, total_iterations)
     return row, row.config(**{k: convert(coerce[k], v, f"hyperparameter {k!r}")
-                              if coerce[k] else v for k, v in values.items()})
+                              for k, v in values.items()})
 
 
 def _build_stepper(optimizer_id: str, params: dict, total_iterations: int, dim: int, hessian):
@@ -125,10 +126,18 @@ class ExperimentConfig:
         require(1 <= self.eval_every <= self.total_iterations,
                 f"eval_every must lie in [1, total_iterations], got {self.eval_every}")
         require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "loss_thresholds", tuple(self.loss_thresholds))
-        # Validate hyperparameters eagerly so bad values (rho <= 0, beta >= 1,
-        # ...) are rejected at config time, not mid-run.
-        _hyperparameters(self.optimizer, self.optimizer_params, self.total_iterations)
+        # Keep the given values coerced, with no defaults, so the hash names
+        # what runs however a number is spelled; bad values fail here, not mid-run.
+        params = _hyperparameters(self.optimizer, self.optimizer_params, self.total_iterations)[1]
+        store = functools.partial(object.__setattr__, self)
+        store("optimizer_params", {k: getattr(params, k) for k in self.optimizer_params})
+        store("problem", problems.canonical_spec(self.problem))
+        thresholds = self.loss_thresholds
+        thresholds = (thresholds,) if isinstance(thresholds, (int, float)) else thresholds
+        require(isinstance(thresholds, (list, tuple)), "config key 'loss_thresholds' must be a "
+                f"number or a list of numbers, got {thresholds!r}")
+        store("loss_thresholds", tuple(convert(float, t, "each entry of 'loss_thresholds'")
+                                       for t in thresholds))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -329,14 +338,19 @@ def sweep(grid: list) -> SweepResult:
 def grid(base: ExperimentConfig, axes) -> list:
     """The validated configs of a grid sweep: ``base`` at every combination
     of the hyperparameter values in ``axes``, a mapping of hyperparameter
-    name to list of values (the last name varies fastest)."""
+    name to list of values (the last name varies fastest).  An entry that
+    lists one value twice, once coerced (``[1, 1.0]``), is refused."""
     require(isinstance(axes, dict) and axes, "config key 'grid' must be a non-empty mapping "
             "of hyperparameter name to list of values")
     for name, values in axes.items():
         require(isinstance(values, (list, tuple)) and values,
                 f"grid entry {name!r} must be a non-empty list of values")
-    return [replace(base, optimizer_params={**base.optimizer_params, **dict(zip(axes, combo))})
-            for combo in itertools.product(*axes.values())]
+    points = [replace(base, optimizer_params={**base.optimizer_params, **dict(zip(axes, combo))})
+              for combo in itertools.product(*axes.values())]
+    for name, values in axes.items():
+        require(len({cfg.optimizer_params[name] for cfg in points}) == len(values),
+                f"grid entry {name!r} lists a value more than once: {values!r}")
+    return points
 
 
 def check_scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
@@ -347,9 +361,10 @@ def check_scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 
     ``ScaleCapError``."""
     dims = [convert(int, d, "each entry of dims") for d in dims]
     require(all(d >= 1 for d in dims), f"dims must be positive, got {dims}")
+    require(len(set(dims)) == len(dims), f"dims lists a dimension more than once: {dims}")
     require(repeats >= 1, f"repeats must be >= 1, got {repeats}")
     require(seed >= 0, f"seed must be >= 0, got {seed}")
-    params = dict(optimizer_params or {})
+    params = {} if optimizer_params is None else optimizer_params
     row = _hyperparameters(optimizer_id, params, repeats)[0]
     too_big = [d for d in dims if row.dense and d > baselines.DENSE_FIM_CAP]
     if too_big:

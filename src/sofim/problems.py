@@ -51,6 +51,7 @@ __all__ = [
     "finite_difference_gradient",
     "gradient_check",
     "SPEC_SCHEMA",
+    "canonical_spec",
     "problem_from_spec",
 ]
 
@@ -61,9 +62,9 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """Feature matrix + integer labels with a fixed train/test split: both
-    splits are non-empty, index rows in ``[0, n)``, list no row twice and
-    share no row."""
+    """Feature matrix + integer labels with a fixed train/test split: there
+    is at least one feature column, and both splits are non-empty, index
+    rows in ``[0, n)``, list no row twice and share no row."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -76,6 +77,8 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.train_idx = np.asarray(self.train_idx, dtype=np.int64)
         self.test_idx = np.asarray(self.test_idx, dtype=np.int64)
+        require(self.features.ndim == 2 and self.features.shape[1] >= 1,
+                f"the dataset has no feature column: features have shape {self.features.shape}")
         n = self.features.shape[0]
         if self.labels.shape != (n,):
             raise DimensionMismatchError(
@@ -742,35 +745,41 @@ _MODELS = {"logistic": LogisticRegressionProblem, "softmax": SoftmaxRegressionPr
            "mlp": MlpProblem}
 
 
-def problem_from_spec(spec: dict) -> Problem:
-    """Build a problem from a declarative dict (as found in config files).
-
-    ``kind`` selects a row of :data:`SPEC_SCHEMA`.  Keys the spec leaves out
-    take the row's defaults, and each value is converted to its key's type;
-    an unknown kind, key or model, a missing required key or a malformed
-    value raises ``ConfigError`` naming it.
-    """
+def canonical_spec(spec: dict) -> dict:
+    """``kind`` and the keys ``spec`` gives, each converted to its type in
+    :data:`SPEC_SCHEMA`, with no defaults; an unknown kind, key or model, a
+    missing required key, a malformed value or a negative seed raises
+    ``ConfigError`` naming it."""
+    require(isinstance(spec, dict), f"config key 'problem' must be a mapping, got {spec!r}")
     require("kind" in spec, "problem spec is missing 'kind'")
     kind = spec["kind"]
     require(kind in tuple(SPEC_SCHEMA),
             f"unknown problem kind {kind!r}; expected one of {sorted(SPEC_SCHEMA)}")
     unknown = set(spec) - {"kind", *SPEC_SCHEMA[kind]}
     require(not unknown, f"unknown problem key(s) {sorted(unknown)} for kind {kind!r}")
-    v = {}
+    v = {"kind": kind}
     for key, (key_type, default) in SPEC_SCHEMA[kind].items():
         require(key in spec or default is not None, f"{kind} problem spec is missing {key!r}")
-        v[key] = convert(key_type, spec.get(key, default), f"problem key {key!r}")
+        if key in spec:
+            v[key] = convert(key_type, spec[key], f"problem key {key!r}")
     # np.random.default_rng refuses a negative seed.
-    require(v["seed"] >= 0, f"problem key 'seed' must be >= 0, got {v['seed']}")
+    require(v.get("seed", 0) >= 0, f"problem key 'seed' must be >= 0, got {v.get('seed')}")
+    require(v.get("model") in (None, *_MODELS),
+            f"unknown model {v.get('model')!r}; expected one of {tuple(_MODELS)}")
+    return v
 
-    if kind == "quadratic":
+
+def problem_from_spec(spec: dict) -> Problem:
+    """Build a problem from a declarative dict (as found in config files):
+    its :func:`canonical_spec`, and the defaults of the keys it leaves out."""
+    v = canonical_spec(spec)
+    v = {key: default for key, (_, default) in SPEC_SCHEMA[v["kind"]].items()} | v
+    if v["kind"] == "quadratic":
         return make_quadratic(v["dim"], v["condition_number"], v["seed"])
-    if kind == "blobs":
+    if v["kind"] == "blobs":
         dataset = make_blobs(v["n"], v["p"], v["classes"], v["spread"], v["seed"])
     else:
         dataset = load_csv_dataset(v["path"], v["label_column"], v["split_fraction"], v["seed"])
-    require(v["model"] in _MODELS,
-            f"unknown model {v['model']!r}; expected one of {tuple(_MODELS)}")
     if v["model"] != "mlp":
         return _MODELS[v["model"]](dataset)
     widths = (dataset.n_features, v["hidden"], dataset.num_classes)

@@ -202,6 +202,15 @@ class TestExitCodes:
         ("run", "problem={kind: quadratic, condition_number: .inf}", "'condition_number'"),
         ("run", "loss_thresholds=.nan", "'loss_thresholds'"),
         ("sweep", "grid.rho=[0.5, .inf]", "'rho'"),
+        ("run", "hyperparameters.rho='0.5'", "'rho'"),
+        ("run", "problem.n='2000'", "'n'"),
+        ("run", "problem.spread='3.0'", "'spread'"),
+        ("run", "loss_thresholds=['0.5']", "'loss_thresholds'"),
+        ("sweep", "grid.eta=['0.1']", "'eta'"),
+        ("scaling", "dims=['1000']", "dims"),
+        ("scaling", "hyperparameters.eta='0.1'", "'eta'"),
+        ("sweep", "grid.eta=[1, 1.0]", "'eta'"),
+        ("scaling", "dims=[1000, 1000]", "dims"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, subcommand, override,
                                              key):
@@ -225,6 +234,9 @@ class TestExitCodes:
         ("sweep", ["problem.model=tree"]),
         pytest.param("sweep", ["grid.rho=[1.0, 0.5]", "problem.n=1"], id="rho-sweep-overrides7"),
         ("scaling", ["optimizers=[]"]),
+        ("run", ["problem.p=0"]),
+        ("sweep", ["grid.eta=[0.1, 0.1]"]),
+        ("scaling", ["dims=[1000, 1000]", "repeats=1"]),
     ])
     def test_refused_config_writes_nothing(self, tmp_path, capsys, subcommand, overrides):
         """A refused config exits 1 without creating its output directory,
@@ -406,6 +418,59 @@ class TestShippedConfigs:
         command.build(config)
         if "problem" in config:
             problems.problem_from_spec(config["problem"])
+
+
+def respelled(value):
+    """``value`` with every integral number respelled, an int as a float and
+    an integral float as an int, at any depth; other values are kept."""
+    if isinstance(value, dict):
+        return {key: respelled(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [respelled(item) for item in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return value
+    return float(value) if isinstance(value, int) else int(value) if value.is_integer() else value
+
+
+def usage(path):
+    """The subcommand on a config's ``# Usage: sofim <subcommand>`` line."""
+    return re.search(r"^# Usage: sofim (\S+)", path.read_text(encoding="utf-8"), re.M).group(1)
+
+
+class TestConfigIdentity:
+    @pytest.mark.parametrize("subcommand,first,second", [
+        ("run", "hyperparameters.rho=1", "hyperparameters.rho=1.0"),
+        ("sweep", "grid={rho: [1]}", "grid={rho: [1.0]}"),
+        ("run", "problem.spread=3", "problem.spread=3.0"),
+    ], ids=["hyperparameters", "grid", "problem"])
+    def test_one_stem_for_two_spellings(self, tmp_path, capsys, subcommand, first, second):
+        """``1`` and ``1.0`` name one run: either spelling writes the same
+        stem, and a sweep labels its point the same."""
+        config = run_config(tmp_path, iterations=20)
+        out = tmp_path / "out"
+        summaries = []
+        for override in (first, second):
+            assert cli.main([subcommand, config, "--set", override]) == 0
+            if subcommand == "sweep":
+                summaries.append((out / "sweep_summary.txt").read_text())
+        capsys.readouterr()
+        assert len(list(out.glob("*.csv"))) == 1
+        assert summaries[:1] == summaries[1:]
+
+    @pytest.mark.parametrize("path", [path for path in CONFIGS if usage(path) != "scaling"],
+                             ids=lambda path: path.name)
+    def test_shipped_config_hashes_ignore_spelling(self, path):
+        """Respelling every integral number of a shipped run or sweep config
+        (in ``problem``, ``hyperparameters``, ``grid`` and the top-level
+        integer keys) names the same runs; nothing is trained."""
+        def hashes(config):
+            base = cli._experiment_config(config)
+            points = harness.grid(base, config["grid"]) if "grid" in config else [base]
+            return [point.config_hash() for point in points]
+
+        config = cli._load_config(str(path), usage(path))
+        assert repr(respelled(config)) != repr(config)
+        assert hashes(respelled(config)) == hashes(config)
 
 
 class TestSweepCommands:

@@ -58,6 +58,30 @@ class TestExperimentConfig:
         assert quick_config(seed=2).config_hash() != cfg.config_hash()
         assert quick_config(batch_size=64).config_hash() != cfg.config_hash()
 
+    def test_stores_the_coerced_given_values(self):
+        """The problem spec, hyperparameters and loss thresholds are kept
+        coerced and without defaults, so two spellings of one number give
+        one config and one hash."""
+        ints = quick_config(problem={**BLOBS_LOGISTIC, "spread": 3},
+                            optimizer_params={"eta": 1, "rho": 1}, loss_thresholds=[1])
+        floats = quick_config(problem={**BLOBS_LOGISTIC, "n": 300.0},
+                              optimizer_params={"eta": 1.0, "rho": 1.0}, loss_thresholds=(1.0,))
+        assert ints == floats and ints.config_hash() == floats.config_hash()
+        assert ints.optimizer_params == {"eta": 1.0, "rho": 1.0}
+        assert ints.problem == BLOBS_LOGISTIC and ints.loss_thresholds == (1.0,)
+        coerced = [ints.optimizer_params["rho"], ints.problem["spread"], floats.problem["n"],
+                   ints.loss_thresholds[0]]
+        assert [type(value) for value in coerced] == [float, float, int, float]
+        assert quick_config(problem={"kind": "quadratic"}).problem == {"kind": "quadratic"}
+
+    def test_malformed_problem_spec_refused_at_config_time(self):
+        """The problem spec is checked when the config is built, not when
+        the problem is."""
+        with pytest.raises(ConfigError, match="problem key 'n' must be an integer"):
+            quick_config(problem={**BLOBS_LOGISTIC, "n": 6.5})
+        with pytest.raises(ConfigError, match="unknown model 'tree'"):
+            quick_config(problem={**BLOBS_LOGISTIC, "model": "tree"})
+
     def test_zero_iterations_rejected(self):
         """total_iterations=0 violates the contract."""
         with pytest.raises(ConfigError):
@@ -102,18 +126,19 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("kind,value", [
         (float, True), (int, False), (int, 6.5), (int, "6.5"), (int, math.inf), (float, "x"),
-        (float, math.nan), (float, -math.inf), (float, "inf"),
+        (float, math.nan), (float, -math.inf), (float, "inf"), (int, "64"), (float, "0.5"),
     ])
     def test_convert_refuses_booleans_and_fractions(self, kind, value):
-        """A boolean is no number, a fraction no integer and a NaN or
-        infinity no finite number; the error names the key."""
+        """A boolean is no number, nor is a quoted number; a fraction is no
+        integer and a NaN or infinity no finite number; the error names the
+        key."""
         with pytest.raises(ConfigError, match="'key' must be"):
             convert(kind, value, "'key'")
 
     def test_convert_keeps_integral_and_numeric_values(self):
         assert convert(int, 6.0, "k") == 6 and type(convert(int, 6.0, "k")) is int
-        assert convert(int, "64", "k") == 64
-        assert convert(float, 2, "k") == 2.0
+        assert convert(float, 2, "k") == 2.0 and type(convert(float, 2, "k")) is float
+        assert convert(str, "64", "k") == "64"
 
 
 class TestRunExperiment:
@@ -321,6 +346,16 @@ class TestGrid:
         with pytest.raises(ConfigError, match=named):
             grid(quick_config(), axes)
 
+    @pytest.mark.parametrize("axes,named", [
+        ({"eta": [0.1, 0.1]}, "'eta'"), ({"rho": [1, 1.0]}, "'rho'"),
+        ({"eta": [0.1], "rho": [0.5, 1, 1.0]}, "'rho'"),
+    ], ids=["same-spelling", "int-and-float", "second-entry"])
+    def test_repeated_value_refused(self, axes, named):
+        """An entry that lists one value twice, once coerced, would train
+        one point twice under one stem; it is refused by name."""
+        with pytest.raises(ConfigError, match=f"grid entry {named} lists a value more than once"):
+            grid(quick_config(), axes)
+
 
 class TestRhoSweep:
     def test_runs_each_rho(self):
@@ -394,6 +429,8 @@ class TestScalingProbe:
     def test_bad_input_rejected(self):
         with pytest.raises(ConfigError):
             scaling_probe("sofim", [0], repeats=1)
+        with pytest.raises(ConfigError, match="dims lists a dimension more than once"):
+            scaling_probe("sofim", [10, 10.0], repeats=1)
         with pytest.raises(ConfigError):
             scaling_probe("sprint", [10], repeats=1)
         with pytest.raises(ConfigError):

@@ -693,6 +693,14 @@ class TestDatasetInvariants:
             Dataset(np.zeros((4, 2)), np.zeros(4, dtype=int),
                     train_idx=train_idx, test_idx=test_idx, num_classes=2)
 
+    def test_no_feature_column_rejected(self):
+        """A dataset without a feature column is refused, whatever its
+        source; a model on it would fit its bias alone."""
+        with pytest.raises(ConfigError, match="the dataset has no feature column"):
+            Dataset(np.zeros((4, 0)), [0, 1, 0, 1], [0, 1], [2, 3], num_classes=2)
+        with pytest.raises(ConfigError, match="the dataset has no feature column"):
+            make_blobs(40, 0, 2, 3.0, 0)
+
     def test_label_range_checked(self):
         """Labels outside [0, C) are rejected."""
         with pytest.raises(ConfigError):
@@ -883,6 +891,16 @@ class TestProblemFromSpec:
             problem_from_spec({"kind": "quadratic", "seed": -1})
         with pytest.raises(ConfigError, match=r"unknown problem key\(s\) \['init_seed'\]"):
             problem_from_spec({"kind": "blobs", "n": 40, "model": "mlp", "init_seed": -1})
+
+    def test_canonical_spec_coerces_the_given_keys_only(self):
+        """canonical_spec keeps ``kind`` and the given keys, each converted to
+        its type, and adds no default; it is idempotent."""
+        spec = problems.canonical_spec({"kind": "blobs", "n": 60.0, "spread": 3, "model": "mlp"})
+        assert spec == {"kind": "blobs", "n": 60, "spread": 3.0, "model": "mlp"}
+        assert (type(spec["n"]), type(spec["spread"])) == (int, float)
+        assert problems.canonical_spec(spec) == spec
+        assert (problems.canonical_spec({"kind": "quadratic", "condition_number": 10})
+                == {"kind": "quadratic", "condition_number": 10.0})
 
     @pytest.mark.parametrize("kind,key", [(kind, key) for kind, keys in
                                           problems.SPEC_SCHEMA.items() for key in keys])
