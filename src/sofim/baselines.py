@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sofim.core import BLOCK, blocked, check_step, require_finite, shape_error
+from sofim.core import BLOCK, blocks, check_step, require_finite, shape_error
 from sofim.exceptions import ConfigError, DimensionMismatchError, ScaleCapError, require
 
 #: Dense-Fisher operations refuse dimensions above this.
@@ -142,53 +142,35 @@ def _require_positive_definite(hess) -> None:
         raise ConfigError("Hessian is not positive definite") from exc
 
 
-def _sgd_block(w, g, v, scratch, momentum, weight_decay, lr):
-    v *= momentum
-    v += g
-    if weight_decay != 0.0:
-        v += np.multiply(w, weight_decay, out=scratch)
-    w -= np.multiply(v, lr, out=scratch)
-
-
 class SgdMomentumOptimizer:
     """Stateful momentum-SGD stepper.  Step ``s`` (0-based) folds coupled
     weight decay into the gradient and sets ``v = momentum v + g +
     weight_decay w`` and ``w = w - eta(s) v``, with ``eta(s)`` from
     :func:`sgd_learning_rate`.
 
-    It mutates ``w`` in place, block by block (:func:`sofim.core.blocked`),
-    so a step allocates nothing.  It owns ``d + min(d, BLOCK)`` floats: the
-    velocity and one scratch block for its one intermediate."""
+    It mutates ``w`` in place over :func:`sofim.core.blocks`, so a step
+    allocates nothing.  It owns ``d + min(d, BLOCK)`` floats: the velocity
+    and one scratch block for its one intermediate."""
 
     def __init__(self, dim: int, config: SgdConfig):
         self.config = config
         self.velocity = np.zeros(dim)
         self._scratch = np.empty(min(dim, BLOCK))
         self.step_count = 0
-        self._update = blocked(_sgd_block, 3, dim)
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
         check_step(w, g, self.velocity.shape)
         cfg = self.config
-        self._update(w, g, self.velocity, self._scratch, cfg.momentum, cfg.weight_decay,
-                     sgd_learning_rate(cfg, self.step_count))
+        lr = sgd_learning_rate(cfg, self.step_count)
+        for rows in blocks(len(w)):
+            w_b, v = w[rows], self.velocity[rows]
+            scratch = self._scratch[:len(v)]
+            v *= cfg.momentum
+            v += g[rows]
+            if cfg.weight_decay != 0.0:
+                v += np.multiply(w_b, cfg.weight_decay, out=scratch)
+            w_b -= np.multiply(v, lr, out=scratch)
         self.step_count += 1
-
-
-def _adam_block(w, g, m, v, scratch, denom, cfg, bc1, bc2):
-    m *= cfg.beta1
-    m += np.multiply(g, 1.0 - cfg.beta1, out=scratch)
-    v *= cfg.beta2
-    np.square(g, out=scratch)
-    v += np.multiply(scratch, 1.0 - cfg.beta2, out=scratch)
-    # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with bc = 1 - beta**t
-    np.divide(m, bc1, out=scratch)
-    scratch *= cfg.eta
-    np.divide(v, bc2, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += cfg.epsilon
-    scratch /= denom
-    w -= scratch
 
 
 class AdamOptimizer:
@@ -197,10 +179,9 @@ class AdamOptimizer:
     m_hat / (sqrt(v_hat) + epsilon)``, where ``m_hat = m / (1 - beta1^t)``
     and ``v_hat = v / (1 - beta2^t)``.
 
-    It mutates ``w`` in place, block by block (:func:`sofim.core.blocked`),
-    so a step allocates nothing.  It owns ``2d + 2 min(d, BLOCK)`` floats:
-    the moments ``m`` and ``v`` and two scratch blocks for its
-    intermediates."""
+    It mutates ``w`` in place over :func:`sofim.core.blocks`, so a step
+    allocates nothing.  It owns ``2d + 2 min(d, BLOCK)`` floats: the
+    moments ``m`` and ``v`` and two scratch blocks for its intermediates."""
 
     def __init__(self, dim: int, config: AdamConfig):
         self.config = config
@@ -209,14 +190,28 @@ class AdamOptimizer:
         self._scratch = np.empty(min(dim, BLOCK))
         self._denom = np.empty(min(dim, BLOCK))
         self.step_count = 0
-        self._update = blocked(_adam_block, 4, dim)
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
         check_step(w, g, self.m.shape)
         self.step_count += 1
         cfg, t = self.config, self.step_count
-        self._update(w, g, self.m, self.v, self._scratch, self._denom, cfg,
-                     1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t)
+        bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+        for rows in blocks(len(w)):
+            w_b, g_b, m, v = w[rows], g[rows], self.m[rows], self.v[rows]
+            scratch, denom = self._scratch[:len(m)], self._denom[:len(m)]
+            m *= cfg.beta1
+            m += np.multiply(g_b, 1.0 - cfg.beta1, out=scratch)
+            v *= cfg.beta2
+            np.square(g_b, out=scratch)
+            v += np.multiply(scratch, 1.0 - cfg.beta2, out=scratch)
+            # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with bc = 1 - beta**t
+            np.divide(m, bc1, out=scratch)
+            scratch *= cfg.eta
+            np.divide(v, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += cfg.epsilon
+            scratch /= denom
+            w_b -= scratch
 
 
 class NgdOracle:

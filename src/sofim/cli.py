@@ -60,10 +60,9 @@ GRADCHECK_TOLERANCES = {
     "mlp_tanh": 1e-5,
 }
 
-#: Run-file keys named differently from the ExperimentConfig field they set.
-_KEY_OF_FIELD = {"total_iterations": "iterations", "optimizer_params": "hyperparameters"}
 #: Each run-file key but ``output_dir``, with the ExperimentConfig field it sets.
-_RUN_FIELDS = {_KEY_OF_FIELD.get(f.name, f.name): f for f in fields(harness.ExperimentConfig)}
+_RUN_FIELDS = {harness.KEY_OF_FIELD.get(f.name, f.name): f
+               for f in fields(harness.ExperimentConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,13 +152,11 @@ def _output_dir(config: dict) -> Path:
 def _experiment_config(config: dict) -> harness.ExperimentConfig:
     """The validated ExperimentConfig of a run file; keys the file leaves
     out keep ExperimentConfig's defaults, and other keys are ignored.  The
-    config coerces its values itself, but an integer key is converted
-    here, so that its error names the key as the file does."""
+    config coerces its values itself."""
     values = {}
     for key, f in _RUN_FIELDS.items():
         if key in config:
-            values[f.name] = (convert(int, config[key], f"config key {key!r}")
-                              if f.type == "int" else config[key])
+            values[f.name] = config[key]
         else:
             require(f.default is not MISSING or f.default_factory is not MISSING,
                     f"config is missing required key {key!r}")

@@ -11,8 +11,9 @@ time with O(d) extra memory, like SGD with momentum.
 
 :class:`SofimOptimizer` is the one implementation of that update: it runs
 in place with numpy and allocates nothing per step.  The momentum-SGD and
-Adam steppers of :mod:`sofim.baselines` run their elementwise work through
-:func:`blocked`, one cache-sized block at a time.
+Adam steppers of :mod:`sofim.baselines` run their elementwise work over
+:func:`blocks`, one cache-sized block at a time, and so does forward-only
+evaluation in :mod:`sofim.problems`.
 """
 
 from __future__ import annotations
@@ -29,42 +30,30 @@ from sofim.exceptions import DimensionMismatchError, NonFiniteError, require
 #: clear of rounding in the bound and in the sum.
 _SAFE_NORM = 1e150
 
-#: The momentum-SGD and Adam steppers run their elementwise work over
-#: contiguous blocks of this many float64 elements, 256 KiB a vector.  The
-#: most any block body touches is Adam's six views (w, g, both moments and
-#: two scratch blocks), 1.5 MiB, which fits a 2 MiB per-core L2: each of a
-#: block's operations then reads what the one before it wrote from L2,
-#: where whole-vector operations at d = 1e6 stream every 8 MB vector
-#: through the last-level cache once per operation.  It also bounds the
-#: scratch those steppers need to one block.
+#: The momentum-SGD and Adam steppers and forward-only evaluation work over
+#: contiguous blocks of at most this many float64 elements, 256 KiB a
+#: vector (:func:`blocks`).  The most any step's block touches is Adam's six
+#: views (w, g, both moments and two scratch blocks), 1.5 MiB, which fits a
+#: 2 MiB per-core L2: each of a block's operations then reads what the one
+#: before it wrote from L2, where whole-vector operations at d = 1e6 stream
+#: every 8 MB vector through the last-level cache once per operation.  It
+#: also bounds the scratch those steppers need to one block, and the
+#: memory of an evaluation pass to one block of its widest intermediate.
 BLOCK = 32768
 
 
-def blocked(body, vectors: int, dim: int):
-    """``body`` run over contiguous blocks of its first ``vectors`` arguments.
+def blocks(n: int, width: int = 1) -> list:
+    """The fewest contiguous slices covering ``range(n)`` that hold at most
+    :data:`BLOCK` elements of ``width``-wide rows each (one row at least);
+    their sizes differ by at most one.
 
-    Those arguments are ``dim``-length arrays, cut into runs of
-    :data:`BLOCK` elements, the last one shorter.  Every later array
-    argument is scratch of length ``min(dim, BLOCK)`` and lends each call
-    its first as many elements as the block has; other arguments pass as
-    they are.  At ``dim <= BLOCK`` this is ``body`` itself, so a step of a
-    small model pays for no slicing and no extra call.
-
-    An elementwise body gives every element the bits one call on the whole
-    vectors would, so blocking changes no output.  A reduction over a
-    vector stays outside the body: summed block by block it would round
-    differently.
+    An elementwise step gives every element the bits one operation on the
+    whole vectors would, so blocking it changes no output.  A reduction
+    over a vector stays outside the blocks: summed block by block it would
+    round differently.
     """
-    if dim <= BLOCK:
-        return body
-
-    def each_block(*args):
-        for start in range(0, dim, BLOCK):
-            n = min(BLOCK, dim - start)
-            body(*[a[start:start + n] for a in args[:vectors]],
-                 *[a[:n] if isinstance(a, np.ndarray) else a for a in args[vectors:]])
-
-    return each_block
+    k = -(-n // max(1, BLOCK // width))
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
 def require_finite(arr: np.ndarray, name: str) -> None:
@@ -131,7 +120,7 @@ class SofimOptimizer:
     It owns 2d floats, the moment and a d-length ``m_hat``: the O(d) space
     the paper claims, as for momentum SGD.  ``m_hat`` must be whole at once,
     because ``||m_hat||^2`` is one BLAS sum over all of it, and summing it
-    block by block would change its rounding.  Blocking (:func:`blocked`)
+    block by block would change its rounding.  Blocking (:func:`blocks`)
     would therefore save sofim no memory, only cache traffic, and the step
     runs whole-vector operations.  Blocked, it was about 12% faster at
     d = 1e6 with its vectors warm, but about 18% slower in the scaling

@@ -105,6 +105,10 @@ def _build_stepper(optimizer_id: str, params: dict, total_iterations: int, dim: 
     return row.stepper(dim, config, *((hessian(),) if row.hessian else ()))
 
 
+#: Run-file keys named differently from the ExperimentConfig field they set.
+KEY_OF_FIELD = {"total_iterations": "iterations", "optimizer_params": "hyperparameters"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that determines a run: problem spec, optimizer id and
@@ -120,6 +124,11 @@ class ExperimentConfig:
     loss_thresholds: tuple = ()
 
     def __post_init__(self):
+        store = functools.partial(object.__setattr__, self)
+        for f in fields(self):
+            if f.type == "int":  # an error names the field's run-file key
+                key = KEY_OF_FIELD.get(f.name, f.name)
+                store(f.name, convert(int, getattr(self, f.name), f"config key {key!r}"))
         require(self.total_iterations >= 1,
                 f"total_iterations must be >= 1, got {self.total_iterations}")
         require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
@@ -129,7 +138,6 @@ class ExperimentConfig:
         # Keep the given values coerced, with no defaults, so the hash names
         # what runs however a number is spelled; bad values fail here, not mid-run.
         params = _hyperparameters(self.optimizer, self.optimizer_params, self.total_iterations)[1]
-        store = functools.partial(object.__setattr__, self)
         store("optimizer_params", {k: getattr(params, k) for k in self.optimizer_params})
         store("problem", problems.canonical_spec(self.problem))
         thresholds = self.loss_thresholds

@@ -12,12 +12,13 @@ pull-back from the head's residual to the gradient.  ``loss_and_grad`` and
 that one forward pass, so a training step runs the model forward once.
 
 Forward-only evaluation (``loss``, ``test_loss``, ``test_accuracy``) runs
-over balanced row blocks, each holding at most :data:`sofim.core.BLOCK`
-float64 elements of the model's widest per-row intermediate, so its memory
-is O(block x width) rather than O(rows x width).  Per-row losses fill one
-vector that is averaged once, and accuracy counts hits per block, so the
-results are bitwise those of one pass wherever the BLAS rounds a block's
-rows as it rounds the whole split's; it does for the shipped shapes.
+over the row blocks of :func:`sofim.core.blocks`, each holding at most
+:data:`sofim.core.BLOCK` float64 elements of the model's widest per-row
+intermediate, so its memory is O(block x width) rather than O(rows x
+width).  Per-row losses fill one vector that is averaged once, and
+accuracy counts hits per block, so the results are bitwise those of one
+pass wherever the BLAS rounds a block's rows as it rounds the whole
+split's; it does for the shipped shapes.
 Gradients are not blocked: their row sums are reductions, and summing them
 block by block would round differently.  A problem keeps only its gathered
 train and test splits, not the dataset it was built from.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sofim.core import BLOCK
+from sofim.core import blocks
 from sofim.exceptions import ConfigError, DimensionMismatchError, convert, require
 
 __all__ = [
@@ -135,6 +136,7 @@ def make_blobs(n: int, p: int, c: int, spread: float, seed: int) -> Dataset:
     """
     if not (n >= c >= 2):
         raise ConfigError(f"need n >= c >= 2, got n={n}, c={c}")
+    require(p >= 1, f"the dataset has no feature column: need p >= 1, got p={p}")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((c, p))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
@@ -453,7 +455,7 @@ class _DatasetProblem(Problem):
 
     ``_row_width`` is the widest per-row intermediate of a forward pass: the
     logit count, or the MLP's wider layer.  Forward-only evaluation runs
-    over row blocks of at most ``BLOCK // _row_width`` rows.  The problem
+    over the row blocks ``sofim.core.blocks(rows, _row_width)``.  The problem
     keeps its gathered splits only, so the dataset's feature matrix is freed
     once nothing else holds it.
     """
@@ -480,13 +482,6 @@ class _DatasetProblem(Problem):
     def n_test(self) -> int:
         return self._x_test.shape[0]
 
-    def _row_blocks(self, n: int) -> list:
-        """The fewest contiguous row slices covering ``range(n)`` that hold at
-        most ``BLOCK`` elements of ``_row_width``-wide rows each (one row at
-        least); their sizes differ by at most one."""
-        k = -(-n // max(1, BLOCK // self._row_width))
-        return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
-
     def _select(self, batch):
         if batch is None:
             return self._x_train, self._y_train
@@ -505,7 +500,7 @@ class _DatasetProblem(Problem):
         the one-pass mean does."""
         w = self._check_w(w)
         losses = np.empty(x.shape[0])
-        for rows in self._row_blocks(x.shape[0]):  # [0] frees each block's cache early
+        for rows in blocks(x.shape[0], self._row_width):  # [0] frees each block's cache early
             losses[rows] = self.head.losses(self._forward(w, x[rows])[0], y[rows])
         return float(_mean(losses))
 
@@ -522,16 +517,16 @@ class _DatasetProblem(Problem):
         return self._mean_loss(w, *self._select(batch))
 
     def loss_and_grad(self, w, batch=None) -> tuple:
-        loss, blocks, b = self._loss_and_blocks(w, batch)
-        grads = [_mean(err) if inp is None else err.T @ inp / b for err, inp in blocks]
+        loss, pairs, b = self._loss_and_blocks(w, batch)
+        grads = [_mean(err) if inp is None else err.T @ inp / b for err, inp in pairs]
         # One block is already a fresh array: return it flat, without a copy.
         return loss, grads[0].ravel() if len(grads) == 1 else np.concatenate(grads, axis=None)
 
     def loss_and_per_sample_grads(self, w, batch=None) -> tuple:
-        loss, blocks, b = self._loss_and_blocks(w, batch)
+        loss, pairs, b = self._loss_and_blocks(w, batch)
         return loss, np.hstack([err if inp is None else
                                 np.einsum("bi,bj->bij", err.reshape(b, -1), inp).reshape(b, -1)
-                                for err, inp in blocks])
+                                for err, inp in pairs])
 
     def test_loss(self, w) -> float:
         return self._mean_loss(w, self._x_test, self._y_test)
@@ -539,7 +534,7 @@ class _DatasetProblem(Problem):
     def test_accuracy(self, w) -> float:
         w, x, y = self._check_w(w), self._x_test, self._y_test
         hits = sum(np.count_nonzero(self.head.predict(self._forward(w, x[rows])[0]) == y[rows])
-                   for rows in self._row_blocks(len(y)))
+                   for rows in blocks(len(y), self._row_width))
         return hits / len(y)
 
     def initial_point(self, rng: np.random.Generator) -> np.ndarray:

@@ -29,6 +29,17 @@ def sofim_step(w, m, g, cfg, t):
     return w - cfg.eta * m_hat / (cfg.rho + sq), m
 
 
+def sofim_momentum_step(w, v, g, cfg, t, sq):
+    """SOFIM step ``t`` (1-based) written as a momentum-SGD step: velocity
+    ``v = beta v + g``, so that sofim's moment is ``m = (1 - beta) v``, and
+    ``w - lr_t v`` at the scalar rate ``lr_t = eta (1 - beta) / ((rho + sq)
+    (1 - beta^t))``, where ``sq = ||m_hat||^2`` is read from the stepper's
+    step; returns ``(w, v)``."""
+    v = cfg.beta * v + g
+    lr = cfg.eta * (1.0 - cfg.beta) / ((cfg.rho + sq) * (1.0 - cfg.beta**t))
+    return w - lr * v, v
+
+
 def sgd_momentum_step(w, v, g, cfg, s):
     """Momentum-SGD step ``s`` (0-based); returns ``(w, v)``."""
     v = cfg.momentum * v + g + cfg.weight_decay * w

@@ -116,7 +116,7 @@ class TestRunCommand:
         env_out = tmp_path / "env_out"
         monkeypatch.setenv("SOFIM_OUTPUT_DIR", str(env_out))
         config = run_config(tmp_path)
-        data = yaml.safe_load(open(config))
+        data = yaml.safe_load(Path(config).read_text())
         del data["output_dir"]
         write_yaml(tmp_path / "config.yaml", data)
         assert cli.main(["run", config]) == 0
@@ -125,7 +125,7 @@ class TestRunCommand:
     def test_omitted_integer_keys_keep_experiment_defaults(self, tmp_path, monkeypatch):
         """A config without iterations, batch_size, eval_every or seed runs
         with ExperimentConfig's own defaults."""
-        data = yaml.safe_load(open(run_config(tmp_path)))
+        data = yaml.safe_load(Path(run_config(tmp_path)).read_text())
         for key in ("iterations", "batch_size", "eval_every", "seed"):
             del data[key]
         seen = []
@@ -237,6 +237,7 @@ class TestExitCodes:
         ("run", ["problem.p=0"]),
         ("sweep", ["grid.eta=[0.1, 0.1]"]),
         ("scaling", ["dims=[1000, 1000]", "repeats=1"]),
+        ("run", ["problem.p=-1"]),
     ])
     def test_refused_config_writes_nothing(self, tmp_path, capsys, subcommand, overrides):
         """A refused config exits 1 without creating its output directory,

@@ -25,7 +25,7 @@ from sofim.baselines import (
     SgdMomentumOptimizer,
     sgd_learning_rate,
 )
-from sofim.core import BLOCK, SofimConfig, SofimOptimizer
+from sofim.core import BLOCK, SofimConfig, SofimOptimizer, blocks
 from sofim.exceptions import ConfigError, DimensionMismatchError, NonFiniteError
 
 from reference import sherman_morrison_apply, sofim_step, stepped_direction, stepped_m_hat
@@ -387,10 +387,10 @@ class TestSofimOptimizer:
 
 
 class TestBlockedStepsMatchTheirFormerForms:
-    """The momentum-SGD and Adam steppers, blocked over ``BLOCK`` elements,
-    and sofim's whole-vector step keep ``w`` and their state bitwise equal
-    to the former whole-vector steps, at dimensions on both sides of each
-    block edge and with a short last block."""
+    """The momentum-SGD and Adam steppers, blocked over :func:`blocks`, and
+    sofim's whole-vector step keep ``w`` and their state bitwise equal to
+    the former whole-vector steps, at dimensions on both sides of each
+    block edge and over four blocks."""
 
     CASES = {
         "sofim": (SofimOptimizer, WholeVectorSofim, SofimConfig(eta=0.01, rho=0.5, beta=0.9)),
@@ -415,3 +415,19 @@ class TestBlockedStepsMatchTheirFormerForms:
             assert np.array_equal(w, w_ref), step
             for name, value in vars(ref).items():
                 assert np.array_equal(getattr(opt, name), value), (step, name)
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK, BLOCK + 1, 10**6])
+def test_vector_blocks_are_balanced_and_bounded(n):
+    """``blocks(n)``, the steppers' blocks of a d = n vector, covers
+    ``range(n)`` once, in order, in the fewest slices of at most BLOCK
+    elements, whose sizes differ by at most one: one block up to BLOCK,
+    and two of 16384 and 16385 just past it."""
+    slices = blocks(n)
+    edges = [0] + [s.stop for s in slices]
+    assert [s.start for s in slices] == edges[:-1] and edges[-1] == n
+    sizes = np.diff(edges)
+    assert len(sizes) == -(-n // BLOCK)
+    assert n == 0 or (sizes.max() <= BLOCK and sizes.max() - sizes.min() <= 1)
+    if n == BLOCK + 1:
+        assert sizes.tolist() == [BLOCK // 2, BLOCK // 2 + 1]

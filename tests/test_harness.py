@@ -59,14 +59,17 @@ class TestExperimentConfig:
         assert quick_config(batch_size=64).config_hash() != cfg.config_hash()
 
     def test_stores_the_coerced_given_values(self):
-        """The problem spec, hyperparameters and loss thresholds are kept
-        coerced and without defaults, so two spellings of one number give
-        one config and one hash."""
+        """The integer fields, problem spec, hyperparameters and loss
+        thresholds are kept coerced and without defaults, so two spellings
+        of one number give one config and one hash."""
         ints = quick_config(problem={**BLOBS_LOGISTIC, "spread": 3},
                             optimizer_params={"eta": 1, "rho": 1}, loss_thresholds=[1])
         floats = quick_config(problem={**BLOBS_LOGISTIC, "n": 300.0},
-                              optimizer_params={"eta": 1.0, "rho": 1.0}, loss_thresholds=(1.0,))
+                              optimizer_params={"eta": 1.0, "rho": 1.0}, loss_thresholds=(1.0,),
+                              batch_size=32.0, total_iterations=60.0, eval_every=20.0, seed=1.0)
         assert ints == floats and ints.config_hash() == floats.config_hash()
+        assert all(type(floats.to_dict()[key]) is int
+                   for key in ("batch_size", "total_iterations", "eval_every", "seed"))
         assert ints.optimizer_params == {"eta": 1.0, "rho": 1.0}
         assert ints.problem == BLOBS_LOGISTIC and ints.loss_thresholds == (1.0,)
         coerced = [ints.optimizer_params["rho"], ints.problem["spread"], floats.problem["n"],
@@ -81,6 +84,15 @@ class TestExperimentConfig:
             quick_config(problem={**BLOBS_LOGISTIC, "n": 6.5})
         with pytest.raises(ConfigError, match="unknown model 'tree'"):
             quick_config(problem={**BLOBS_LOGISTIC, "model": "tree"})
+
+    @pytest.mark.parametrize("field,value,key", [
+        ("batch_size", "32", "'batch_size'"), ("total_iterations", 6.5, "'iterations'"),
+        ("eval_every", True, "'eval_every'"), ("seed", None, "'seed'")])
+    def test_malformed_integer_field_names_its_run_file_key(self, field, value, key):
+        """An integer field that does not convert raises ConfigError naming
+        the key a run file gives it, not TypeError."""
+        with pytest.raises(ConfigError, match=f"config key {key} must be an integer"):
+            quick_config(**{field: value})
 
     def test_zero_iterations_rejected(self):
         """total_iterations=0 violates the contract."""

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from sofim import problems
+from sofim import core, problems
 from sofim.core import BLOCK
 from sofim.exceptions import ConfigError, DimensionMismatchError
 from sofim.problems import (
@@ -254,7 +254,7 @@ class TestBlockedEvaluation:
         are bitwise those of one pass over the whole split."""
         n = blocks * BLOCK_ROWS[model] + extra
         problem = split_problem(model, n)
-        assert len(problem._row_blocks(n)) == blocks + (extra > 0)
+        assert len(core.blocks(n, problem._row_width)) == blocks + (extra > 0)
         w = np.random.default_rng(1).standard_normal(problem.dim)
         train_loss = one_pass(problem, w, problem._x_train, problem._y_train)[0]
         test_loss, accuracy = one_pass(problem, w, problem._x_test, problem._y_test)
@@ -270,7 +270,7 @@ class TestBlockedEvaluation:
         n = 2 * BLOCK_ROWS[model] + 1
         problem = split_problem(model, n)
         w = np.random.default_rng(6).standard_normal(problem.dim)
-        assert len(problem._row_blocks(n)) == 3
+        assert len(core.blocks(n, problem._row_width)) == 3
         loss = problem.loss(w)
         assert problem.loss_and_grad(w)[0].hex() == loss.hex()
         assert problem.loss_and_per_sample_grads(w)[0].hex() == loss.hex()
@@ -282,7 +282,7 @@ class TestBlockedEvaluation:
         BLOCK elements of the widest per-row intermediate each, and their
         sizes differ by at most one: 4000 MLP rows are 4 blocks of 1000."""
         problem = split_problem(model, 1)
-        blocks = problem._row_blocks(n)
+        blocks = core.blocks(n, problem._row_width)
         sizes = [rows.stop - rows.start for rows in blocks]
         assert blocks[0].start == 0 and blocks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
@@ -298,7 +298,7 @@ class TestBlockedEvaluation:
         n = 3 * (BLOCK // 300)
         problem = split_problem("tanh", n, hidden=300)
         w = np.random.default_rng(4).standard_normal(problem.dim)
-        assert len(problem._row_blocks(n)) == 3
+        assert len(core.blocks(n, problem._row_width)) == 3
         assert problem.loss(w) == pytest.approx(
             one_pass(problem, w, problem._x_train, problem._y_train)[0], rel=1e-13)
         test_loss, accuracy = one_pass(problem, w, problem._x_test, problem._y_test)

@@ -3,6 +3,9 @@ hyperparameters and gradient streams (Hypothesis).
 
 - Each O(d) stepper tracks the formula-only reference of its update in
   ``reference.py``: ``sofim_step``, ``sgd_momentum_step`` and ``adam_step``.
+- Every sofim step is a momentum-SGD step at the scalar rate ``lr_t``
+  (``sofim_momentum_step``): the rank-one Fisher term acts only through
+  ``||m_hat||^2 / rho``.
 - A refused step (wrong shape, NaN or Inf entry, and for sofim a finite
   ``g`` whose ``||m_hat||^2`` overflows) raises and leaves ``w`` and every
   attribute of the stepper bitwise unchanged, at a dimension of several
@@ -34,10 +37,10 @@ from sofim.baselines import (
     SgdConfig,
     SgdMomentumOptimizer,
 )
-from sofim.core import BLOCK, SofimConfig, SofimOptimizer
+from sofim.core import BLOCK, SofimConfig, SofimOptimizer, blocks
 from sofim.exceptions import DimensionMismatchError, NonFiniteError
 
-from reference import adam_step, sgd_momentum_step, sofim_step
+from reference import adam_step, sgd_momentum_step, sofim_momentum_step, sofim_step
 
 MAX_DIM = 64
 FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -78,6 +81,27 @@ def test_sofim_stepper_matches_sofim_step(stream, eta, rho, beta):
     assert opt.step_count == len(grads)
     assert np.array_equal(opt.moment, m_ref)
     assert close(w, w_ref)
+
+
+@PROPERTY
+@given(stream=streams(), eta=st.floats(1e-4, 10.0), rho=st.floats(1e-3, 10.0),
+       beta=st.floats(0.0, 0.999))
+def test_sofim_stepper_is_momentum_sgd_at_rate_lr_t(stream, eta, rho, beta):
+    """The sofim stepper and ``sofim_momentum_step``, fed its ``sq``, stay
+    within 1e-12 relative.  The scale is ``w``'s and the sum of the steps'
+    bounds ``eta max|g| / (rho + sq)``: the two forms round their moments
+    apart by a few ulps of the gradients, which a moment that cancels to
+    near zero does not shrink."""
+    w, grads = stream
+    cfg = SofimConfig(eta=eta, rho=rho, beta=beta)
+    opt, w_ref, v = SofimOptimizer(len(w), cfg), w.copy(), np.zeros(len(w))
+    g_max = path = 0.0
+    for t, g in enumerate(grads, start=1):
+        opt.step(w, g)
+        w_ref, v = sofim_momentum_step(w_ref, v, g, cfg, t, opt._last_sq)
+        g_max = max(g_max, np.abs(g).max())
+        path += eta * g_max / (rho + opt._last_sq)
+        assert np.abs(w - w_ref).max() <= 1e-12 * (1.0 + np.abs(w_ref).max() + path), t
 
 
 @PROPERTY
@@ -138,9 +162,9 @@ def _snapshot(opt) -> dict:
 
 FAULTS = ("g length", "g rank", "w length", "nan", "inf", "-inf")
 #: The O(d) steppers, checked again at MULTI_BLOCK_DIM: momentum SGD and
-#: Adam step over blocks of BLOCK elements there, and sofim over whole vectors.
+#: Adam step over blocks(MULTI_BLOCK_DIM) there, and sofim over whole vectors.
 O_D_STEPPERS = ("sofim", "sgd_momentum", "adam")
-#: Three whole blocks and a short fourth one.
+#: Four blocks of 24577 or 24578 elements.
 MULTI_BLOCK_DIM = 3 * BLOCK + 5
 
 
@@ -182,12 +206,12 @@ def refuse_each_fault(name, w, grads, data, first_index=0):
 def test_refused_step_changes_nothing(name, stream, data):
     """Every fault in turn, sofim's overflow included, on one warm stepper.
     An O(d) stepper is also checked at ``MULTI_BLOCK_DIM``, on the stream
-    tiled to that length, with the bad entry in the short last block."""
+    tiled to that length, with the bad entry in the last block."""
     w, grads = stream
     refuse_each_fault(name, w, grads, data)
     if name in O_D_STEPPERS:
         tiled = np.resize(w, MULTI_BLOCK_DIM), np.resize(grads, (len(grads), MULTI_BLOCK_DIM))
-        refuse_each_fault(name, *tiled, data, first_index=MULTI_BLOCK_DIM // BLOCK * BLOCK)
+        refuse_each_fault(name, *tiled, data, first_index=blocks(MULTI_BLOCK_DIM)[-1].start)
 
 
 @PROPERTY
