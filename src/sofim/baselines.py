@@ -179,6 +179,14 @@ class AdamOptimizer:
     m_hat / (sqrt(v_hat) + epsilon)``, where ``m_hat = m / (1 - beta1^t)``
     and ``v_hat = v / (1 - beta2^t)``.
 
+    It computes the update in the equivalent form of Kingma & Ba (2015,
+    section 2), ``w = w - alpha_t m / (sqrt(v) + eps_hat)`` with the two
+    scalars ``alpha_t = eta sqrt(1 - beta2^t) / (1 - beta1^t)`` and
+    ``eps_hat = epsilon sqrt(1 - beta2^t)``: one divide and one square root
+    per entry instead of three divides and one square root.  ``m`` and
+    ``v`` are exactly the textbook ones; ``w`` differs from the textbook
+    ordering only by rounding.
+
     It mutates ``w`` in place over :func:`sofim.core.blocks`, so a step
     allocates nothing.  It owns ``2d + 2 min(d, BLOCK)`` floats: the
     moments ``m`` and ``v`` and two scratch blocks for its intermediates."""
@@ -195,7 +203,8 @@ class AdamOptimizer:
         check_step(w, g, self.m.shape)
         self.step_count += 1
         cfg, t = self.config, self.step_count
-        bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+        root_bc2 = math.sqrt(1.0 - cfg.beta2**t)
+        alpha, eps_hat = cfg.eta * root_bc2 / (1.0 - cfg.beta1**t), cfg.epsilon * root_bc2
         for rows in blocks(len(w)):
             w_b, g_b, m, v = w[rows], g[rows], self.m[rows], self.v[rows]
             scratch, denom = self._scratch[:len(m)], self._denom[:len(m)]
@@ -204,13 +213,10 @@ class AdamOptimizer:
             v *= cfg.beta2
             np.square(g_b, out=scratch)
             v += np.multiply(scratch, 1.0 - cfg.beta2, out=scratch)
-            # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with bc = 1 - beta**t
-            np.divide(m, bc1, out=scratch)
-            scratch *= cfg.eta
-            np.divide(v, bc2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += cfg.epsilon
-            scratch /= denom
+            np.sqrt(v, out=denom)
+            denom += eps_hat
+            np.divide(m, denom, out=scratch)
+            scratch *= alpha
             w_b -= scratch
 
 

@@ -129,11 +129,12 @@ class ExperimentConfig:
             if f.type == "int":  # an error names the field's run-file key
                 key = KEY_OF_FIELD.get(f.name, f.name)
                 store(f.name, convert(int, getattr(self, f.name), f"config key {key!r}"))
+        iterations = KEY_OF_FIELD["total_iterations"]
         require(self.total_iterations >= 1,
-                f"total_iterations must be >= 1, got {self.total_iterations}")
+                f"config key {iterations!r} must be >= 1, got {self.total_iterations}")
         require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
         require(1 <= self.eval_every <= self.total_iterations,
-                f"eval_every must lie in [1, total_iterations], got {self.eval_every}")
+                f"config key 'eval_every' must lie in [1, {iterations!r}], got {self.eval_every}")
         require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         # Keep the given values coerced, with no defaults, so the hash names
         # what runs however a number is spelled; bad values fail here, not mid-run.
@@ -396,7 +397,13 @@ def scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
     """Wall time of one optimizer update at each dimension.
 
     Times the update call alone: gradients are synthetic fixed vectors, so
-    gradient computation never enters the measurement.  Every dimension's
+    gradient computation never enters the measurement.  Each dimension
+    draws one uniform vector in [0, 1) from ``seed``, its gradient, and
+    starts ``w`` at a copy of it; the NGD oracle's (8, d) per-sample
+    gradients are uniform too.  A step's work does not depend on the
+    values, and a uniform draw costs a fraction of a normal one and holds
+    no subnormal, infinite or NaN entry that could slow a step.  Every
+    dimension's
     stepper and vectors are built first and take 3 untimed warm-up steps.
     The ``repeats`` timed steps per dimension are then split over
     :data:`SCALING_ROUNDS` interleaved rounds (fewer when ``repeats`` is
@@ -412,9 +419,10 @@ def scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
     rng = np.random.default_rng(seed)
     steps = []
     for d in dims:
-        w, g = rng.standard_normal(d), rng.standard_normal(d)
+        g = rng.random(d)
+        w = g.copy()
         if row.gradient == "loss_and_per_sample_grads":
-            g = rng.standard_normal((8, d))
+            g = rng.random((8, d))
         stepper = _build_stepper(optimizer_id, params, repeats, d,
                                  lambda: problems.make_quadratic(d, 10.0, seed).exact_hessian(w))
         steps.append(functools.partial(stepper.step, w, g))

@@ -5,11 +5,12 @@ and solve them with LAPACK; the sofim stepper's O(d) closed form must
 agree.  A beta = 0, eta = 1 step from ``w = 0`` moves ``w`` by exactly
 minus the direction (``reference.stepped_direction``), and
 ``reference.stepped_m_hat`` reads a step's bias-corrected moment back.
-The in-place steppers' former whole-vector step bodies are kept as
-oracles for the cache-blocked momentum-SGD and Adam steps, and for
-sofim's step, which must all match them bitwise.
+The in-place steppers' whole-vector step bodies are kept as oracles for
+the cache-blocked momentum-SGD and Adam steps, and for sofim's step,
+which must all match them bitwise.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -93,7 +94,9 @@ class WholeVectorSgd:
 
 
 class WholeVectorAdam:
-    """``AdamOptimizer.step`` in its former whole-vector form."""
+    """``AdamOptimizer.step``'s one-divide arithmetic in whole-vector form:
+    ``w -= alpha_t m / (sqrt(v) + eps_hat)``, each operation one numpy call
+    over all d entries."""
 
     def __init__(self, dim, config):
         self.config, self.m, self.v, self.step_count = config, np.zeros(dim), np.zeros(dim), 0
@@ -101,18 +104,18 @@ class WholeVectorAdam:
     def step(self, w, g):
         self.step_count += 1
         cfg = self.config
+        root_bc2 = math.sqrt(1.0 - cfg.beta2**self.step_count)
+        alpha = cfg.eta * root_bc2 / (1.0 - cfg.beta1**self.step_count)
         m, v, scratch, denom = self.m, self.v, np.empty(len(w)), np.empty(len(w))
         m *= cfg.beta1
         m += np.multiply(g, 1.0 - cfg.beta1, out=scratch)
         v *= cfg.beta2
         np.square(g, out=scratch)
         v += np.multiply(scratch, 1.0 - cfg.beta2, out=scratch)
-        np.divide(m, 1.0 - cfg.beta1**self.step_count, out=scratch)
-        scratch *= cfg.eta
-        np.divide(v, 1.0 - cfg.beta2**self.step_count, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += cfg.epsilon
-        scratch /= denom
+        np.sqrt(v, out=denom)
+        denom += cfg.epsilon * root_bc2
+        np.divide(m, denom, out=scratch)
+        scratch *= alpha
         w -= scratch
 
 
@@ -389,8 +392,8 @@ class TestSofimOptimizer:
 class TestBlockedStepsMatchTheirFormerForms:
     """The momentum-SGD and Adam steppers, blocked over :func:`blocks`, and
     sofim's whole-vector step keep ``w`` and their state bitwise equal to
-    the former whole-vector steps, at dimensions on both sides of each
-    block edge and over four blocks."""
+    the whole-vector steps above (Adam's in its one-divide form), at
+    dimensions on both sides of each block edge and over four blocks."""
 
     CASES = {
         "sofim": (SofimOptimizer, WholeVectorSofim, SofimConfig(eta=0.01, rho=0.5, beta=0.9)),

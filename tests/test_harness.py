@@ -95,15 +95,18 @@ class TestExperimentConfig:
             quick_config(**{field: value})
 
     def test_zero_iterations_rejected(self):
-        """total_iterations=0 violates the contract."""
-        with pytest.raises(ConfigError):
+        """total_iterations=0 violates the contract; the error names the
+        run-file key."""
+        with pytest.raises(ConfigError, match="config key 'iterations' must be >= 1"):
             quick_config(total_iterations=0)
 
     def test_eval_every_bounded(self):
-        """eval_every must lie in [1, total_iterations]."""
-        with pytest.raises(ConfigError):
+        """eval_every must lie in [1, total_iterations], which the error
+        names by their run-file keys."""
+        bounded = r"config key 'eval_every' must lie in \[1, 'iterations'\]"
+        with pytest.raises(ConfigError, match=bounded + ", got 0"):
             quick_config(eval_every=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=bounded + ", got 11"):
             quick_config(total_iterations=10, eval_every=11)
 
     def test_unknown_optimizer_rejected(self):

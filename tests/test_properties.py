@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -125,6 +125,10 @@ def test_sgd_stepper_matches_sgd_momentum_step(stream, eta, momentum, weight_dec
 @PROPERTY
 @given(stream=streams(), eta=st.floats(1e-4, 1.0), beta1=st.floats(0.0, 0.99),
        beta2=st.floats(0.0, 0.9999), epsilon=st.floats(1e-10, 1e-3))
+# epsilon dominates sqrt(v_hat) from t = 1: the stepper's denominator needs
+# epsilon scaled by sqrt(1 - beta2^t), or its step is off by that factor.
+@example(stream=(np.zeros(3), np.array([[1e-12, -2e-12, 5e-13], [1e-12, 1e-12, -1e-12]])),
+         eta=0.01, beta1=0.9, beta2=0.999, epsilon=1e-8)
 def test_adam_stepper_matches_adam_step(stream, eta, beta1, beta2, epsilon):
     w, grads = stream
     cfg = AdamConfig(eta=eta, beta1=beta1, beta2=beta2, epsilon=epsilon)
