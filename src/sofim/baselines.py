@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sofim.core import BLOCK, blocks, check_step, require_finite, shape_error
+from sofim.core import BLOCK, blocks, check_step, require_finite, require_float64, shape_error
 from sofim.exceptions import ConfigError, DimensionMismatchError, ScaleCapError, require
 
 #: Dense-Fisher operations refuse dimensions above this.
@@ -40,8 +40,7 @@ class SgdConfig:
     def __post_init__(self):
         require(self.eta > 0, f"eta must be > 0, got {self.eta}")
         require(0.0 <= self.momentum < 1.0, f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        require(self.weight_decay >= 0, f"weight_decay must be >= 0, got {self.weight_decay}")
         require(self.schedule in ("constant", "cosine"),
                 f"schedule must be 'constant' or 'cosine', got {self.schedule!r}")
         if self.schedule == "cosine" and (self.total_steps is None or self.total_steps < 1):
@@ -222,7 +221,7 @@ class AdamOptimizer:
 
 class NgdOracle:
     """Stepper for :func:`ngd_step`; ``g`` is a (B, dim) array of per-sample
-    gradients, refused before ``w`` changes if its shape is wrong or it is not finite."""
+    gradients, refused before ``w`` changes if not finite or of a wrong shape or dtype."""
 
     def __init__(self, dim: int, config: NgdConfig):
         self.config, self.dim = config, dim
@@ -230,6 +229,7 @@ class NgdOracle:
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
         if w.shape != (self.dim,) or g.ndim != 2 or g.shape[0] < 1 or g.shape[1] != self.dim:
             raise shape_error(w, g, f"w of shape ({self.dim},) and g of shape (B, {self.dim})")
+        require_float64(w, g)
         require_finite(g, "g")
         w[...] = ngd_step(w, g, self.config.eta, self.config.damping)
 

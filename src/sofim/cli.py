@@ -14,10 +14,13 @@ Config files are YAML mappings.  A run file's keys are the fields of
 and ``hyperparameters`` for ``optimizer_params``: ``problem``,
 ``optimizer``, ``hyperparameters``, ``batch_size``, ``iterations``,
 ``eval_every``, ``seed``, ``loss_thresholds``, plus ``output_dir``.
-``sweep`` adds ``grid``; ``scaling`` takes ``optimizers``, ``dims``,
-``repeats``, ``seed``, ``hyperparameters`` and ``output_dir``.  Any scalar
-key can be overridden on the command line with ``--set key=value``
-(dotted paths reach nested keys, e.g. ``--set hyperparameters.rho=0.5``).
+``sweep`` adds ``grid``.  A scaling file takes ``harness.ScalingConfig``'s
+fields as a run file names them, ``optimizers`` for ``optimizer``, plus
+``output_dir``; by default ``optimizers: [sofim, sgd_momentum]``, ``dims``
+1e3 to 1e6 by decades, ``repeats: 20``, ``seed: 0``.  Every listed
+optimizer's config is built and checked before the first probe.  Any scalar
+key can be overridden on the command line with ``--set key=value`` (dotted
+paths reach nested keys, e.g. ``--set hyperparameters.rho=0.5``).
 Unknown keys are rejected by name, and so are a quoted number (YAML reads
 ``1e-3`` as a string: write ``1.0e-3``) and a repeated grid or ``dims``
 value.  A refused config writes nothing: the output directory is created
@@ -35,6 +38,7 @@ Exit codes: 0 success, 1 config error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections.abc import Callable
@@ -46,11 +50,11 @@ import numpy as np
 import yaml
 
 from sofim import harness, problems
-from sofim.exceptions import ConfigError, ScaleCapError, convert, require
+from sofim.exceptions import ConfigError, ScaleCapError, require
 
 DEFAULT_OUTPUT_DIR_ENV = "SOFIM_OUTPUT_DIR"
 DEFAULT_ETA_GRID = (1.0, 0.1, 0.01, 0.001, 0.0001)
-DEFAULT_SCALING_DIMS = (1_000, 10_000, 100_000, 1_000_000)
+DEFAULT_SCALING_OPTIMIZERS = ("sofim", "sgd_momentum")
 
 #: Problems checked by ``gradcheck`` and their max-relative-error tolerances.
 GRADCHECK_TOLERANCES = {
@@ -59,11 +63,6 @@ GRADCHECK_TOLERANCES = {
     "softmax": 1e-6,
     "mlp_tanh": 1e-5,
 }
-
-#: Each run-file key but ``output_dir``, with the ExperimentConfig field it sets.
-_RUN_FIELDS = {harness.KEY_OF_FIELD.get(f.name, f.name): f
-               for f in fields(harness.ExperimentConfig)}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse calls sys.exit(2) on bad usage; we reserve 2 for runtime
@@ -149,18 +148,21 @@ def _output_dir(config: dict) -> Path:
     return out_dir
 
 
-def _experiment_config(config: dict) -> harness.ExperimentConfig:
-    """The validated ExperimentConfig of a run file; keys the file leaves
-    out keep ExperimentConfig's defaults, and other keys are ignored.  The
-    config coerces its values itself."""
-    values = {}
-    for key, f in _RUN_FIELDS.items():
-        if key in config:
-            values[f.name] = config[key]
-        else:
-            require(f.default is not MISSING or f.default_factory is not MISSING,
-                    f"config is missing required key {key!r}")
-    return harness.ExperimentConfig(**values)
+def _file_keys(cls) -> set:
+    """``output_dir`` and the file key of each field of ``cls``."""
+    return {"output_dir", *(harness.KEY_OF_FIELD.get(f.name, f.name) for f in fields(cls))}
+
+
+def _file_config(cls, config: dict, **given):
+    """The ``cls`` config of a file: the ``given`` fields, and each other
+    field from its file key, else its default; the config checks its values."""
+    for f in fields(cls):
+        key = harness.KEY_OF_FIELD.get(f.name, f.name)
+        if f.name not in given and key in config:
+            given[f.name] = config[key]
+        require(f.name in given or f.default is not MISSING or f.default_factory is not MISSING,
+                f"config is missing required key {key!r}")
+    return cls(**given)
 
 
 def _echo_config(config: dict, out_dir: Path) -> Path:
@@ -190,7 +192,7 @@ def _run(cfg: harness.ExperimentConfig, out_dir: Path) -> None:
 
 
 def _sweep_grid(config: dict) -> list:
-    return harness.grid(_experiment_config(config),
+    return harness.grid(_file_config(harness.ExperimentConfig, config),
                         config.get("grid", {"eta": list(DEFAULT_ETA_GRID)}))
 
 
@@ -218,33 +220,26 @@ def _sweep(grid: list, out_dir: Path) -> None:
         print(line)
 
 
-def _scaling_job(config: dict) -> tuple:
-    """The optimizer ids and probe arguments of a scaling file, every
-    optimizer's arguments checked before any probe runs."""
-    optimizers = config.get("optimizers", ["sofim", "sgd_momentum"])
+def _scaling_configs(config: dict) -> list:
+    """One ScalingConfig per entry of ``optimizers``, all built, and so all
+    checked, before the first probe runs."""
+    optimizers = config.get("optimizers", list(DEFAULT_SCALING_OPTIMIZERS))
     if isinstance(optimizers, str):
         optimizers = [optimizers]
     require(isinstance(optimizers, (list, tuple)) and optimizers,
             f"config key 'optimizers' must be an optimizer id or a non-empty list of them, "
             f"got {optimizers!r}")
-    dims = config.get("dims", list(DEFAULT_SCALING_DIMS))
-    require(isinstance(dims, (list, tuple)) and dims,
-            "config key 'dims' must be a non-empty list of integers")
-    probe_args = {key: convert(int, config[key], f"config key {key!r}")
-                  for key in ("repeats", "seed") if key in config}
-    probe_args.update(dims=dims, optimizer_params=config.get("hyperparameters", {}))
-    for optimizer_id in optimizers:
-        harness.check_scaling_probe(optimizer_id, **probe_args)
-    return optimizers, probe_args
+    return [_file_config(harness.ScalingConfig, config, optimizer=optimizer_id)
+            for optimizer_id in optimizers]
 
 
-def _scaling(job: tuple, out_dir: Path) -> None:
-    optimizers, probe_args = job
+def _scaling(configs: list, out_dir: Path) -> None:
+    """One ``scaling_probe`` call per config, all rows to ``scaling.csv``."""
     rows = []
-    for optimizer_id in optimizers:
-        for d, seconds in harness.scaling_probe(optimizer_id, **probe_args):
-            rows.append((optimizer_id, d, seconds))
-            print(f"{optimizer_id} d={d} median_step_seconds={seconds:.6e}")
+    for cfg in configs:
+        for d, seconds in harness.scaling_probe(cfg):
+            rows.append((cfg.optimizer, d, seconds))
+            print(f"{cfg.optimizer} d={d} median_step_seconds={seconds:.6e}")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "scaling.csv"
@@ -266,15 +261,16 @@ class _Command(NamedTuple):
     run: Callable[[object, Path], None]
 
 
-_RUN_FILE_KEYS = {*_RUN_FIELDS, "output_dir"}
+_RUN_FILE_KEYS = _file_keys(harness.ExperimentConfig)
 _COMMANDS = {
-    "run": _Command("run one experiment", _RUN_FILE_KEYS, _experiment_config, _run),
+    "run": _Command("run one experiment", _RUN_FILE_KEYS,
+                    functools.partial(_file_config, harness.ExperimentConfig), _run),
     "sweep": _Command("run a hyperparameter grid and select the best point",
                       _RUN_FILE_KEYS | {"grid"}, _sweep_grid, _sweep),
     "scaling": _Command(
         "measure per-step update cost across dimensions",
-        {"optimizers", "dims", "repeats", "seed", "output_dir", "hyperparameters"},
-        _scaling_job, _scaling,
+        _file_keys(harness.ScalingConfig) - {"optimizer"} | {"optimizers"},
+        _scaling_configs, _scaling,
     ),
 }
 

@@ -41,6 +41,8 @@ _SAFE_NORM = 1e150
 #: memory of an evaluation pass to one block of its widest intermediate.
 BLOCK = 32768
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 def blocks(n: int, width: int = 1) -> list:
     """The fewest contiguous slices covering ``range(n)`` that hold at most
@@ -62,6 +64,14 @@ def require_finite(arr: np.ndarray, name: str) -> None:
         raise NonFiniteError(f"{name} contains NaN or Inf")
 
 
+def require_float64(w: np.ndarray, g: np.ndarray) -> None:
+    """Raise ``TypeError`` unless ``w`` and ``g`` are float64: a step would
+    round another ``w`` in place, or fail with part of its state changed."""
+    if w.dtype != _FLOAT64 or g.dtype != _FLOAT64:
+        raise TypeError(f"w has dtype {w.dtype} and g has dtype {g.dtype}; "
+                        "the optimizer expects float64")
+
+
 def shape_error(w: np.ndarray, g: np.ndarray, expected) -> DimensionMismatchError:
     """The error a stepper raises for a ``(w, g)`` pair of the wrong shapes."""
     return DimensionMismatchError(
@@ -71,13 +81,14 @@ def shape_error(w: np.ndarray, g: np.ndarray, expected) -> DimensionMismatchErro
 
 def check_step(w: np.ndarray, g: np.ndarray, shape: tuple) -> float:
     """Refuse a stepper's ``(w, g)`` before the step changes anything: both
-    must have the stepper's ``shape`` and ``g`` must be finite.  That costs
-    one read of ``g`` (``g . g``, returned) and no allocation unless the sum
-    is not finite.  ``np.vdot`` does the read because, unlike ``np.dot``, it
-    emits no overflow warning for a finite ``g`` whose square overflows.
+    must be float64 of the stepper's ``shape`` and ``g`` must be finite.  That
+    costs one read of ``g`` (``g . g``, returned) and no allocation unless the
+    sum is not finite.  ``np.vdot`` does the read because, unlike ``np.dot``,
+    it emits no overflow warning for a finite ``g`` whose square overflows.
     """
     if w.shape != shape or g.shape != shape:
         raise shape_error(w, g, shape)
+    require_float64(w, g)
     gg = float(np.vdot(g, g))
     if not math.isfinite(gg):
         require_finite(g, "g")
@@ -113,9 +124,9 @@ class SofimOptimizer:
 
     ``step`` mutates ``w`` and the internal moment in place and writes every
     intermediate vector into a scratch vector the optimizer owns, so a long
-    run allocates nothing per iteration.  A gradient of the wrong shape, with
-    a NaN or Inf entry, or whose ``||m_hat||^2`` would overflow is refused
-    before any state changes.
+    run allocates nothing per iteration.  A ``w`` or gradient of the wrong
+    shape or dtype, a gradient with a NaN or Inf entry, or one whose
+    ``||m_hat||^2`` would overflow is refused before any state changes.
 
     It owns 2d floats, the moment and a d-length ``m_hat``: the O(d) space
     the paper claims, as for momentum SGD.  ``m_hat`` must be whole at once,

@@ -79,9 +79,9 @@ _COERCE = {"float": float, "int | None": int, "str": str}
 
 
 def _hyperparameters(optimizer_id: str, params: dict, total_iterations: int):
-    """The table row of ``optimizer_id`` and its validated hyperparameter
-    dataclass: the row's defaults overridden by ``params``, each value
-    coerced to its field's type."""
+    """The table row of ``optimizer_id``, its validated hyperparameter
+    dataclass (``params`` over the row's defaults, each value coerced) and
+    ``params`` coerced without defaults: the form a config keeps."""
     require(isinstance(params, dict),
             f"config key 'hyperparameters' must be a mapping, got {params!r}")
     require(optimizer_id in tuple(OPTIMIZERS),
@@ -94,19 +94,29 @@ def _hyperparameters(optimizer_id: str, params: dict, total_iterations: int):
     values = {**row.defaults, **params}
     if row.iterations_key:
         values.setdefault(row.iterations_key, total_iterations)
-    return row, row.config(**{k: convert(coerce[k], v, f"hyperparameter {k!r}")
-                              for k, v in values.items()})
+    config = row.config(**{k: convert(coerce[k], v, f"hyperparameter {k!r}")
+                           for k, v in values.items()})
+    return row, config, {k: getattr(config, k) for k in params}
 
 
 def _build_stepper(optimizer_id: str, params: dict, total_iterations: int, dim: int, hessian):
     """A stepper of ``optimizer_id`` at ``dim`` with validated hyperparameters;
     ``hessian()`` is called only for the row whose stepper takes one."""
-    row, config = _hyperparameters(optimizer_id, params, total_iterations)
+    row, config, _ = _hyperparameters(optimizer_id, params, total_iterations)
     return row.stepper(dim, config, *((hessian(),) if row.hessian else ()))
 
 
-#: Run-file keys named differently from the ExperimentConfig field they set.
+#: File keys named differently from the config field they set.
 KEY_OF_FIELD = {"total_iterations": "iterations", "optimizer_params": "hyperparameters"}
+
+
+def _coerce_ints(cfg) -> None:
+    """Coerce each int field of a frozen config; an error names its file key."""
+    for f in fields(cfg):
+        if f.type == "int":
+            key = KEY_OF_FIELD.get(f.name, f.name)
+            object.__setattr__(cfg, f.name,
+                               convert(int, getattr(cfg, f.name), f"config key {key!r}"))
 
 
 @dataclass(frozen=True)
@@ -124,22 +134,16 @@ class ExperimentConfig:
     loss_thresholds: tuple = ()
 
     def __post_init__(self):
-        store = functools.partial(object.__setattr__, self)
-        for f in fields(self):
-            if f.type == "int":  # an error names the field's run-file key
-                key = KEY_OF_FIELD.get(f.name, f.name)
-                store(f.name, convert(int, getattr(self, f.name), f"config key {key!r}"))
-        iterations = KEY_OF_FIELD["total_iterations"]
+        _coerce_ints(self)
         require(self.total_iterations >= 1,
-                f"config key {iterations!r} must be >= 1, got {self.total_iterations}")
+                f"config key 'iterations' must be >= 1, got {self.total_iterations}")
         require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
         require(1 <= self.eval_every <= self.total_iterations,
-                f"config key 'eval_every' must lie in [1, {iterations!r}], got {self.eval_every}")
+                f"config key 'eval_every' must lie in [1, 'iterations'], got {self.eval_every}")
         require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        # Keep the given values coerced, with no defaults, so the hash names
-        # what runs however a number is spelled; bad values fail here, not mid-run.
-        params = _hyperparameters(self.optimizer, self.optimizer_params, self.total_iterations)[1]
-        store("optimizer_params", {k: getattr(params, k) for k in self.optimizer_params})
+        store = functools.partial(object.__setattr__, self)
+        store("optimizer_params", _hyperparameters(self.optimizer, self.optimizer_params,
+                                                   self.total_iterations)[2])
         store("problem", problems.canonical_spec(self.problem))
         thresholds = self.loss_thresholds
         thresholds = (thresholds,) if isinstance(thresholds, (int, float)) else thresholds
@@ -362,26 +366,34 @@ def grid(base: ExperimentConfig, axes) -> list:
     return points
 
 
-def check_scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
-                        optimizer_params: dict | None = None):
-    """The checked arguments of :func:`scaling_probe`: the optimizer's table
-    row, ``dims`` as integers and the hyperparameters.  A bad argument
-    raises ``ConfigError`` naming it, a dense oracle asked above its cap
-    ``ScaleCapError``."""
-    dims = [convert(int, d, "each entry of dims") for d in dims]
-    require(all(d >= 1 for d in dims), f"dims must be positive, got {dims}")
-    require(len(set(dims)) == len(dims), f"dims lists a dimension more than once: {dims}")
-    require(repeats >= 1, f"repeats must be >= 1, got {repeats}")
-    require(seed >= 0, f"seed must be >= 0, got {seed}")
-    params = {} if optimizer_params is None else optimizer_params
-    row = _hyperparameters(optimizer_id, params, repeats)[0]
-    too_big = [d for d in dims if row.dense and d > baselines.DENSE_FIM_CAP]
-    if too_big:
-        raise ScaleCapError(
-            f"{optimizer_id} is a dense small-scale oracle "
-            f"(d <= {baselines.DENSE_FIM_CAP}); refusing dims {too_big}"
-        )
-    return row, dims, params
+@dataclass(frozen=True)
+class ScalingConfig:
+    """Everything that determines a scaling probe: optimizer id and
+    hyperparameters, dimensions in probe order, timed steps per dimension and
+    the synthetic vectors' seed; a dense oracle above its cap raises ``ScaleCapError``."""
+
+    optimizer: str
+    dims: tuple = (1_000, 10_000, 100_000, 1_000_000)
+    repeats: int = 20
+    seed: int = 0
+    optimizer_params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _coerce_ints(self)
+        require(isinstance(self.dims, (list, tuple)) and self.dims,
+                "config key 'dims' must be a non-empty list of integers")
+        dims = [convert(int, d, "each entry of dims") for d in self.dims]
+        require(all(d >= 1 for d in dims), f"dims must be positive, got {dims}")
+        require(len(set(dims)) == len(dims), f"dims lists a dimension more than once: {dims}")
+        object.__setattr__(self, "dims", tuple(dims))
+        require(self.repeats >= 1, f"repeats must be >= 1, got {self.repeats}")
+        require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+        row, _, params = _hyperparameters(self.optimizer, self.optimizer_params, self.repeats)
+        object.__setattr__(self, "optimizer_params", params)
+        too_big = [d for d in dims if row.dense and d > baselines.DENSE_FIM_CAP]
+        if too_big:
+            raise ScaleCapError(f"{self.optimizer} is a dense small-scale oracle "
+                                f"(d <= {baselines.DENSE_FIM_CAP}); refusing dims {too_big}")
 
 
 def _median(values: list) -> float:
@@ -392,47 +404,43 @@ def _median(values: list) -> float:
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
-                  optimizer_params: dict | None = None) -> list:
-    """Wall time of one optimizer update at each dimension.
+def scaling_probe(cfg: ScalingConfig) -> list:
+    """Wall time of one ``cfg.optimizer`` update at each of ``cfg.dims``.
 
     Times the update call alone: gradients are synthetic fixed vectors, so
     gradient computation never enters the measurement.  Each dimension
-    draws one uniform vector in [0, 1) from ``seed``, its gradient, and
+    draws one uniform vector in [0, 1) from ``cfg.seed``, its gradient, and
     starts ``w`` at a copy of it; the NGD oracle's (8, d) per-sample
     gradients are uniform too.  A step's work does not depend on the
     values, and a uniform draw costs a fraction of a normal one and holds
     no subnormal, infinite or NaN entry that could slow a step.  Every
-    dimension's
-    stepper and vectors are built first and take 3 untimed warm-up steps.
-    The ``repeats`` timed steps per dimension are then split over
-    :data:`SCALING_ROUNDS` interleaved rounds (fewer when ``repeats`` is
-    smaller); each round times every dimension in turn, so a slow phase of
-    the host reaches all dimensions rather than one.  A dimension's result
-    is the smallest of its per-round medians.  Dense oracles refuse
-    dimensions above their small-scale cap.  Returns a list of
-    ``(d, median_step_seconds)`` rows in the order of ``dims``; the
-    arguments are checked first by :func:`check_scaling_probe`.
+    dimension's stepper and vectors are built first and take 3 untimed
+    warm-up steps.  The ``cfg.repeats`` timed steps per dimension are then
+    split over :data:`SCALING_ROUNDS` interleaved rounds (fewer when
+    ``repeats`` is smaller); each round times every dimension in turn, so a
+    slow phase of the host reaches all dimensions rather than one.  A
+    dimension's result is the smallest of its per-round medians.  Returns a
+    list of ``(d, median_step_seconds)`` rows in the order of ``cfg.dims``;
+    ``cfg`` was checked when it was built, a dense oracle's cap included.
     """
-    row, dims, params = check_scaling_probe(optimizer_id, dims, repeats, seed,
-                                            optimizer_params)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     steps = []
-    for d in dims:
+    for d in cfg.dims:
         g = rng.random(d)
         w = g.copy()
-        if row.gradient == "loss_and_per_sample_grads":
+        if OPTIMIZERS[cfg.optimizer].gradient == "loss_and_per_sample_grads":
             g = rng.random((8, d))
-        stepper = _build_stepper(optimizer_id, params, repeats, d,
-                                 lambda: problems.make_quadratic(d, 10.0, seed).exact_hessian(w))
+        stepper = _build_stepper(
+            cfg.optimizer, cfg.optimizer_params, cfg.repeats, d,
+            lambda: problems.make_quadratic(d, 10.0, cfg.seed).exact_hessian(w))
         steps.append(functools.partial(stepper.step, w, g))
     for do_step in steps:
         for _ in range(3):
             do_step()
-    rounds = min(SCALING_ROUNDS, repeats)
-    round_medians = [[] for _ in dims]
+    rounds = min(SCALING_ROUNDS, cfg.repeats)
+    round_medians = [[] for _ in cfg.dims]
     for r in range(rounds):
-        count = repeats // rounds + (r < repeats % rounds)
+        count = cfg.repeats // rounds + (r < cfg.repeats % rounds)
         for do_step, medians in zip(steps, round_medians):
             times = []
             for _ in range(count):
@@ -440,4 +448,4 @@ def scaling_probe(optimizer_id: str, dims, repeats: int = 20, seed: int = 0,
                 do_step()
                 times.append(time.perf_counter() - tic)
             medians.append(_median(times))
-    return [(d, min(medians)) for d, medians in zip(dims, round_medians)]
+    return [(d, min(medians)) for d, medians in zip(cfg.dims, round_medians)]

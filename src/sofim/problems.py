@@ -85,8 +85,7 @@ class Dataset:
             raise DimensionMismatchError(
                 f"labels shape {self.labels.shape} does not match {n} feature rows"
             )
-        if not np.isfinite(self.features).all():
-            raise ConfigError("features contain NaN or Inf")
+        require(np.isfinite(self.features).all(), "features contain NaN or Inf")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= self.num_classes:
             raise ConfigError(
                 f"labels must lie in [0, {self.num_classes}), "
@@ -134,8 +133,7 @@ def make_blobs(n: int, p: int, c: int, spread: float, seed: int) -> Dataset:
     samples add unit-variance Gaussian noise.  Class counts are balanced to
     within one sample.  Deterministic in ``seed``.
     """
-    if not (n >= c >= 2):
-        raise ConfigError(f"need n >= c >= 2, got n={n}, c={c}")
+    require(n >= c >= 2, f"need n >= c >= 2, got n={n}, c={c}")
     require(p >= 1, f"the dataset has no feature column: need p >= 1, got p={p}")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((c, p))
@@ -173,20 +171,17 @@ def load_csv_dataset(path, label_column: str, split_fraction: float, seed: int) 
     statistics only; constant columns standardize to 0.  The train split
     holds ``round(split_fraction * N)`` rows chosen by a seeded shuffle.
     """
-    if not (0.0 < split_fraction < 1.0):
-        raise ConfigError(f"split_fraction must lie in (0, 1), got {split_fraction}")
+    require(0.0 < split_fraction < 1.0, f"split_fraction must lie in (0, 1), got {split_fraction}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: file is empty") from None
+        header = next(reader, None)
+        require(header is not None, f"{path}: file is empty")
         header = [h.strip() for h in header]
-        if label_column not in header:
-            raise ConfigError(f"{path}: label column {label_column!r} not in header {header}")
+        require(label_column in header,
+                f"{path}: label column {label_column!r} not in header {header}")
         label_pos = header.index(label_column)
-        if len(header) == 1:
-            raise ConfigError(f"{path}: no feature columns besides label column {label_column!r}")
+        require(len(header) > 1,
+                f"{path}: no feature columns besides label column {label_column!r}")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -199,13 +194,12 @@ def load_csv_dataset(path, label_column: str, split_fraction: float, seed: int) 
                 rows.append([float(cell) for cell in row])
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
+    require(rows, f"{path}: no data rows")
 
     data = np.asarray(rows, dtype=np.float64)
     raw_labels = data[:, label_pos]
-    if np.any(raw_labels != np.round(raw_labels)):
-        raise ConfigError(f"{path}: label column {label_column!r} has non-integral values")
+    require(np.all(raw_labels == np.round(raw_labels)),
+            f"{path}: label column {label_column!r} has non-integral values")
     features = np.delete(data, label_pos, axis=1)
     # Remap arbitrary integer labels onto 0..C-1, preserving order.
     _, labels = np.unique(raw_labels.astype(np.int64), return_inverse=True)
@@ -318,11 +312,9 @@ class QuadraticProblem(Problem):
             raise DimensionMismatchError(
                 f"A has shape {a.shape}, w_star has length {w_star.shape[0]}"
             )
-        if np.max(np.abs(a - a.T)) > 1e-10:
-            raise ConfigError("A must be symmetric")
+        require(np.max(np.abs(a - a.T)) <= 1e-10, "A must be symmetric")
         eigs = np.linalg.eigvalsh(a)
-        if eigs.min() <= 0:
-            raise ConfigError(f"A must be positive definite, min eigenvalue {eigs.min():.3e}")
+        require(eigs.min() > 0, f"A must be positive definite, min eigenvalue {eigs.min():.3e}")
         self.a_matrix = a
         self.w_star = w_star
         self.dim = w_star.shape[0]
@@ -357,10 +349,8 @@ def make_quadratic(d: int, condition_number: float, seed: int) -> QuadraticProbl
     """Random-rotation quadratic with eigenvalues spread log-uniformly over
     ``[1, condition_number]`` and a random minimizer.  Deterministic in
     ``seed``."""
-    if d < 1:
-        raise ConfigError(f"d must be >= 1, got {d}")
-    if condition_number < 1:
-        raise ConfigError(f"condition_number must be >= 1, got {condition_number}")
+    require(d >= 1, f"d must be >= 1, got {d}")
+    require(condition_number >= 1, f"condition_number must be >= 1, got {condition_number}")
     rng = np.random.default_rng(seed)
     eigs = np.geomspace(1.0, condition_number, d)
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
@@ -561,10 +551,8 @@ class LogisticRegressionProblem(_LinearProblem):
     _row_width = 1
 
     def __init__(self, dataset: Dataset):
-        if dataset.num_classes != 2:
-            raise ConfigError(
-                f"logistic regression needs binary labels, got {dataset.num_classes} classes"
-            )
+        require(dataset.num_classes == 2,
+                f"logistic regression needs binary labels, got {dataset.num_classes} classes")
         super().__init__(dataset)
         self.dim = dataset.n_features + 1
         self.name = f"logistic{self.dim}"
@@ -607,10 +595,10 @@ class MlpSpec:
     activation: str = "tanh"
 
     def __post_init__(self):
-        if len(self.widths) != 3 or any(wd < 1 for wd in self.widths):
-            raise ConfigError(f"widths must be three integers >= 1, got {self.widths}")
-        if self.activation not in ("tanh", "relu"):
-            raise ConfigError(f"activation must be 'tanh' or 'relu', got {self.activation!r}")
+        require(len(self.widths) == 3 and not any(wd < 1 for wd in self.widths),
+                f"widths must be three integers >= 1, got {self.widths}")
+        require(self.activation in ("tanh", "relu"),
+                f"activation must be 'tanh' or 'relu', got {self.activation!r}")
 
 
 class MlpProblem(_DatasetProblem):
@@ -627,14 +615,10 @@ class MlpProblem(_DatasetProblem):
     def __init__(self, dataset: Dataset, spec: MlpSpec):
         super().__init__(dataset)
         p, h, c = spec.widths
-        if p != dataset.n_features:
-            raise ConfigError(
-                f"spec expects {p} input features but dataset has {dataset.n_features}"
-            )
-        if c != dataset.num_classes:
-            raise ConfigError(
-                f"spec expects {c} classes but dataset has {dataset.num_classes}"
-            )
+        require(p == dataset.n_features,
+                f"spec expects {p} input features but dataset has {dataset.n_features}")
+        require(c == dataset.num_classes,
+                f"spec expects {c} classes but dataset has {dataset.num_classes}")
         self.spec = spec
         self._row_width = max(h, c)
         sizes = (h * p, h, c * h, c)

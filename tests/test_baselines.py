@@ -73,13 +73,16 @@ class TestSgdMomentum:
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_config_validation(self):
-        """Bad eta/momentum/schedule combinations are rejected."""
+        """Bad eta/momentum/weight_decay/schedule combinations are rejected,
+        a NaN weight decay included."""
         with pytest.raises(ConfigError):
             SgdConfig(eta=0.0)
         with pytest.raises(ConfigError):
             SgdConfig(eta=0.1, momentum=1.0)
         with pytest.raises(ConfigError):
             SgdConfig(eta=0.1, weight_decay=-1e-6)
+        with pytest.raises(ConfigError):
+            SgdConfig(eta=0.1, weight_decay=float("nan"))
         with pytest.raises(ConfigError):
             SgdConfig(eta=0.1, schedule="linear")
         with pytest.raises(ConfigError):

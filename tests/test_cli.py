@@ -5,17 +5,25 @@ Tests call cli.main() in process so exit codes are observed directly.
 """
 
 import argparse
+import contextlib
+import copy
 import csv
+import io
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sofim import cli, harness, problems
 
@@ -383,13 +391,20 @@ class TestRunFileSchema:
         assert cli.main(["run", write_yaml(tmp_path / "config.yaml", data)]) == 2
         return seen[0]
 
-    def test_run_keys_are_the_experiment_config_fields(self, tmp_path, capsys):
-        """The keys a run file takes are ExperimentConfig's fields under their
-        file names, plus output_dir."""
-        file_names = {"total_iterations": "iterations", "optimizer_params": "hyperparameters"}
-        expected = {file_names.get(f.name, f.name) for f in fields(harness.ExperimentConfig)}
-        expected.add("output_dir")
-        assert cli.main(["run", run_config(tmp_path, bogus=1)]) == 1
+    @pytest.mark.parametrize("subcommand,cls,file_names", [
+        ("run", harness.ExperimentConfig,
+         {"total_iterations": "iterations", "optimizer_params": "hyperparameters"}),
+        ("scaling", harness.ScalingConfig,
+         {"optimizer": "optimizers", "optimizer_params": "hyperparameters"}),
+    ], ids=["run", "scaling"])
+    def test_run_keys_are_the_experiment_config_fields(self, tmp_path, capsys, subcommand, cls,
+                                                       file_names):
+        """The keys a run or scaling file takes are its config's fields under
+        their file names, plus output_dir; a scaling file lists
+        ``optimizers``, one ScalingConfig each."""
+        expected = {file_names.get(f.name, f.name) for f in fields(cls)} | {"output_dir"}
+        config = [run_config(tmp_path)] if subcommand == "run" else []
+        assert cli.main([subcommand, *config, "--set", "bogus=1"]) == 1
         assert f"allowed: {sorted(expected)}" in capsys.readouterr().err
 
     def test_each_key_sets_its_field(self, tmp_path, monkeypatch):
@@ -458,20 +473,101 @@ class TestConfigIdentity:
         assert len(list(out.glob("*.csv"))) == 1
         assert summaries[:1] == summaries[1:]
 
-    @pytest.mark.parametrize("path", [path for path in CONFIGS if usage(path) != "scaling"],
-                             ids=lambda path: path.name)
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
     def test_shipped_config_hashes_ignore_spelling(self, path):
-        """Respelling every integral number of a shipped run or sweep config
-        (in ``problem``, ``hyperparameters``, ``grid`` and the top-level
-        integer keys) names the same runs; nothing is trained."""
-        def hashes(config):
-            base = cli._experiment_config(config)
-            points = harness.grid(base, config["grid"]) if "grid" in config else [base]
-            return [point.config_hash() for point in points]
+        """Respelling every integral number of a shipped config (in
+        ``problem``, ``hyperparameters``, ``grid``, ``dims`` and the top-level
+        integer keys) builds the same configs: a run or sweep names the same
+        runs, and a scaling file builds equal ScalingConfigs.  Nothing is
+        trained."""
+        def built(config):
+            job = cli._COMMANDS[usage(path)].build(config)
+            return job if isinstance(job, list) else [job]
 
         config = cli._load_config(str(path), usage(path))
         assert repr(respelled(config)) != repr(config)
-        assert hashes(respelled(config)) == hashes(config)
+        original, again = built(config), built(respelled(config))
+        assert repr(again) == repr(original)  # repr, unlike ==, tells 1 from 1.0
+        if usage(path) != "scaling":
+            assert [cfg.config_hash() for cfg in again] == [cfg.config_hash() for cfg in original]
+
+
+#: The values a fuzzed key takes in place of its own: each type a YAML
+#: value can have, and the edge values of a number.  None is large, so no
+#: size key (``iterations``, ``dims``, ``repeats``, ``n``, ``batch_size``)
+#: makes a run or a probe long.
+SWAPS = (True, "x", [1], {"zzz": 1}, None, math.nan, math.inf, -math.inf, -3, 2.5)
+#: The fuzzed shipped configs: each one's subcommand, and the test's own
+#: small sizes and hyperparameters, so that every mutant runs quickly and
+#: the scaling file has a ``hyperparameters`` mapping to mutate.  They have
+#: 141 and 97 mutants, fewer than the fuzzer's example count, so Hypothesis,
+#: which does not repeat an example, runs each of them once.
+FUZZED = {
+    name: (subcommand, {**yaml.safe_load((REPO / "configs" / name).read_text(encoding="utf-8")),
+                        **sizes, "output_dir": "out"})
+    for name, subcommand, sizes in [
+        ("scaling.yaml", "scaling",
+         {"dims": [8, 16], "repeats": 2, "hyperparameters": {"eta": 0.01}}),
+        ("blobs_logistic_sofim.yaml", "run", {"iterations": 20, "eval_every": 10}),
+    ]
+}
+
+
+@st.composite
+def mutants(draw, base):
+    """``base`` with one key dropped, one unknown key added, or one value
+    swapped for one of :data:`SWAPS`, at the top level or inside
+    ``hyperparameters``; and the names an error may give it: the key, and
+    the keys of a mapping swapped in."""
+    config = copy.deepcopy(base)
+    node = config if draw(st.booleans()) else config["hyperparameters"]
+    action = draw(st.sampled_from(["drop", "add", "swap"]))
+    key = "bogus" if action == "add" else draw(st.sampled_from(sorted(node)))
+    if action == "drop":
+        del node[key]
+        return config, (key,)
+    node[key] = draw(st.sampled_from(SWAPS))
+    return config, (key, *(node[key] if isinstance(node[key], dict) else ()))
+
+
+@contextlib.contextmanager
+def working_directory(path):
+    before = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
+class TestConfigFuzzer:
+    @pytest.mark.parametrize("name", FUZZED)
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutant_exits_zero_or_one_naming_its_key(self, name, data):
+        """A shipped config with one key dropped, added or given another type
+        or an edge value exits 0, or exits 1 with a config error that names
+        the key and writes nothing; never 2, never an uncaught exception.
+        An ``optimizers`` entry is named as the optimizer it sets, and a
+        mapping swapped in by its own key."""
+        subcommand, base = FUZZED[name]
+        config, names = data.draw(mutants(base), label="mutant")
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+            os.environ.pop(cli.DEFAULT_OUTPUT_DIR_ENV, None)
+            work = Path(tmp) / "work"
+            work.mkdir()
+            argv = [subcommand, write_yaml(Path(tmp) / "config.yaml", config)]
+            with (working_directory(work), contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(err)):
+                code = cli.main(argv)
+            written = sorted(work.rglob("*"))
+        assert code in (0, 1), err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("config error")
+            assert any({"optimizers": "optimizer"}.get(key, key) in err.getvalue()
+                       for key in names)
+            assert written == []
 
 
 class TestSweepCommands:

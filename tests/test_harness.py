@@ -19,6 +19,7 @@ from sofim.harness import (
     SCALING_ROUNDS,
     ExperimentConfig,
     RunRecord,
+    ScalingConfig,
     grid,
     run_experiment,
     scaling_probe,
@@ -393,7 +394,7 @@ class TestRhoSweep:
 class TestScalingProbe:
     def test_reports_each_dimension(self):
         """One (d, seconds) row per requested dimension, times positive."""
-        rows = scaling_probe("sofim", [128, 256, 512], repeats=3)
+        rows = scaling_probe(ScalingConfig("sofim", [128, 256, 512], repeats=3))
         assert [d for d, _ in rows] == [128, 256, 512]
         assert all(t > 0 for _, t in rows)
 
@@ -411,7 +412,7 @@ class TestScalingProbe:
         monkeypatch.setattr(SofimOptimizer, "step", counted)
         for repeats in (1, SCALING_ROUNDS + 2):
             calls.clear()
-            scaling_probe("sofim", [16, 32], repeats=repeats)
+            scaling_probe(ScalingConfig("sofim", [16, 32], repeats=repeats))
             assert calls == {16: 3 + repeats, 32: 3 + repeats}
 
     def test_round_median_is_statistics_median(self):
@@ -426,36 +427,36 @@ class TestScalingProbe:
 
     def test_gradient_only_optimizers_supported(self):
         """SGD and Adam probe without error."""
-        assert len(scaling_probe("sgd_momentum", [64], repeats=2)) == 1
-        assert len(scaling_probe("adam", [64], repeats=2)) == 1
+        assert len(scaling_probe(ScalingConfig("sgd_momentum", [64], repeats=2))) == 1
+        assert len(scaling_probe(ScalingConfig("adam", [64], repeats=2))) == 1
 
     def test_dense_oracles_refuse_large_d(self):
         """Oracles above the dense cap raise ScaleCapError."""
         with pytest.raises(ScaleCapError):
-            scaling_probe("ngd_oracle", [1000], repeats=1)
+            ScalingConfig("ngd_oracle", [1000], repeats=1)
         with pytest.raises(ScaleCapError):
-            scaling_probe("newton_oracle", [1000], repeats=1)
+            ScalingConfig("newton_oracle", [1000], repeats=1)
 
     def test_dense_oracles_run_below_cap(self):
         """Oracles work at small d (that is their whole point)."""
-        assert len(scaling_probe("ngd_oracle", [50], repeats=1)) == 1
-        assert len(scaling_probe("newton_oracle", [50], repeats=1)) == 1
+        assert len(scaling_probe(ScalingConfig("ngd_oracle", [50], repeats=1))) == 1
+        assert len(scaling_probe(ScalingConfig("newton_oracle", [50], repeats=1))) == 1
 
     def test_bad_input_rejected(self):
         with pytest.raises(ConfigError):
-            scaling_probe("sofim", [0], repeats=1)
+            ScalingConfig("sofim", [0], repeats=1)
         with pytest.raises(ConfigError, match="dims lists a dimension more than once"):
-            scaling_probe("sofim", [10, 10.0], repeats=1)
+            ScalingConfig("sofim", [10, 10.0], repeats=1)
         with pytest.raises(ConfigError):
-            scaling_probe("sprint", [10], repeats=1)
+            ScalingConfig("sprint", [10], repeats=1)
         with pytest.raises(ConfigError):
-            scaling_probe("sofim", [10], repeats=0)
+            ScalingConfig("sofim", [10], repeats=0)
         with pytest.raises(ConfigError, match="bogus"):
-            scaling_probe("ngd_oracle", [20], repeats=1, optimizer_params={"bogus": 1})
+            ScalingConfig("ngd_oracle", [20], repeats=1, optimizer_params={"bogus": 1})
         with pytest.raises(ConfigError, match="damping"):
-            scaling_probe("newton_oracle", [20], repeats=1, optimizer_params={"damping": -1})
+            ScalingConfig("newton_oracle", [20], repeats=1, optimizer_params={"damping": -1})
         with pytest.raises(ConfigError, match="eta"):
-            scaling_probe("newton_oracle", [20], repeats=1, optimizer_params={"eta": -1})
+            ScalingConfig("newton_oracle", [20], repeats=1, optimizer_params={"eta": -1})
 
 
 class TestCsvContract:

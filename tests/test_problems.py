@@ -481,7 +481,8 @@ class TestQuadratic:
         assert problem.test_accuracy(w) is None
 
     def test_construction_validation(self):
-        """Asymmetric or indefinite matrices and bad shapes are rejected."""
+        """Asymmetric, indefinite or NaN matrices, bad shapes and a NaN
+        condition number are rejected."""
         with pytest.raises(ConfigError):
             QuadraticProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
         with pytest.raises(ConfigError):
@@ -492,6 +493,10 @@ class TestQuadratic:
             make_quadratic(0, 10.0, 0)
         with pytest.raises(ConfigError):
             make_quadratic(5, 0.5, 0)
+        with pytest.raises(ConfigError):
+            QuadraticProblem(np.full((2, 2), np.nan), np.zeros(2))
+        with pytest.raises(ConfigError):
+            make_quadratic(5, np.nan, 0)
 
 
 class TestLogistic:

@@ -6,8 +6,8 @@ hyperparameters and gradient streams (Hypothesis).
 - Every sofim step is a momentum-SGD step at the scalar rate ``lr_t``
   (``sofim_momentum_step``): the rank-one Fisher term acts only through
   ``||m_hat||^2 / rho``.
-- A refused step (wrong shape, NaN or Inf entry, and for sofim a finite
-  ``g`` whose ``||m_hat||^2`` overflows) raises and leaves ``w`` and every
+- A refused step (wrong shape, a dtype other than float64, NaN or Inf
+  entry, and for sofim a finite ``g`` whose ``||m_hat||^2`` overflows) raises and leaves ``w`` and every
   attribute of the stepper bitwise unchanged, at a dimension of several
   blocks too; that holds for the dense NGD and Newton oracles as well.
   Sofim refuses exactly the steps whose ``||m_hat||^2`` overflows in the
@@ -164,7 +164,11 @@ def _snapshot(opt) -> dict:
     }
 
 
-FAULTS = ("g length", "g rank", "w length", "nan", "inf", "-inf")
+#: Each fault a stepper refuses, with the error it raises.
+FAULTS = {"g length": DimensionMismatchError, "g rank": DimensionMismatchError,
+          "w length": DimensionMismatchError, "nan": NonFiniteError, "inf": NonFiniteError,
+          "-inf": NonFiniteError, "w int64": TypeError, "w float32": TypeError,
+          "g int64": TypeError, "g float32": TypeError}
 #: The O(d) steppers, checked again at MULTI_BLOCK_DIM: momentum SGD and
 #: Adam step over blocks(MULTI_BLOCK_DIM) there, and sofim over whole vectors.
 O_D_STEPPERS = ("sofim", "sgd_momentum", "adam")
@@ -186,7 +190,7 @@ def refuse_each_fault(name, w, grads, data, first_index=0):
     index = np.unravel_index(
         data.draw(st.integers(first_index, good.size - 1), label="index"), good.shape)
     huge = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(HUGE, label="huge")
-    for fault in FAULTS + ("overflow",) * (name == "sofim"):
+    for fault in [*FAULTS] + ["overflow"] * (name == "sofim"):
         w_in, g = w, good.copy()
         if fault == "g length":
             g = np.ones(g.shape[:-1] + (wrong,))  # a length-1 g used to be broadcast over w
@@ -194,9 +198,13 @@ def refuse_each_fault(name, w, grads, data, first_index=0):
             g = g[0] if per_sample else g[None, :]  # NGD needs the (B, d) batch
         elif fault == "w length":
             w_in = np.zeros(wrong)
+        elif fault.startswith("w "):
+            w_in = w.astype(fault[2:])
+        elif fault.startswith("g "):
+            g = g.astype(fault[2:])
         else:
             g[index] = huge if fault == "overflow" else float(fault)
-        expected = DimensionMismatchError if fault in FAULTS[:3] else NonFiniteError
+        expected = FAULTS.get(fault, NonFiniteError)
         w_before, state_before = w_in.tobytes(), _snapshot(opt)
         with pytest.raises(expected, match="overflowed" if fault == "overflow" else "g"):
             opt.step(w_in, g)
