@@ -3,9 +3,10 @@
 Contains SGD with momentum (optional coupled weight decay and cosine
 annealing), Adam with canonical defaults, and two deliberately small-scale
 dense oracles: natural-gradient descent with the empirical Fisher matrix,
-and exact Newton for quadratic problems.  The dense Fisher refuses more
-than :data:`DENSE_FIM_CAP` dimensions; the oracles exist to verify the
-O(d) optimizer, not to compete with it.
+and exact Newton for quadratic problems.  Each is a stepper whose
+``step(w, g)`` is its only implementation.  The NGD oracle refuses more
+than :data:`DENSE_FIM_CAP` dimensions when it is built; the oracles exist
+to verify the O(d) optimizer, not to compete with it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sofim.core import BLOCK, blocks, check_step, require_finite, require_float64, shape_error
-from sofim.exceptions import ConfigError, DimensionMismatchError, ScaleCapError, require
+from sofim.exceptions import ConfigError, ScaleCapError, require
 
 #: Dense-Fisher operations refuse dimensions above this.
 DENSE_FIM_CAP = 200
@@ -95,50 +96,6 @@ def sgd_learning_rate(cfg: SgdConfig, step_index: int) -> float:
         return cfg.eta
     s = min(step_index, cfg.total_steps)
     return 0.5 * cfg.eta * (1.0 + math.cos(math.pi * s / cfg.total_steps))
-
-
-def empirical_fim(per_sample_grads) -> np.ndarray:
-    """Dense empirical Fisher matrix ``mean_i g_i g_i^T``, exactly symmetric.
-
-    ``per_sample_grads`` is a sequence of length-d vectors (or a (B, d)
-    array).  Refuses d above ``DENSE_FIM_CAP``: this is a verification
-    oracle with O(B d^2) cost, not a large-scale operation.
-    """
-    grads = np.atleast_2d(np.asarray(per_sample_grads, dtype=np.float64))
-    require(grads.size > 0, "per_sample_grads must contain at least one gradient")
-    d = grads.shape[1]
-    if d > DENSE_FIM_CAP:
-        raise ScaleCapError(f"dense Fisher oracle capped at d <= {DENSE_FIM_CAP}, got d = {d}")
-    f = grads.T @ grads / grads.shape[0]
-    # Enforce exact symmetry against BLAS round-off.
-    return 0.5 * (f + f.T)
-
-
-def ngd_step(w, per_sample_grads, eta: float, damping: float = DEFAULT_NGD_DAMPING):
-    """Natural-gradient step with the dense empirical Fisher.
-
-    ``w' = w - eta * (F + damping * I)^{-1} g_bar`` where ``g_bar`` is the
-    mean per-sample gradient.  Damping must be positive because the
-    empirical Fisher of a finite batch is rank-deficient.
-    """
-    require(damping > 0, f"damping must be > 0, got {damping}")
-    w = np.asarray(w, dtype=np.float64)
-    grads = np.atleast_2d(np.asarray(per_sample_grads, dtype=np.float64))
-    if grads.shape[1] != w.shape[0]:
-        raise DimensionMismatchError(
-            f"gradients have length {grads.shape[1]} but w has length {w.shape[0]}"
-        )
-    g_bar = grads.mean(axis=0)
-    a = empirical_fim(grads) + damping * np.eye(grads.shape[1])
-    direction = np.linalg.solve(a, g_bar)
-    return w - eta * direction
-
-
-def _require_positive_definite(hess) -> None:
-    try:
-        np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigError("Hessian is not positive definite") from exc
 
 
 class SgdMomentumOptimizer:
@@ -220,10 +177,17 @@ class AdamOptimizer:
 
 
 class NgdOracle:
-    """Stepper for :func:`ngd_step`; ``g`` is a (B, dim) array of per-sample
-    gradients, refused before ``w`` changes if not finite or of a wrong shape or dtype."""
+    """Natural-gradient stepper with the dense empirical Fisher ``F = mean_i
+    g_i g_i^T``: ``w -= eta * (F + damping * I)^{-1} g_bar``, where ``g`` is
+    a (B, dim) array of per-sample gradients and ``g_bar`` their mean.  ``F``
+    is symmetrized against BLAS round-off.  A ``g`` that is not finite or of
+    a wrong shape or dtype is refused before ``w`` changes, and a ``dim``
+    above :data:`DENSE_FIM_CAP` when the stepper is built."""
 
     def __init__(self, dim: int, config: NgdConfig):
+        if dim > DENSE_FIM_CAP:
+            raise ScaleCapError(f"dense Fisher oracle capped at d <= {DENSE_FIM_CAP}, "
+                                f"got d = {dim}")
         self.config, self.dim = config, dim
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
@@ -231,7 +195,9 @@ class NgdOracle:
             raise shape_error(w, g, f"w of shape ({self.dim},) and g of shape (B, {self.dim})")
         require_float64(w, g)
         require_finite(g, "g")
-        w[...] = ngd_step(w, g, self.config.eta, self.config.damping)
+        f = g.T @ g / g.shape[0]
+        a = 0.5 * (f + f.T) + self.config.damping * np.eye(self.dim)
+        w -= self.config.eta * np.linalg.solve(a, g.mean(axis=0))
 
 
 class NewtonOracle:
@@ -239,7 +205,10 @@ class NewtonOracle:
     handed over once and checked positive definite here."""
 
     def __init__(self, dim: int, config: NewtonConfig, hessian: np.ndarray):
-        _require_positive_definite(hessian)
+        try:
+            np.linalg.cholesky(hessian)
+        except np.linalg.LinAlgError as exc:
+            raise ConfigError("Hessian is not positive definite") from exc
         self.config, self.hessian, self.dim = config, hessian, dim
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:

@@ -22,10 +22,11 @@ optimizer's config is built and checked before the first probe.  Any scalar
 key can be overridden on the command line with ``--set key=value`` (dotted
 paths reach nested keys, e.g. ``--set hyperparameters.rho=0.5``).
 Unknown keys are rejected by name, and so are a quoted number (YAML reads
-``1e-3`` as a string: write ``1.0e-3``) and a repeated grid or ``dims``
-value.  A refused config writes nothing: the output directory is created
-only when the first file is written, after the problem is built, and an
-``output_dir`` that names an existing file is refused before any training.
+``1e-3`` as a string: write ``1.0e-3``), an unknown optimizer and a
+repeated grid, ``dims`` or ``optimizers`` value.  A refused config writes
+nothing: the output directory is created only when the first file is
+written, after the problem is built, and an ``output_dir`` that names an
+existing file is refused before any training.
 A run's ``<confighash>`` hashes its values coerced to their types, and of
 ``problem`` and ``hyperparameters`` only the keys the config gives, not
 their defaults; so ``rho: 1`` and ``rho: 1.0`` name one run.
@@ -222,13 +223,19 @@ def _sweep(grid: list, out_dir: Path) -> None:
 
 def _scaling_configs(config: dict) -> list:
     """One ScalingConfig per entry of ``optimizers``, all built, and so all
-    checked, before the first probe runs."""
+    checked, before the first probe runs; an unknown or repeated entry is
+    refused first."""
     optimizers = config.get("optimizers", list(DEFAULT_SCALING_OPTIMIZERS))
     if isinstance(optimizers, str):
         optimizers = [optimizers]
     require(isinstance(optimizers, (list, tuple)) and optimizers,
             f"config key 'optimizers' must be an optimizer id or a non-empty list of them, "
             f"got {optimizers!r}")
+    unknown = [o for o in optimizers if o not in tuple(harness.OPTIMIZERS)]
+    require(not unknown, f"config key 'optimizers' names unknown optimizer(s) {unknown!r}; "
+            f"expected ids from {tuple(harness.OPTIMIZERS)}")
+    require(len(set(optimizers)) == len(optimizers),
+            f"config key 'optimizers' lists an optimizer more than once: {optimizers!r}")
     return [_file_config(harness.ScalingConfig, config, optimizer=optimizer_id)
             for optimizer_id in optimizers]
 
@@ -293,14 +300,11 @@ def _cmd_config(args) -> int:
 def _gradcheck_problems(seed: int) -> dict:
     blobs2 = problems.make_blobs(400, 10, 2, 3.0, seed)
     blobs3 = problems.make_blobs(450, 8, 3, 3.0, seed + 1)
-    mlp_spec = problems.MlpSpec(
-        widths=(blobs3.n_features, 8, blobs3.num_classes), activation="tanh"
-    )
     return {
         "quadratic": problems.make_quadratic(20, 10.0, seed),
         "logistic": problems.LogisticRegressionProblem(blobs2),
         "softmax": problems.SoftmaxRegressionProblem(blobs3),
-        "mlp_tanh": problems.MlpProblem(blobs3, mlp_spec),
+        "mlp_tanh": problems.MlpProblem(blobs3, 8, "tanh"),
     }
 
 

@@ -85,7 +85,8 @@ def _hyperparameters(optimizer_id: str, params: dict, total_iterations: int):
     require(isinstance(params, dict),
             f"config key 'hyperparameters' must be a mapping, got {params!r}")
     require(optimizer_id in tuple(OPTIMIZERS),
-            f"unknown optimizer {optimizer_id!r}; expected one of {tuple(OPTIMIZERS)}")
+            f"config key 'optimizer' names unknown optimizer {optimizer_id!r}; "
+            f"expected one of {tuple(OPTIMIZERS)}")
     row = OPTIMIZERS[optimizer_id]
     coerce = {f.name: _COERCE[f.type] for f in fields(row.config)}
     unknown = set(params) - set(coerce)

@@ -43,7 +43,6 @@ __all__ = [
     "QuadraticProblem",
     "LogisticRegressionProblem",
     "SoftmaxRegressionProblem",
-    "MlpSpec",
     "MlpProblem",
     "make_quadratic",
     "make_blobs",
@@ -129,11 +128,11 @@ def _check_splits(n: int, train_idx: np.ndarray, test_idx: np.ndarray):
 def make_blobs(n: int, p: int, c: int, spread: float, seed: int) -> Dataset:
     """Gaussian blob classification data with an 80/20 split.
 
-    ``c`` cluster centers are random unit vectors scaled by ``spread``;
-    samples add unit-variance Gaussian noise.  Class counts are balanced to
-    within one sample.  Deterministic in ``seed``.
+    ``c`` cluster centers, one per class, are random unit vectors scaled
+    by ``spread``; samples add unit-variance Gaussian noise.  Class counts
+    are balanced to within one sample.  Deterministic in ``seed``.
     """
-    require(n >= c >= 2, f"need n >= c >= 2, got n={n}, c={c}")
+    require(n >= c >= 2, f"need n >= classes >= 2, got n={n}, classes={c}")
     require(p >= 1, f"the dataset has no feature column: need p >= 1, got p={p}")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((c, p))
@@ -552,7 +551,7 @@ class LogisticRegressionProblem(_LinearProblem):
 
     def __init__(self, dataset: Dataset):
         require(dataset.num_classes == 2,
-                f"logistic regression needs binary labels, got {dataset.num_classes} classes")
+                f"model 'logistic' needs binary labels, got {dataset.num_classes} classes")
         super().__init__(dataset)
         self.dim = dataset.n_features + 1
         self.name = f"logistic{self.dim}"
@@ -587,22 +586,10 @@ class SoftmaxRegressionProblem(_LinearProblem):
         return w.reshape(self.num_classes, self.n_features)
 
 
-@dataclass(frozen=True)
-class MlpSpec:
-    """One-hidden-layer network shape: ``widths = (inputs, hidden, classes)``."""
-
-    widths: tuple
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        require(len(self.widths) == 3 and not any(wd < 1 for wd in self.widths),
-                f"widths must be three integers >= 1, got {self.widths}")
-        require(self.activation in ("tanh", "relu"),
-                f"activation must be 'tanh' or 'relu', got {self.activation!r}")
-
-
 class MlpProblem(_DatasetProblem):
-    """One-hidden-layer classifier with manual backprop and the softmax head.
+    """One-hidden-layer classifier with manual backprop and the softmax head:
+    ``hidden`` units with ``activation`` ``"tanh"`` or ``"relu"``, over the
+    dataset's inputs and classes.
 
     Flat parameter layout, in order: W1 (hidden, inputs) row-major, b1
     (hidden,), W2 (classes, hidden) row-major, b2 (classes,).  Initial
@@ -612,20 +599,19 @@ class MlpProblem(_DatasetProblem):
 
     head = _SoftmaxHead()
 
-    def __init__(self, dataset: Dataset, spec: MlpSpec):
+    def __init__(self, dataset: Dataset, hidden: int, activation: str = "tanh"):
+        require(hidden >= 1, f"hidden must be >= 1, got {hidden}")
+        require(activation in ("tanh", "relu"),
+                f"activation must be 'tanh' or 'relu', got {activation!r}")
         super().__init__(dataset)
-        p, h, c = spec.widths
-        require(p == dataset.n_features,
-                f"spec expects {p} input features but dataset has {dataset.n_features}")
-        require(c == dataset.num_classes,
-                f"spec expects {c} classes but dataset has {dataset.num_classes}")
-        self.spec = spec
+        p, h, c = dataset.n_features, hidden, dataset.num_classes
+        self.widths, self.activation = (p, h, c), activation
         self._row_width = max(h, c)
         sizes = (h * p, h, c * h, c)
         starts = np.cumsum((0,) + sizes[:-1]).tolist()
         self._layout = tuple(zip(starts, sizes, ((h, p), (h,), (c, h), (c,))))
         self.dim = sum(sizes)
-        self.name = f"mlp{p}x{h}x{c}{spec.activation}"
+        self.name = f"mlp{p}x{h}x{c}{activation}"
 
     def unflatten(self, w):
         """Split a flat vector into (W1, b1, W2, b2) views."""
@@ -636,7 +622,7 @@ class MlpProblem(_DatasetProblem):
         return np.concatenate([w1.ravel(), b1.ravel(), w2.ravel(), b2.ravel()])
 
     def initial_point(self, rng: np.random.Generator) -> np.ndarray:
-        p, h, c = self.spec.widths
+        p, h, c = self.widths
         bound1 = 1.0 / np.sqrt(p)
         bound2 = 1.0 / np.sqrt(h)
         w1 = rng.uniform(-bound1, bound1, size=(h, p))
@@ -650,7 +636,7 @@ class MlpProblem(_DatasetProblem):
         # One n x hidden buffer holds the pre-activation, then the activation.
         a1 = x @ w1.T
         a1 += b1
-        if self.spec.activation == "tanh":
+        if self.activation == "tanh":
             np.tanh(a1, out=a1)
         else:
             np.maximum(a1, 0.0, out=a1)
@@ -662,7 +648,7 @@ class MlpProblem(_DatasetProblem):
         x, a1 = cache
         # relu(z) > 0 exactly where z > 0 (NaN and -0.0 included), so the
         # ReLU derivative needs no pre-activation.
-        tanh = self.spec.activation == "tanh"
+        tanh = self.activation == "tanh"
         act_deriv = 1.0 - a1 * a1 if tanh else (a1 > 0.0).astype(np.float64)
         dz1 = (r @ self.unflatten(w)[2]) * act_deriv
         return [(dz1, x), (dz1, None), (r, a1), (r, None)]
@@ -727,8 +713,8 @@ _MODELS = {"logistic": LogisticRegressionProblem, "softmax": SoftmaxRegressionPr
 def canonical_spec(spec: dict) -> dict:
     """``kind`` and the keys ``spec`` gives, each converted to its type in
     :data:`SPEC_SCHEMA`, with no defaults; an unknown kind, key or model, a
-    missing required key, a malformed value or a negative seed raises
-    ``ConfigError`` naming it."""
+    missing required key, a malformed value, a negative seed or an MLP key
+    of another model raises ``ConfigError`` naming it."""
     require(isinstance(spec, dict), f"config key 'problem' must be a mapping, got {spec!r}")
     require("kind" in spec, "problem spec is missing 'kind'")
     kind = spec["kind"]
@@ -743,8 +729,11 @@ def canonical_spec(spec: dict) -> dict:
             v[key] = convert(key_type, spec[key], f"problem key {key!r}")
     # np.random.default_rng refuses a negative seed.
     require(v.get("seed", 0) >= 0, f"problem key 'seed' must be >= 0, got {v.get('seed')}")
-    require(v.get("model") in (None, *_MODELS),
-            f"unknown model {v.get('model')!r}; expected one of {tuple(_MODELS)}")
+    model = v.get("model", _MODEL_KEYS["model"][1])
+    require(model in _MODELS, f"unknown model {model!r}; expected one of {tuple(_MODELS)}")
+    for key in ("hidden", "activation"):
+        require(key not in v or model == "mlp",
+                f"problem key {key!r} applies only to model 'mlp', not {model!r}")
     return v
 
 
@@ -761,5 +750,4 @@ def problem_from_spec(spec: dict) -> Problem:
         dataset = load_csv_dataset(v["path"], v["label_column"], v["split_fraction"], v["seed"])
     if v["model"] != "mlp":
         return _MODELS[v["model"]](dataset)
-    widths = (dataset.n_features, v["hidden"], dataset.num_classes)
-    return MlpProblem(dataset, MlpSpec(widths, v["activation"]))
+    return MlpProblem(dataset, v["hidden"], v["activation"])

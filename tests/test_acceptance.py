@@ -132,7 +132,8 @@ def test_criterion_04_rank_one_ngd_consistency():
         grads = prob.per_sample_grads(w, idx)
         rho = float(rng.uniform(0.05, 2.0))
         eta = float(rng.uniform(0.01, 1.0))
-        dense = baselines.ngd_step(w, grads, eta, damping=rho)
+        dense = w.copy()
+        baselines.NgdOracle(prob.dim, baselines.NgdConfig(eta, damping=rho)).step(dense, grads)
         cfg = core.SofimConfig(eta=eta, rho=rho, beta=0.0)
         fast = w.copy()
         core.SofimOptimizer(prob.dim, cfg).step(fast, grads[0])
@@ -152,12 +153,11 @@ def test_criterion_05_gradient_checks():
     rng = np.random.default_rng(505)
     blobs2 = problems.make_blobs(300, 8, 2, 3.0, seed=6)
     blobs3 = problems.make_blobs(330, 6, 3, 3.0, seed=7)
-    mlp_spec = problems.MlpSpec(widths=(6, 8, 3), activation="tanh")
     cases = (
         ("quadratic", problems.make_quadratic(12, 10.0, seed=5), 1e-8),
         ("logistic", problems.LogisticRegressionProblem(blobs2), 1e-6),
         ("softmax", problems.SoftmaxRegressionProblem(blobs3), 1e-6),
-        ("mlp_tanh", problems.MlpProblem(blobs3, mlp_spec), 1e-5),
+        ("mlp_tanh", problems.MlpProblem(blobs3, 8, "tanh"), 1e-5),
     )
     ok = True
     parts = []

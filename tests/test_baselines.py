@@ -20,8 +20,6 @@ from sofim.baselines import (
     NgdOracle,
     SgdConfig,
     SgdMomentumOptimizer,
-    empirical_fim,
-    ngd_step,
     sgd_learning_rate,
 )
 from sofim.core import SofimConfig, SofimOptimizer
@@ -152,82 +150,58 @@ class TestAdam:
 
 
 class TestEmpiricalFim:
-    def test_matches_manual_average(self):
-        """F = mean of g_i g_i^T, verified against an explicit loop."""
-        rng = np.random.default_rng(42)
-        grads = rng.standard_normal((16, 7))
-        expected = sum(np.outer(g, g) for g in grads) / 16
-        assert_allclose(empirical_fim(grads), expected, rtol=1e-13, atol=1e-14)
-
-    def test_positive_semidefinite_and_symmetric(self):
-        """Every empirical Fisher is symmetric PSD."""
-        rng = np.random.default_rng(1)
-        fim = empirical_fim(rng.standard_normal((5, 40)))
-        assert_allclose(fim, fim.T, rtol=0, atol=0)
-        assert np.min(np.linalg.eigvalsh(fim)) >= -1e-12
-
-    def test_single_gradient_is_rank_one(self):
-        """B=1 gives exactly g g^T."""
-        g = np.array([1.0, -2.0, 3.0])
-        fim = empirical_fim(g[None, :])
-        assert_allclose(fim, np.outer(g, g), rtol=0, atol=0)
-        assert np.linalg.matrix_rank(fim) == 1
+    """The dense empirical Fisher of NgdOracle: its dimension cap and its
+    batch of per-sample gradients."""
 
     def test_scale_cap(self):
-        """Dimensions above the cap are refused, at the cap accepted."""
-        rng = np.random.default_rng(2)
-        with pytest.raises(ScaleCapError):
-            empirical_fim(rng.standard_normal((2, DENSE_FIM_CAP + 1)))
-        fim = empirical_fim(rng.standard_normal((2, DENSE_FIM_CAP)))
-        assert fim.shape == (DENSE_FIM_CAP, DENSE_FIM_CAP)
+        """A stepper above the cap is refused when it is built, at the cap
+        it builds and steps."""
+        message = f"capped at d <= {DENSE_FIM_CAP}, got d = {DENSE_FIM_CAP + 1}$"
+        with pytest.raises(ScaleCapError, match=message):
+            NgdOracle(DENSE_FIM_CAP + 1, NgdConfig())
+        w = np.zeros(DENSE_FIM_CAP)
+        NgdOracle(DENSE_FIM_CAP, NgdConfig()).step(w, np.ones((2, DENSE_FIM_CAP)))
+        assert np.all(w < 0)
 
     def test_empty_batch_rejected(self):
-        """An empty gradient batch has no Fisher."""
-        with pytest.raises(ConfigError):
-            empirical_fim(np.empty((0, 3)))
+        """An empty gradient batch has no Fisher: w is left unchanged."""
+        w = np.ones(3)
+        with pytest.raises(DimensionMismatchError):
+            NgdOracle(3, NgdConfig()).step(w, np.empty((0, 3)))
+        assert np.array_equal(w, np.ones(3))
 
 
 class TestNgdStep:
     def test_matches_explicit_inverse(self):
-        """solve-based step equals the explicit dense inverse."""
+        """Five oracle steps equal the steps with the explicit dense inverse
+        of the Fisher built from explicit outer products."""
         rng = np.random.default_rng(42)
-        grads = rng.standard_normal((8, 12))
+        opt = NgdOracle(12, NgdConfig(eta=0.5, damping=0.1))
         w = rng.standard_normal(12)
-        fim = empirical_fim(grads)
-        a = fim + 0.1 * np.eye(12)
-        expected = w - 0.5 * (np.linalg.inv(a) @ grads.mean(axis=0))
-        got = ngd_step(w, grads, eta=0.5, damping=0.1)
-        assert_allclose(got, expected, rtol=1e-11, atol=1e-13)
+        expected = w.copy()
+        for _ in range(5):
+            grads = rng.standard_normal((8, 12))
+            fim = sum(np.outer(g, g) for g in grads) / 8
+            expected -= 0.5 * (np.linalg.inv(fim + 0.1 * np.eye(12)) @ grads.mean(axis=0))
+            opt.step(w, grads)
+            assert_allclose(w, expected, rtol=1e-11, atol=1e-13)
 
     def test_damping_required(self):
-        """Zero or negative damping is rejected (batch Fisher is singular),
-        by the step and by the oracle's config."""
-        grads = np.ones((1, 3))
-        with pytest.raises(ConfigError):
-            ngd_step(np.zeros(3), grads, eta=0.1, damping=0.0)
+        """Zero or negative damping is rejected (batch Fisher is singular)
+        by the oracle's config, and so is a non-positive eta."""
+        with pytest.raises(ConfigError, match="damping"):
+            NgdConfig(damping=0.0)
         with pytest.raises(ConfigError, match="damping"):
             NgdConfig(damping=-1e-3)
         with pytest.raises(ConfigError, match="eta"):
             NgdConfig(eta=0.0)
-
-    def test_stepper_matches_functional(self):
-        """NgdOracle updates w in place exactly as iterated ngd_step."""
-        rng = np.random.default_rng(42)
-        opt = NgdOracle(12, NgdConfig(eta=0.5, damping=0.1))
-        w_fast = rng.standard_normal(12)
-        w_ref = w_fast.copy()
-        for _ in range(5):
-            grads = rng.standard_normal((8, 12))
-            opt.step(w_fast, grads)
-            w_ref = ngd_step(w_ref, grads, eta=0.5, damping=0.1)
-        assert np.array_equal(w_fast, w_ref)
 
     def test_default_damping_exposed(self):
         assert DEFAULT_NGD_DAMPING == 1e-3
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            ngd_step(np.zeros(4), np.ones((2, 3)), eta=0.1)
+            NgdOracle(4, NgdConfig()).step(np.zeros(4), np.ones((2, 3)))
 
     def test_rank_one_matches_sofim_first_step(self):
         """Batch-size-1 damped NGD equals the rank-one update with beta=0.
@@ -244,7 +218,8 @@ class TestNgdStep:
             batch = rng.integers(0, problem.n_train, size=1)
             g = problem.per_sample_grads(w, batch)
             eta, rho = 0.1, float(rng.uniform(0.05, 2.0))
-            dense = ngd_step(w, g, eta=eta, damping=rho)
+            dense = w.copy()
+            NgdOracle(problem.dim, NgdConfig(eta=eta, damping=rho)).step(dense, g)
             fast = w.copy()
             SofimOptimizer(problem.dim, SofimConfig(eta=eta, rho=rho, beta=0.0)).step(fast, g[0])
             err = np.linalg.norm(fast - dense) / max(np.linalg.norm(dense), 1e-12)

@@ -219,6 +219,20 @@ class TestExitCodes:
         ("scaling", "hyperparameters.eta='0.1'", "'eta'"),
         ("sweep", "grid.eta=[1, 1.0]", "'eta'"),
         ("scaling", "dims=[1000, 1000]", "dims"),
+        ("scaling", "optimizers=[sofim, sofim]", "config key 'optimizers' lists an optimizer "
+                                                 "more than once: ['sofim', 'sofim']"),
+        ("scaling", "optimizers=[sofim, x]", "config key 'optimizers' names unknown "
+                                             "optimizer(s) ['x']"),
+        ("run", "optimizer=x", "config key 'optimizer' names unknown optimizer 'x'"),
+        ("sweep", "optimizer=x", "config key 'optimizer' names unknown optimizer 'x'"),
+        ("run", "problem.hidden=64", "problem key 'hidden' applies only to model 'mlp', "
+                                     "not 'logistic'"),
+        ("run", "problem.activation=gelu", "problem key 'activation' applies only to model "
+                                           "'mlp', not 'logistic'"),
+        ("run", "problem.classes=-3", "need n >= classes >= 2, got n=200, classes=-3"),
+        ("run", "problem={kind: blobs, classes: 3}", "model 'logistic' needs binary labels, "
+                                                     "got 3 classes"),
+        ("run", "problem={kind: blobs, model: mlp, hidden: 0}", "hidden must be >= 1, got 0"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, subcommand, override,
                                              key):
@@ -246,6 +260,10 @@ class TestExitCodes:
         ("sweep", ["grid.eta=[0.1, 0.1]"]),
         ("scaling", ["dims=[1000, 1000]", "repeats=1"]),
         ("run", ["problem.p=-1"]),
+        ("scaling", ["optimizers=[sofim, sofim]", "dims=[8]", "repeats=1"]),
+        ("scaling", ["optimizers=[sofim, x]", "dims=[8]", "repeats=1"]),
+        ("run", ["problem.hidden=64", "problem.activation=relu"]),
+        ("run", ["problem.classes=-3"]),
     ])
     def test_refused_config_writes_nothing(self, tmp_path, capsys, subcommand, overrides):
         """A refused config exits 1 without creating its output directory,
@@ -309,6 +327,22 @@ class TestExitCodes:
         assert err.startswith("config error") and "output_dir" in err
         assert calls == []
         assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "keep\n"
+
+    def test_ngd_above_cap_is_refused_before_training(self, tmp_path, monkeypatch, capsys):
+        """An NGD run on a problem of d > DENSE_FIM_CAP (a 6-40-3 MLP, d =
+        403) exits 1 with the cap message when its stepper is built: before
+        any forward pass, and writing nothing."""
+        calls = []
+        forward = problems.MlpProblem.loss_and_per_sample_grads
+        monkeypatch.setattr(problems.MlpProblem, "loss_and_per_sample_grads",
+                            lambda *a, **k: calls.append(a) or forward(*a, **k))
+        problem = {"kind": "blobs", "n": 200, "p": 6, "classes": 3, "model": "mlp", "hidden": 40}
+        config = run_config(tmp_path, problem=problem, optimizer="ngd_oracle", hyperparameters={})
+        assert cli.main(["run", config]) == 1
+        assert capsys.readouterr().err == ("config error: dense Fisher oracle capped at "
+                                           "d <= 200, got d = 403\n")
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
     def test_bad_scaling_optimizer_starts_no_probe(self, tmp_path, monkeypatch, capsys):
         """Every listed optimizer is checked before the first probe runs."""
@@ -499,9 +533,10 @@ class TestConfigIdentity:
 SWAPS = (True, "x", [1], {"zzz": 1}, None, math.nan, math.inf, -math.inf, -3, 2.5)
 #: The fuzzed shipped configs: each one's subcommand, and the test's own
 #: small sizes and hyperparameters, so that every mutant runs quickly and
-#: the scaling file has a ``hyperparameters`` mapping to mutate.  They have
-#: 141 and 97 mutants, fewer than the fuzzer's example count, so Hypothesis,
-#: which does not repeat an example, runs each of them once.
+#: the scaling file has a ``hyperparameters`` mapping to mutate; the logistic
+#: run also fuzzes as a 3-class MLP.  Each has fewer mutants than the
+#: fuzzer's example count, so Hypothesis, which does not repeat an example,
+#: runs each of them once.
 FUZZED = {
     name: (subcommand, {**yaml.safe_load((REPO / "configs" / name).read_text(encoding="utf-8")),
                         **sizes, "output_dir": "out"})
@@ -511,16 +546,20 @@ FUZZED = {
         ("blobs_logistic_sofim.yaml", "run", {"iterations": 20, "eval_every": 10}),
     ]
 }
+_, _LOGISTIC = FUZZED["blobs_logistic_sofim.yaml"]
+FUZZED["blobs_logistic_sofim.yaml-mlp"] = ("run", {**_LOGISTIC, "problem": {
+    **_LOGISTIC["problem"], "model": "mlp", "hidden": 4, "classes": 3}})
 
 
 @st.composite
 def mutants(draw, base):
     """``base`` with one key dropped, one unknown key added, or one value
     swapped for one of :data:`SWAPS`, at the top level or inside
-    ``hyperparameters``; and the names an error may give it: the key, and
-    the keys of a mapping swapped in."""
+    ``hyperparameters`` or ``problem``; and the names an error may give it:
+    the key, and the keys of a mapping swapped in."""
     config = copy.deepcopy(base)
-    node = config if draw(st.booleans()) else config["hyperparameters"]
+    node = draw(st.sampled_from([config, *(config[key] for key in ("hyperparameters", "problem")
+                                           if key in config)]))
     action = draw(st.sampled_from(["drop", "add", "swap"]))
     key = "bogus" if action == "add" else draw(st.sampled_from(sorted(node)))
     if action == "drop":
@@ -548,8 +587,7 @@ class TestConfigFuzzer:
         """A shipped config with one key dropped, added or given another type
         or an edge value exits 0, or exits 1 with a config error that names
         the key and writes nothing; never 2, never an uncaught exception.
-        An ``optimizers`` entry is named as the optimizer it sets, and a
-        mapping swapped in by its own key."""
+        A mapping swapped in may be named by its own key."""
         subcommand, base = FUZZED[name]
         config, names = data.draw(mutants(base), label="mutant")
         err = io.StringIO()
@@ -565,8 +603,7 @@ class TestConfigFuzzer:
         assert code in (0, 1), err.getvalue()
         if code == 1:
             assert err.getvalue().startswith("config error")
-            assert any({"optimizers": "optimizer"}.get(key, key) in err.getvalue()
-                       for key in names)
+            assert any(key in err.getvalue() for key in names)
             assert written == []
 
 

@@ -20,7 +20,6 @@ from sofim.problems import (
     Dataset,
     LogisticRegressionProblem,
     MlpProblem,
-    MlpSpec,
     QuadraticProblem,
     SoftmaxRegressionProblem,
     finite_difference_gradient,
@@ -34,12 +33,13 @@ from sofim.problems import (
 
 
 #: Every optional problem key at the default it had before the keys and
-#: defaults moved into one table, written out as literals.
-_MODEL_DEFAULTS = {"model": "logistic", "hidden": 32, "activation": "tanh"}
+#: defaults moved into one table, written out as literals; the MLP keys
+#: apply to ``model: mlp`` only.
+MLP_DEFAULTS = {"hidden": 32, "activation": "tanh"}
 FORMER_DEFAULTS = {
     "quadratic": {"dim": 20, "condition_number": 10.0, "seed": 0},
-    "blobs": {"n": 2000, "p": 20, "classes": 2, "spread": 3.0, "seed": 0, **_MODEL_DEFAULTS},
-    "csv": {"label_column": "label", "split_fraction": 0.8, "seed": 0, **_MODEL_DEFAULTS},
+    "blobs": {"n": 2000, "p": 20, "classes": 2, "spread": 3.0, "seed": 0, "model": "logistic"},
+    "csv": {"label_column": "label", "split_fraction": 0.8, "seed": 0, "model": "logistic"},
 }
 
 
@@ -58,8 +58,8 @@ def problem_zoo():
         ("quadratic", make_quadratic(12, 10.0, 0), 1e-8),
         ("logistic", LogisticRegressionProblem(ds2), 1e-6),
         ("softmax", SoftmaxRegressionProblem(ds3), 1e-6),
-        ("mlp_tanh", MlpProblem(ds3, MlpSpec((5, 7, 3), "tanh")), 1e-5),
-        ("mlp_relu", MlpProblem(ds3, MlpSpec((5, 7, 3), "relu")), 1e-5),
+        ("mlp_tanh", MlpProblem(ds3, 7, "tanh"), 1e-5),
+        ("mlp_relu", MlpProblem(ds3, 7, "relu"), 1e-5),
     ]
 
 
@@ -170,11 +170,11 @@ def reference_logits(problem, w, x):
         return np.column_stack([np.zeros_like(z), z])  # P(y=1) = sigmoid(z)
     if isinstance(problem, SoftmaxRegressionProblem):
         return x @ w.reshape(problem.num_classes, problem.n_features).T
-    p, h, c = problem.spec.widths
+    p, h, c = problem.widths
     w1, b1 = w[: h * p].reshape(h, p), w[h * p : h * p + h]
     w2, b2 = w[h * p + h : -c].reshape(c, h), w[-c:]
     z1 = x @ w1.T + b1
-    hidden = np.tanh(z1) if problem.spec.activation == "tanh" else np.maximum(z1, 0.0)
+    hidden = np.tanh(z1) if problem.activation == "tanh" else np.maximum(z1, 0.0)
     return hidden @ w2.T + b2
 
 
@@ -225,7 +225,7 @@ def split_problem(model, n, hidden=32):
         return LogisticRegressionProblem(ds)
     if model == "softmax":
         return SoftmaxRegressionProblem(ds)
-    return MlpProblem(ds, MlpSpec((p, hidden, classes), model))
+    return MlpProblem(ds, hidden, model)
 
 
 def one_pass(problem, w, x, y):
@@ -568,7 +568,7 @@ class TestSoftmax:
 class TestMlp:
     def test_flatten_round_trip(self):
         """unflatten . flatten is the identity on the flat layout."""
-        problem = MlpProblem(blobs3(), MlpSpec((5, 4, 3)))
+        problem = MlpProblem(blobs3(), 4)
         rng = np.random.default_rng(42)
         w = rng.standard_normal(problem.dim)
         w1, b1, w2, b2 = problem.unflatten(w)
@@ -578,7 +578,7 @@ class TestMlp:
 
     def test_initial_point_bounds_and_determinism(self):
         """Init weights are within per-layer fan-in bounds and reproducible."""
-        problem = MlpProblem(blobs3(), MlpSpec((5, 4, 3)))
+        problem = MlpProblem(blobs3(), 4)
         w = problem.initial_point(np.random.default_rng(9))
         assert_allclose(w, problem.initial_point(np.random.default_rng(9)), rtol=0, atol=0)
         w1, b1, w2, b2 = problem.unflatten(w)
@@ -589,7 +589,7 @@ class TestMlp:
     def test_relu_subgradient_at_zero_is_zero(self):
         """With z1 = 0 everywhere the first-layer gradient blocks vanish."""
         ds = blobs3()
-        problem = MlpProblem(ds, MlpSpec((5, 4, 3), "relu"))
+        problem = MlpProblem(ds, 4, "relu")
         rng = np.random.default_rng(1)
         w = rng.standard_normal(problem.dim)
         w1, b1, w2, b2 = (a.copy() for a in problem.unflatten(w))
@@ -601,21 +601,18 @@ class TestMlp:
         assert_allclose(gb1, 0.0, atol=0)
 
     def test_spec_validation(self):
-        """Bad widths, activations and dataset mismatches are rejected."""
-        with pytest.raises(ConfigError):
-            MlpSpec((5, 4))
-        with pytest.raises(ConfigError):
-            MlpSpec((5, 0, 3))
-        with pytest.raises(ConfigError):
-            MlpSpec((5, 4, 3), activation="gelu")
-        with pytest.raises(ConfigError):
-            MlpProblem(blobs3(), MlpSpec((6, 4, 3)))
-        with pytest.raises(ConfigError):
-            MlpProblem(blobs3(), MlpSpec((5, 4, 2)))
+        """A bad hidden width or activation is refused by name; the inputs
+        and classes are the dataset's."""
+        with pytest.raises(ConfigError, match="hidden must be >= 1, got 0"):
+            MlpProblem(blobs3(), 0)
+        with pytest.raises(ConfigError, match="activation must be 'tanh' or 'relu', got 'gelu'"):
+            MlpProblem(blobs3(), 4, activation="gelu")
+        problem = MlpProblem(blobs3(), 4)
+        assert (problem.widths, problem.activation, problem.dim) == ((5, 4, 3), "tanh", 39)
 
     def test_no_exact_hessian(self):
         """The MLP declines to provide a Hessian."""
-        problem = MlpProblem(blobs3(), MlpSpec((5, 4, 3)))
+        problem = MlpProblem(blobs3(), 4)
         with pytest.raises(NotImplementedError):
             problem.exact_hessian(np.zeros(problem.dim))
 
@@ -868,7 +865,7 @@ class TestProblemFromSpec:
         assert problem_from_spec({**base, "model": "logistic"}).dim == 5
         assert problem_from_spec({**base, "model": "softmax"}).dim == 8
         mlp = problem_from_spec({**base, "model": "mlp", "hidden": 3})
-        assert mlp.spec.widths == (4, 3, 2)
+        assert mlp.widths == (4, 3, 2)
 
     def test_csv_spec(self, tmp_path):
         """CSV kind loads the file and applies the model."""
@@ -907,6 +904,18 @@ class TestProblemFromSpec:
         assert (problems.canonical_spec({"kind": "quadratic", "condition_number": 10})
                 == {"kind": "quadratic", "condition_number": 10.0})
 
+    @pytest.mark.parametrize("model", [None, "logistic", "softmax"])
+    @pytest.mark.parametrize("key,value", [("hidden", 64), ("activation", "relu")])
+    def test_mlp_keys_of_another_model_are_refused(self, model, key, value):
+        """``hidden`` and ``activation`` shape only an MLP: another model
+        would ignore them while the run's hash counted them, so they are
+        refused by name."""
+        spec = {"kind": "blobs", key: value, **({"model": model} if model else {})}
+        message = f"problem key '{key}' applies only to model 'mlp', not '{model or 'logistic'}'"
+        with pytest.raises(ConfigError, match=message):
+            problems.canonical_spec(spec)
+        assert problems.canonical_spec({**spec, "model": "mlp"})[key] == value
+
     @pytest.mark.parametrize("kind,key", [(kind, key) for kind, keys in
                                           problems.SPEC_SCHEMA.items() for key in keys])
     def test_malformed_value_names_its_key(self, kind, key):
@@ -930,7 +939,8 @@ class TestProblemFromSpec:
             rows = "".join(f"{a},{b},{i % 2}\n" for i, (a, b) in enumerate(features))
             given = {**given, "path": write_csv(tmp_path / "d.csv", "a,b,label\n" + rows)}
         short = problem_from_spec({"kind": kind, **given})
-        full = problem_from_spec({"kind": kind, **FORMER_DEFAULTS[kind], **given})
+        mlp = MLP_DEFAULTS if given.get("model") == "mlp" else {}
+        full = problem_from_spec({"kind": kind, **FORMER_DEFAULTS[kind], **mlp, **given})
         assert (short.name, short.dim, short.n_train) == (full.name, full.dim, full.n_train)
         points = (short.initial_point(np.random.default_rng(3)),
                   np.random.default_rng(4).standard_normal(short.dim))
