@@ -30,8 +30,10 @@ existing file is refused before any training.
 A run's ``<confighash>`` hashes its values coerced to their types, and of
 ``problem`` and ``hyperparameters`` only the keys the config gives, not
 their defaults; so ``rho: 1`` and ``rho: 1.0`` name one run.
-The effective config is echoed to ``<output_dir>/config_echo.yaml`` so
-every run can be reproduced from its own output directory.
+The effective config is echoed to ``<output_dir>/config_echo.yaml``, its
+keys sorted.  A run's files, and a sweep's per-point files, replay from it;
+``sweep_summary.txt`` labels each point by its hyperparameters in the order
+the file gave them, so a replay from the echo relabels the points.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
@@ -166,27 +168,14 @@ def _file_config(cls, config: dict, **given):
     return cls(**given)
 
 
-def _echo_config(config: dict, out_dir: Path) -> Path:
-    effective = dict(config)
-    effective["output_dir"] = str(out_dir)
-    path = out_dir / "config_echo.yaml"
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(effective, fh, sort_keys=True)
-    return path
-
-
-def _write_record(record: harness.RunRecord, out_dir: Path) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = record.output_stem()
-    csv_path = out_dir / f"{stem}.csv"
-    record.write_csv(csv_path)
-    record.write_summary(out_dir / f"{stem}_summary.txt")
-    return csv_path
+def _echo_config(config: dict, out_dir: Path) -> None:
+    with open(out_dir / "config_echo.yaml", "w", encoding="utf-8") as fh:
+        yaml.safe_dump({**config, "output_dir": str(out_dir)}, fh, sort_keys=True)
 
 
 def _run(cfg: harness.ExperimentConfig, out_dir: Path) -> None:
     record = harness.run_experiment(cfg)
-    csv_path = _write_record(record, out_dir)
+    csv_path = record.write(out_dir)
     for key, value in record.summary().items():
         print(f"{key}={value}")
     print(f"wrote {csv_path}")
@@ -198,26 +187,8 @@ def _sweep_grid(config: dict) -> list:
 
 
 def _sweep(grid: list, out_dir: Path) -> None:
-    """Run the grid, write each point's CSV and summary, and name every
-    point by its hyperparameters in ``sweep_summary.txt``."""
-    result = harness.sweep(grid)
-    lines = []
-    for cfg, record in zip(result.configs, result.records):
-        _write_record(record, out_dir)
-        lines.append(
-            f"point={cfg.optimizer_params} diverged={record.diverged} "
-            f"final_train_loss={record.final_train_loss} "
-            f"final_test_loss={record.final_test_loss} "
-            f"final_test_accuracy={record.final_test_accuracy}"
-        )
-    if result.best_index is None:
-        lines.append("best=none (all points diverged)")
-    else:
-        best_cfg, best_record = result.best
-        lines.append(f"best={best_cfg.optimizer_params} "
-                     f"final_test_accuracy={best_record.final_test_accuracy}")
-    (out_dir / "sweep_summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for line in lines:
+    """Run the grid, write its files and print ``sweep_summary.txt``'s lines."""
+    for line in harness.sweep(grid).write(out_dir):
         print(line)
 
 
@@ -247,14 +218,7 @@ def _scaling(configs: list, out_dir: Path) -> None:
         for d, seconds in harness.scaling_probe(cfg):
             rows.append((cfg.optimizer, d, seconds))
             print(f"{cfg.optimizer} d={d} median_step_seconds={seconds:.6e}")
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "scaling.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("optimizer,d,median_step_seconds\n")
-        for optimizer_id, d, seconds in rows:
-            fh.write(f"{optimizer_id},{d},{seconds!r}\n")
-    print(f"wrote {csv_path}")
+    print(f"wrote {harness.write_scaling_csv(rows, out_dir)}")
 
 
 class _Command(NamedTuple):

@@ -1,5 +1,5 @@
 """Experiment harness: mini-batch training loops, per-iteration metrics,
-hyperparameter sweeps, and O(d) step-cost measurement.
+hyperparameter sweeps, O(d) step-cost measurement, and every result file.
 
 Every optimizer, the dense NGD and Newton oracles included, is one row of
 :data:`OPTIMIZERS`: a frozen hyperparameter dataclass (its fields are the
@@ -25,7 +25,9 @@ import itertools
 import json
 import math
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -40,15 +42,12 @@ DIVERGENCE_LOSS = 1e8
 #: Interleaved timing rounds of :func:`scaling_probe`.
 SCALING_ROUNDS = 5
 
-CSV_COLUMNS = (
-    "iteration",
-    "epoch",
-    "batch_loss",
-    "train_loss",
-    "test_loss",
-    "test_accuracy",
-    "wall_ms",
-)
+#: One evaluation point of a run, and one line of its CSV.
+Row = namedtuple("Row", "iteration epoch batch_loss train_loss test_loss test_accuracy wall_ms")
+CSV_COLUMNS = Row._fields
+
+#: The summary key of a loss threshold: thresholds equal under it are refused.
+THRESHOLD_KEY = "iterations_to_train_loss_{:g}"
 
 
 class _Optimizer(NamedTuple):
@@ -152,6 +151,9 @@ class ExperimentConfig:
                 f"number or a list of numbers, got {thresholds!r}")
         store("loss_thresholds", tuple(convert(float, t, "each entry of 'loss_thresholds'")
                                        for t in thresholds))
+        require(len({*map(THRESHOLD_KEY.format, self.loss_thresholds)}) == len(thresholds),
+                "config key 'loss_thresholds' lists thresholds that share a summary key: "
+                f"{list(self.loss_thresholds)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -166,10 +168,10 @@ class ExperimentConfig:
 class RunRecord:
     """Per-evaluation metric rows plus a terminal summary.
 
-    One row per evaluation point: iteration (1-based), epoch, mini-batch
-    loss at that iteration, full-train loss, test loss, test accuracy (NaN
-    for problems without classification semantics) and cumulative training
-    wall time in ms (evaluation overhead excluded).
+    One :class:`Row` per evaluation point: iteration (1-based), epoch,
+    mini-batch loss at that iteration, full-train loss, test loss, test
+    accuracy (NaN for problems without classification semantics) and
+    cumulative training wall time in ms (evaluation overhead excluded).
     """
 
     config: ExperimentConfig
@@ -180,27 +182,27 @@ class RunRecord:
 
     @property
     def final_train_loss(self) -> float:
-        return self.rows[-1][3] if self.rows else math.nan
+        return self.rows[-1].train_loss if self.rows else math.nan
 
     @property
     def final_test_loss(self) -> float:
-        return self.rows[-1][4] if self.rows else math.nan
+        return self.rows[-1].test_loss if self.rows else math.nan
 
     @property
     def final_test_accuracy(self) -> float:
-        return self.rows[-1][5] if self.rows else math.nan
+        return self.rows[-1].test_accuracy if self.rows else math.nan
 
     @property
     def best_test_accuracy(self) -> float:
-        accs = [row[5] for row in self.rows if not math.isnan(row[5])]
+        accs = [row.test_accuracy for row in self.rows if not math.isnan(row.test_accuracy)]
         return max(accs) if accs else math.nan
 
     def iterations_to_threshold(self, threshold: float):
         """First evaluation iteration whose full-train loss is <= threshold,
         or None if never reached."""
         for row in self.rows:
-            if row[3] <= threshold:
-                return int(row[0])
+            if row.train_loss <= threshold:
+                return int(row.iteration)
         return None
 
     def summary(self) -> dict:
@@ -210,26 +212,32 @@ class RunRecord:
             "config_hash": self.config.config_hash(),
             "diverged": self.diverged,
             "diverged_at": self.diverged_at,
-            "final_iteration": int(self.rows[-1][0]) if self.rows else 0,
+            "final_iteration": int(self.rows[-1].iteration) if self.rows else 0,
             "final_train_loss": self.final_train_loss,
             "final_test_loss": self.final_test_loss,
             "final_test_accuracy": self.final_test_accuracy,
             "best_test_accuracy": self.best_test_accuracy,
         }
         for threshold in self.config.loss_thresholds:
-            out[f"iterations_to_train_loss_{threshold:g}"] = self.iterations_to_threshold(
-                threshold
-            )
+            out[THRESHOLD_KEY.format(threshold)] = self.iterations_to_threshold(threshold)
         return out
+
+    def write(self, out_dir: Path) -> Path:
+        """Write ``<stem>.csv`` and ``<stem>_summary.txt`` into ``out_dir``,
+        creating it if needed, and return the CSV's path."""
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stem = self.output_stem()
+        csv_path = out_dir / f"{stem}.csv"
+        self.write_csv(csv_path)
+        self.write_summary(out_dir / f"{stem}_summary.txt")
+        return csv_path
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for row in self.rows:
-                writer.writerow(
-                    [row[0], row[1]] + [repr(float(v)) for v in row[2:]]
-                )
+            for iteration, epoch, *values in self.rows:
+                writer.writerow([iteration, epoch, *(repr(float(v)) for v in values)])
 
     def write_summary(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -289,7 +297,7 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
                     diverged, diverged_at = True, t
                     break
                 acc = problem.test_accuracy(w)
-                rows.append((
+                rows.append(Row(
                     t,
                     (t * batch_size) // n_train,
                     float(batch_loss),
@@ -304,17 +312,32 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
 
 @dataclass
 class SweepResult:
-    """All (config, record) pairs of a sweep plus the selected best point."""
+    """A sweep's records in grid order, each holding its config, and the
+    index of the selected best point."""
 
-    configs: list
     records: list
     best_index: int | None
 
     @property
-    def best(self):
-        if self.best_index is None:
-            return None
-        return self.configs[self.best_index], self.records[self.best_index]
+    def best(self) -> RunRecord | None:
+        return None if self.best_index is None else self.records[self.best_index]
+
+    def write(self, out_dir: Path) -> list:
+        """Write each point's files and ``sweep_summary.txt``, which names each
+        point and the best one by its hyperparameters; return the summary's lines."""
+        labels = [record.config.optimizer_params for record in self.records]
+        lines = []
+        for label, record in zip(labels, self.records):
+            record.write(out_dir)
+            lines.append(f"point={label} diverged={record.diverged} "
+                         f"final_train_loss={record.final_train_loss} "
+                         f"final_test_loss={record.final_test_loss} "
+                         f"final_test_accuracy={record.final_test_accuracy}")
+        lines.append("best=none (all points diverged)" if self.best is None else
+                     f"best={labels[self.best_index]} "
+                     f"final_test_accuracy={self.best.final_test_accuracy}")
+        (out_dir / "sweep_summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return lines
 
 
 def _selection_key(record: RunRecord):
@@ -346,7 +369,7 @@ def sweep(grid: list) -> SweepResult:
     records = [run_experiment(cfg, problem=problem) for cfg in grid]
     candidates = [i for i, rec in enumerate(records) if not rec.diverged and rec.rows]
     best_index = min(candidates, key=lambda i: _selection_key(records[i]), default=None)
-    return SweepResult(configs=list(grid), records=records, best_index=best_index)
+    return SweepResult(records, best_index)
 
 
 def grid(base: ExperimentConfig, axes) -> list:
@@ -450,3 +473,15 @@ def scaling_probe(cfg: ScalingConfig) -> list:
                 times.append(time.perf_counter() - tic)
             medians.append(_median(times))
     return [(d, min(medians)) for d, medians in zip(cfg.dims, round_medians)]
+
+
+def write_scaling_csv(rows: list, out_dir: Path) -> Path:
+    """Write ``(optimizer, d, median_step_seconds)`` rows to
+    ``out_dir/scaling.csv``, creating ``out_dir`` if needed; return its path."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / "scaling.csv"
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write("optimizer,d,median_step_seconds\n")
+        for optimizer_id, d, seconds in rows:
+            fh.write(f"{optimizer_id},{d},{seconds!r}\n")
+    return csv_path

@@ -254,7 +254,7 @@ def comparative():
                          "schedule": "cosine"},
             seed,
         ))
-        sgd_cfg, sgd_rec = sgd.best
+        sgd_rec = sgd.best
         target = sgd_rec.final_train_loss
         sofim = harness.sweep(_grid(
             "sofim",
@@ -262,20 +262,20 @@ def comparative():
             seed,
         ))
         crossings = {}
-        for cfg, rec in zip(sofim.configs, sofim.records):
+        for rec in sofim.records:
             if rec.diverged:
                 continue
-            crossings[cfg.optimizer_params["eta"]] = rec.iterations_to_threshold(target)
+            crossings[rec.config.optimizer_params["eta"]] = rec.iterations_to_threshold(target)
         reached = {eta: c for eta, c in crossings.items() if c is not None}
-        sel_cfg, sel_rec = sofim.best
+        sel_rec = sofim.best
         entries.append({
             "seed": seed,
             "target": target,
-            "sgd_eta": sgd_cfg.optimizer_params["eta"],
+            "sgd_eta": sgd_rec.config.optimizer_params["eta"],
             "sgd_accuracy": sgd_rec.final_test_accuracy,
             "fastest_eta": min(reached, key=reached.get) if reached else None,
             "fastest_crossing": min(reached.values()) if reached else None,
-            "selected_eta": sel_cfg.optimizer_params["eta"],
+            "selected_eta": sel_rec.config.optimizer_params["eta"],
             "selected_accuracy": sel_rec.final_test_accuracy,
             "selected_crossing": sel_rec.iterations_to_threshold(target),
         })
@@ -329,10 +329,7 @@ def test_criterion_08_rho_sensitivity(comparative):
         seed=0,
     )
     result = harness.sweep(harness.grid(base, {"rho": [1.0, 0.5, 0.1]}))
-    accs = {
-        cfg.optimizer_params["rho"]: rec.final_test_accuracy
-        for cfg, rec in zip(result.configs, result.records)
-    }
+    accs = {rec.config.optimizer_params["rho"]: rec.final_test_accuracy for rec in result.records}
     best = max(accs.values())
     within = accs[0.5] >= best - 0.02
 

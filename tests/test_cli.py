@@ -233,6 +233,10 @@ class TestExitCodes:
         ("run", "problem={kind: blobs, classes: 3}", "model 'logistic' needs binary labels, "
                                                      "got 3 classes"),
         ("run", "problem={kind: blobs, model: mlp, hidden: 0}", "hidden must be >= 1, got 0"),
+        ("run", "loss_thresholds=[0.5, 0.5]", "config key 'loss_thresholds' lists thresholds "
+                                              "that share a summary key: [0.5, 0.5]"),
+        ("run", "loss_thresholds=[1.0e-7, 1.00000001e-7]", "'loss_thresholds'"),
+        ("sweep", "grid={}", "config key 'grid' must be a non-empty mapping"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, subcommand, override,
                                              key):
@@ -264,6 +268,7 @@ class TestExitCodes:
         ("scaling", ["optimizers=[sofim, x]", "dims=[8]", "repeats=1"]),
         ("run", ["problem.hidden=64", "problem.activation=relu"]),
         ("run", ["problem.classes=-3"]),
+        ("run", ["loss_thresholds=[1.0e-7, 1.00000001e-7, 0.5, 0.5]"]),
     ])
     def test_refused_config_writes_nothing(self, tmp_path, capsys, subcommand, overrides):
         """A refused config exits 1 without creating its output directory,
@@ -534,9 +539,11 @@ SWAPS = (True, "x", [1], {"zzz": 1}, None, math.nan, math.inf, -math.inf, -3, 2.
 #: The fuzzed shipped configs: each one's subcommand, and the test's own
 #: small sizes and hyperparameters, so that every mutant runs quickly and
 #: the scaling file has a ``hyperparameters`` mapping to mutate; the logistic
-#: run also fuzzes as a 3-class MLP.  Each has fewer mutants than the
-#: fuzzer's example count, so Hypothesis, which does not repeat an example,
-#: runs each of them once.
+#: run also fuzzes as a 3-class MLP, and the sweep at 200 rows, width 4 and
+#: a 2-point grid.  Each run or probe has fewer mutants than the fuzzer's
+#: example count, so Hypothesis, which does not repeat an example, runs each
+#: of them once.  The sweep's 271 mutants take about 1.4 s in all on a
+#: 2-vCPU host, so it draws :data:`SWEEP_EXAMPLES` of them, about 0.7 s.
 FUZZED = {
     name: (subcommand, {**yaml.safe_load((REPO / "configs" / name).read_text(encoding="utf-8")),
                         **sizes, "output_dir": "out"})
@@ -544,27 +551,35 @@ FUZZED = {
         ("scaling.yaml", "scaling",
          {"dims": [8, 16], "repeats": 2, "hyperparameters": {"eta": 0.01}}),
         ("blobs_logistic_sofim.yaml", "run", {"iterations": 20, "eval_every": 10}),
+        ("blobs_mlp_sgd_sweep.yaml", "sweep",
+         {"iterations": 20, "eval_every": 10, "grid": {"eta": [0.1, 0.01]}}),
     ]
 }
 _, _LOGISTIC = FUZZED["blobs_logistic_sofim.yaml"]
 FUZZED["blobs_logistic_sofim.yaml-mlp"] = ("run", {**_LOGISTIC, "problem": {
     **_LOGISTIC["problem"], "model": "mlp", "hidden": 4, "classes": 3}})
+_, _SWEEP = FUZZED["blobs_mlp_sgd_sweep.yaml"]
+FUZZED["blobs_mlp_sgd_sweep.yaml"] = ("sweep", {**_SWEEP, "problem": {
+    **_SWEEP["problem"], "n": 200, "hidden": 4}})
+SWEEP_EXAMPLES = 60
 
 
 @st.composite
 def mutants(draw, base):
     """``base`` with one key dropped, one unknown key added, or one value
     swapped for one of :data:`SWAPS`, at the top level or inside
-    ``hyperparameters`` or ``problem``; and the names an error may give it:
-    the key, and the keys of a mapping swapped in."""
+    ``hyperparameters``, ``problem`` or ``grid``; and the names an error
+    may give it: the key, the keys of a mapping swapped in, and the mapping
+    whose only key was dropped (an empty ``grid`` is refused by name)."""
     config = copy.deepcopy(base)
-    node = draw(st.sampled_from([config, *(config[key] for key in ("hyperparameters", "problem")
-                                           if key in config)]))
+    path = draw(st.sampled_from([None, *(key for key in ("hyperparameters", "problem", "grid")
+                                         if key in config)]))
+    node = config if path is None else config[path]
     action = draw(st.sampled_from(["drop", "add", "swap"]))
     key = "bogus" if action == "add" else draw(st.sampled_from(sorted(node)))
     if action == "drop":
         del node[key]
-        return config, (key,)
+        return config, (key, *((path,) if path and not node else ()))
     node[key] = draw(st.sampled_from(SWAPS))
     return config, (key, *(node[key] if isinstance(node[key], dict) else ()))
 
@@ -581,30 +596,34 @@ def working_directory(path):
 
 class TestConfigFuzzer:
     @pytest.mark.parametrize("name", FUZZED)
-    @settings(max_examples=400, deadline=None)
-    @given(data=st.data())
-    def test_mutant_exits_zero_or_one_naming_its_key(self, name, data):
+    def test_mutant_exits_zero_or_one_naming_its_key(self, name):
         """A shipped config with one key dropped, added or given another type
         or an edge value exits 0, or exits 1 with a config error that names
         the key and writes nothing; never 2, never an uncaught exception.
         A mapping swapped in may be named by its own key."""
         subcommand, base = FUZZED[name]
-        config, names = data.draw(mutants(base), label="mutant")
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
-            os.environ.pop(cli.DEFAULT_OUTPUT_DIR_ENV, None)
-            work = Path(tmp) / "work"
-            work.mkdir()
-            argv = [subcommand, write_yaml(Path(tmp) / "config.yaml", config)]
-            with (working_directory(work), contextlib.redirect_stdout(io.StringIO()),
-                  contextlib.redirect_stderr(err)):
-                code = cli.main(argv)
-            written = sorted(work.rglob("*"))
-        assert code in (0, 1), err.getvalue()
-        if code == 1:
-            assert err.getvalue().startswith("config error")
-            assert any(key in err.getvalue() for key in names)
-            assert written == []
+
+        @settings(max_examples=SWEEP_EXAMPLES if subcommand == "sweep" else 400, deadline=None)
+        @given(mutants(base))
+        def check(mutant):
+            config, names = mutant
+            err = io.StringIO()
+            with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+                os.environ.pop(cli.DEFAULT_OUTPUT_DIR_ENV, None)
+                work = Path(tmp) / "work"
+                work.mkdir()
+                argv = [subcommand, write_yaml(Path(tmp) / "config.yaml", config)]
+                with (working_directory(work), contextlib.redirect_stdout(io.StringIO()),
+                      contextlib.redirect_stderr(err)):
+                    code = cli.main(argv)
+                written = sorted(work.rglob("*"))
+            assert code in (0, 1), err.getvalue()
+            if code == 1:
+                assert err.getvalue().startswith("config error")
+                assert any(key in err.getvalue() for key in names)
+                assert written == []
+
+        check()
 
 
 class TestSweepCommands:

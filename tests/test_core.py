@@ -139,6 +139,23 @@ def test_names_the_benchmark_uses_resolve():
             assert name in vars(owner), f"{owner.__name__}.{name}"
 
 
+def test_every_write_goes_through_the_methods_the_benchmark_wraps(tmp_path, monkeypatch):
+    """``perfbench/spans.py`` times a run's CSV and summary by replacing
+    ``RunRecord.write_csv`` and ``write_summary`` on the class.  A run's and
+    a sweep's ``write`` call both, once per record, so ``--trace 1`` does
+    not read 0 for them."""
+    calls = []
+    for name in ("write_csv", "write_summary"):
+        monkeypatch.setattr(harness.RunRecord, name,
+                            lambda self, path, name=name: calls.append((name, path.name)))
+    cfg = harness.ExperimentConfig(problem={"kind": "quadratic"}, optimizer="sofim")
+    record = harness.RunRecord(cfg, "quadratic20", [])
+    record.write(tmp_path)
+    harness.SweepResult([record, record], None).write(tmp_path)
+    stem = record.output_stem()
+    assert calls == [("write_csv", f"{stem}.csv"), ("write_summary", f"{stem}_summary.txt")] * 3
+
+
 class TestShermanMorrison:
     def test_matches_dense_solve(self):
         """100 random instances over d in {5, 20, 50} agree with LAPACK to 1e-10."""

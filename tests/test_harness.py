@@ -18,12 +18,15 @@ from sofim.harness import (
     DIVERGENCE_LOSS,
     SCALING_ROUNDS,
     ExperimentConfig,
+    Row,
     RunRecord,
     ScalingConfig,
+    SweepResult,
     grid,
     run_experiment,
     scaling_probe,
     sweep,
+    write_scaling_csv,
 )
 
 QUADRATIC = {"kind": "quadratic", "dim": 10, "condition_number": 10.0, "seed": 0}
@@ -289,8 +292,8 @@ class TestSweep:
         """A one-point grid selects that point."""
         result = sweep([quick_config()])
         assert result.best_index == 0
-        cfg, record = result.best
-        assert cfg == quick_config()
+        record = result.best
+        assert record.config == quick_config()
         assert not record.diverged
 
     def test_diverged_points_excluded(self):
@@ -379,7 +382,7 @@ class TestRhoSweep:
         by the selection rule."""
         result = sweep(grid(quick_config(), {"rho": [1.0, 0.5, 0.1]}))
         assert len(result.records) == 3
-        rhos = [cfg.optimizer_params["rho"] for cfg in result.configs]
+        rhos = [rec.config.optimizer_params["rho"] for rec in result.records]
         assert rhos == [1.0, 0.5, 0.1]
         assert result.best_index is not None
 
@@ -502,3 +505,82 @@ class TestCsvContract:
         record = RunRecord(config=quick_config(), problem_name="x", rows=[])
         assert math.isnan(record.final_train_loss)
         assert record.summary()["final_iteration"] == 0
+
+
+def hand_record(eta, rows=(), thresholds=(), diverged_at=None):
+    """A record built without training: ``rows`` as given, diverged at
+    ``diverged_at`` if it is set."""
+    cfg = quick_config(optimizer_params={"eta": eta, "rho": 0.5}, total_iterations=20,
+                       eval_every=10, seed=0, loss_thresholds=thresholds)
+    return RunRecord(cfg, "logistic8", [Row(*row) for row in rows], diverged_at is not None,
+                     diverged_at)
+
+
+def written(out_dir):
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(out_dir.iterdir())}
+
+
+HEADER = "iteration,epoch,batch_loss,train_loss,test_loss,test_accuracy,wall_ms\n"
+REACHED = hand_record(0.1, [(10, 1, 0.5, 0.1 + 0.2, 0.3, 0.875, 1.5),
+                            (20, 2, 0.125, 0.1, 0.2, math.nan, 3.25)], thresholds=(0.2, 1e-9))
+DIVERGED = hand_record(10.0, diverged_at=3)
+REACHED_FILES = {
+    "logistic8_sofim_c175a8d457.csv":
+        HEADER + "10,1,0.5,0.30000000000000004,0.3,0.875,1.5\n20,2,0.125,0.1,0.2,nan,3.25\n",
+    "logistic8_sofim_c175a8d457_summary.txt":
+        "problem=logistic8\noptimizer=sofim\nconfig_hash=c175a8d457\ndiverged=False\n"
+        "diverged_at=None\nfinal_iteration=20\nfinal_train_loss=0.1\nfinal_test_loss=0.2\n"
+        "final_test_accuracy=nan\nbest_test_accuracy=0.875\niterations_to_train_loss_0.2=20\n"
+        "iterations_to_train_loss_1e-09=None\n",
+}
+DIVERGED_FILES = {
+    "logistic8_sofim_fff514d9cc.csv": HEADER,
+    "logistic8_sofim_fff514d9cc_summary.txt":
+        "problem=logistic8\noptimizer=sofim\nconfig_hash=fff514d9cc\ndiverged=True\n"
+        "diverged_at=3\nfinal_iteration=0\nfinal_train_loss=nan\nfinal_test_loss=nan\n"
+        "final_test_accuracy=nan\nbest_test_accuracy=nan\n",
+}
+
+
+class TestResultFormats:
+    """The exact bytes of every result file, from records built by hand."""
+
+    def test_run_files(self, tmp_path):
+        """A NaN accuracy cell, full-precision floats, and one threshold
+        reached and one never reached."""
+        assert REACHED.write(tmp_path) == tmp_path / "logistic8_sofim_c175a8d457.csv"
+        assert written(tmp_path) == REACHED_FILES
+
+    def test_diverged_run_without_rows(self, tmp_path):
+        """A header-only CSV and NaN finals at iteration 0."""
+        DIVERGED.write(tmp_path / "new" / "dir")
+        assert written(tmp_path / "new" / "dir") == DIVERGED_FILES
+
+    def test_sweep_summary_with_a_diverged_point(self, tmp_path):
+        lines = SweepResult([REACHED, DIVERGED], best_index=0).write(tmp_path)
+        summary = (
+            "point={'eta': 0.1, 'rho': 0.5} diverged=False final_train_loss=0.1 "
+            "final_test_loss=0.2 final_test_accuracy=nan\n"
+            "point={'eta': 10.0, 'rho': 0.5} diverged=True final_train_loss=nan "
+            "final_test_loss=nan final_test_accuracy=nan\n"
+            "best={'eta': 0.1, 'rho': 0.5} final_test_accuracy=nan\n")
+        assert written(tmp_path) == {**REACHED_FILES, **DIVERGED_FILES,
+                                     "sweep_summary.txt": summary}
+        assert lines == summary.splitlines()
+
+    def test_all_diverged_sweep_names_no_best(self, tmp_path):
+        result = SweepResult([DIVERGED, hand_record(100.0, diverged_at=1)], best_index=None)
+        assert result.best is None
+        result.write(tmp_path)
+        assert (tmp_path / "sweep_summary.txt").read_text(encoding="utf-8") == (
+            "point={'eta': 10.0, 'rho': 0.5} diverged=True final_train_loss=nan "
+            "final_test_loss=nan final_test_accuracy=nan\n"
+            "point={'eta': 100.0, 'rho': 0.5} diverged=True final_train_loss=nan "
+            "final_test_loss=nan final_test_accuracy=nan\n"
+            "best=none (all points diverged)\n")
+
+    def test_scaling_csv(self, tmp_path):
+        rows = [("sofim", 1000, 1.25e-05), ("adam", 10, 1e-06 / 3)]
+        assert write_scaling_csv(rows, tmp_path) == tmp_path / "scaling.csv"
+        assert written(tmp_path) == {"scaling.csv": "optimizer,d,median_step_seconds\n"
+                                     "sofim,1000,1.25e-05\nadam,10,3.333333333333333e-07\n"}
