@@ -9,18 +9,18 @@ sweep      hyperparameter grid over one problem (the damping study is a
 scaling    per-step wall-time probe across dimensions; writes scaling.csv.
 gradcheck  finite-difference gradient verification on default problems.
 
-Config files are YAML mappings.  A run file's keys are the fields of
-``harness.ExperimentConfig``, with ``iterations`` for ``total_iterations``
-and ``hyperparameters`` for ``optimizer_params``: ``problem``,
-``optimizer``, ``hyperparameters``, ``batch_size``, ``iterations``,
-``eval_every``, ``seed``, ``loss_thresholds``, plus ``output_dir``.
-``sweep`` adds ``grid``.  A scaling file takes ``harness.ScalingConfig``'s
-fields as a run file names them, ``optimizers`` for ``optimizer``, plus
-``output_dir``; by default ``optimizers: [sofim, sgd_momentum]``, ``dims``
-1e3 to 1e6 by decades, ``repeats: 20``, ``seed: 0``.  Every listed
-optimizer's config is built and checked before the first probe.  Any scalar
-key can be overridden on the command line with ``--set key=value`` (dotted
-paths reach nested keys, e.g. ``--set hyperparameters.rho=0.5``).
+Config files are YAML mappings whose keys are their configs' fields, read
+by ``harness.read_configs``, plus ``output_dir``.  A run file's keys are the
+fields of ``harness.ExperimentConfig``: ``problem``, ``optimizer``,
+``hyperparameters``, ``batch_size``, ``iterations``, ``eval_every``,
+``seed`` and ``loss_thresholds``; ``sweep`` adds ``grid``.  A scaling
+file's keys are the fields of ``harness.ScalingConfig``, with
+``optimizers`` listing one config each; by default ``optimizers: [sofim,
+sgd_momentum]``, ``dims`` 1e3 to 1e6 by decades, ``repeats: 20``,
+``seed: 0``.  Every listed optimizer's config is built and checked before
+the first probe.  Any scalar key can be overridden on the command line
+with ``--set key=value`` (dotted paths reach nested keys, e.g. ``--set
+hyperparameters.rho=0.5``).
 Unknown keys are rejected by name, and so are a quoted number (YAML reads
 ``1e-3`` as a string: write ``1.0e-3``), an unknown optimizer and a
 repeated grid, ``dims`` or ``optimizers`` value.  A refused config writes
@@ -30,10 +30,9 @@ existing file is refused before any training.
 A run's ``<confighash>`` hashes its values coerced to their types, and of
 ``problem`` and ``hyperparameters`` only the keys the config gives, not
 their defaults; so ``rho: 1`` and ``rho: 1.0`` name one run.
-The effective config is echoed to ``<output_dir>/config_echo.yaml``, its
-keys sorted.  A run's files, and a sweep's per-point files, replay from it;
-``sweep_summary.txt`` labels each point by its hyperparameters in the order
-the file gave them, so a replay from the echo relabels the points.
+The effective config is echoed to ``<output_dir>/config_echo.yaml`` in
+the file's key order, and a run or sweep replays from it: the same files,
+wall times aside.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
@@ -41,13 +40,9 @@ Exit codes: 0 success, 1 config error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
-from collections.abc import Callable
-from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -56,16 +51,6 @@ from sofim import harness, problems
 from sofim.exceptions import ConfigError, ScaleCapError, require
 
 DEFAULT_OUTPUT_DIR_ENV = "SOFIM_OUTPUT_DIR"
-DEFAULT_ETA_GRID = (1.0, 0.1, 0.01, 0.001, 0.0001)
-DEFAULT_SCALING_OPTIMIZERS = ("sofim", "sgd_momentum")
-
-#: Problems checked by ``gradcheck`` and their max-relative-error tolerances.
-GRADCHECK_TOLERANCES = {
-    "quadratic": 1e-8,
-    "logistic": 1e-6,
-    "softmax": 1e-6,
-    "mlp_tanh": 1e-5,
-}
 
 class _Parser(argparse.ArgumentParser):
     # argparse calls sys.exit(2) on bad usage; we reserve 2 for runtime
@@ -77,10 +62,10 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sofim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    for name, command in _COMMANDS.items():
+    for name, (help_line, _) in _COMMANDS.items():
         # The config path is optional at the argparse level so a missing
         # path surfaces as a named config error (exit 1), not a usage trap.
-        cmd = sub.add_parser(name, help=command.help)
+        cmd = sub.add_parser(name, help=help_line)
         cmd.add_argument("config", nargs="?", default=None,
                          help="path to YAML experiment config")
         cmd.add_argument(
@@ -151,29 +136,15 @@ def _output_dir(config: dict) -> Path:
     return out_dir
 
 
-def _file_keys(cls) -> set:
-    """``output_dir`` and the file key of each field of ``cls``."""
-    return {"output_dir", *(harness.KEY_OF_FIELD.get(f.name, f.name) for f in fields(cls))}
-
-
-def _file_config(cls, config: dict, **given):
-    """The ``cls`` config of a file: the ``given`` fields, and each other
-    field from its file key, else its default; the config checks its values."""
-    for f in fields(cls):
-        key = harness.KEY_OF_FIELD.get(f.name, f.name)
-        if f.name not in given and key in config:
-            given[f.name] = config[key]
-        require(f.name in given or f.default is not MISSING or f.default_factory is not MISSING,
-                f"config is missing required key {key!r}")
-    return cls(**given)
-
-
 def _echo_config(config: dict, out_dir: Path) -> None:
+    """Write the config in its key order, so that a sweep replays its points
+    in order and under the same labels."""
     with open(out_dir / "config_echo.yaml", "w", encoding="utf-8") as fh:
-        yaml.safe_dump({**config, "output_dir": str(out_dir)}, fh, sort_keys=True)
+        yaml.safe_dump({**config, "output_dir": str(out_dir)}, fh, sort_keys=False)
 
 
-def _run(cfg: harness.ExperimentConfig, out_dir: Path) -> None:
+def _run(configs: list, out_dir: Path) -> None:
+    (cfg,) = configs
     record = harness.run_experiment(cfg)
     csv_path = record.write(out_dir)
     for key, value in record.summary().items():
@@ -181,34 +152,10 @@ def _run(cfg: harness.ExperimentConfig, out_dir: Path) -> None:
     print(f"wrote {csv_path}")
 
 
-def _sweep_grid(config: dict) -> list:
-    return harness.grid(_file_config(harness.ExperimentConfig, config),
-                        config.get("grid", {"eta": list(DEFAULT_ETA_GRID)}))
-
-
-def _sweep(grid: list, out_dir: Path) -> None:
+def _sweep(configs: list, out_dir: Path) -> None:
     """Run the grid, write its files and print ``sweep_summary.txt``'s lines."""
-    for line in harness.sweep(grid).write(out_dir):
+    for line in harness.sweep(configs).write(out_dir):
         print(line)
-
-
-def _scaling_configs(config: dict) -> list:
-    """One ScalingConfig per entry of ``optimizers``, all built, and so all
-    checked, before the first probe runs; an unknown or repeated entry is
-    refused first."""
-    optimizers = config.get("optimizers", list(DEFAULT_SCALING_OPTIMIZERS))
-    if isinstance(optimizers, str):
-        optimizers = [optimizers]
-    require(isinstance(optimizers, (list, tuple)) and optimizers,
-            f"config key 'optimizers' must be an optimizer id or a non-empty list of them, "
-            f"got {optimizers!r}")
-    unknown = [o for o in optimizers if o not in tuple(harness.OPTIMIZERS)]
-    require(not unknown, f"config key 'optimizers' names unknown optimizer(s) {unknown!r}; "
-            f"expected ids from {tuple(harness.OPTIMIZERS)}")
-    require(len(set(optimizers)) == len(optimizers),
-            f"config key 'optimizers' lists an optimizer more than once: {optimizers!r}")
-    return [_file_config(harness.ScalingConfig, config, optimizer=optimizer_id)
-            for optimizer_id in optimizers]
 
 
 def _scaling(configs: list, out_dir: Path) -> None:
@@ -221,54 +168,36 @@ def _scaling(configs: list, out_dir: Path) -> None:
     print(f"wrote {harness.write_scaling_csv(rows, out_dir)}")
 
 
-class _Command(NamedTuple):
-    """A config subcommand: its help line, the keys its file takes, how it
-    turns the config into a validated job, and how it runs that job into
-    the output directory."""
-
-    help: str
-    keys: set
-    build: Callable[[dict], object]
-    run: Callable[[object, Path], None]
-
-
-_RUN_FILE_KEYS = _file_keys(harness.ExperimentConfig)
+#: Each config subcommand's help line and the runner of its configs.
 _COMMANDS = {
-    "run": _Command("run one experiment", _RUN_FILE_KEYS,
-                    functools.partial(_file_config, harness.ExperimentConfig), _run),
-    "sweep": _Command("run a hyperparameter grid and select the best point",
-                      _RUN_FILE_KEYS | {"grid"}, _sweep_grid, _sweep),
-    "scaling": _Command(
-        "measure per-step update cost across dimensions",
-        _file_keys(harness.ScalingConfig) - {"optimizer"} | {"optimizers"},
-        _scaling_configs, _scaling,
-    ),
+    "run": ("run one experiment", _run),
+    "sweep": ("run a hyperparameter grid and select the best point", _sweep),
+    "scaling": ("measure per-step update cost across dimensions", _scaling),
 }
 
 
 def _cmd_config(args) -> int:
-    """One config subcommand: load the file, apply the overrides, check the
-    keys, build and validate the job, run it and echo the config.  The run
-    creates the output directory just before it writes its first file."""
-    command = _COMMANDS[args.subcommand]
+    """One config subcommand: load the file, apply the overrides, read and
+    check its configs, run them and echo the config.  The run creates the
+    output directory just before it writes its first file."""
     config = _apply_overrides(_load_config(args.config, args.subcommand), args.overrides)
-    unknown = set(config) - command.keys
-    require(not unknown, f"unknown config key(s) for {args.subcommand}: {sorted(unknown)}; "
-            f"allowed: {sorted(command.keys)}")
+    configs = harness.read_configs(args.subcommand, config, caller_keys={"output_dir"})
     out_dir = _output_dir(config)
-    command.run(command.build(config), out_dir)
+    _, runner = _COMMANDS[args.subcommand]
+    runner(configs, out_dir)
     _echo_config(config, out_dir)
     return 0
 
 
 def _gradcheck_problems(seed: int) -> dict:
+    """The problems ``gradcheck`` checks, each with its max-relative-error tolerance."""
     blobs2 = problems.make_blobs(400, 10, 2, 3.0, seed)
     blobs3 = problems.make_blobs(450, 8, 3, 3.0, seed + 1)
     return {
-        "quadratic": problems.make_quadratic(20, 10.0, seed),
-        "logistic": problems.LogisticRegressionProblem(blobs2),
-        "softmax": problems.SoftmaxRegressionProblem(blobs3),
-        "mlp_tanh": problems.MlpProblem(blobs3, 8, "tanh"),
+        "quadratic": (problems.make_quadratic(20, 10.0, seed), 1e-8),
+        "logistic": (problems.LogisticRegressionProblem(blobs2), 1e-6),
+        "softmax": (problems.SoftmaxRegressionProblem(blobs3), 1e-6),
+        "mlp_tanh": (problems.MlpProblem(blobs3, 8, "tanh"), 1e-5),
     }
 
 
@@ -277,8 +206,7 @@ def _cmd_gradcheck(args) -> int:
     require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     failures = []
-    for name, problem in _gradcheck_problems(args.seed).items():
-        tolerance = GRADCHECK_TOLERANCES[name]
+    for name, (problem, tolerance) in _gradcheck_problems(args.seed).items():
         error = problems.gradient_check(problem, rng, n_points=args.points)
         status = "ok" if error <= tolerance else "FAIL"  # a NaN error fails
         print(f"{name}: max relative error {error:.3e} (tolerance {tolerance:g}) {status}")

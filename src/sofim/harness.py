@@ -12,6 +12,8 @@ forward pass.
 
 A run is a pure function of its :class:`ExperimentConfig` (wall-time
 columns aside): initialization, batch order and updates are all seeded.
+A config file's keys are its config's field names; :func:`read_configs`
+turns a file's mapping into the configs its subcommand runs.
 Non-finite or exploding losses end the run early with a divergence flag
 instead of crashing, so grid sweeps survive unstable corners.
 """
@@ -26,7 +28,7 @@ import json
 import math
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from sofim import baselines, problems
 from sofim.core import SofimConfig, SofimOptimizer
-from sofim.exceptions import NonFiniteError, ScaleCapError, convert, require
+from sofim.exceptions import ScaleCapError, convert, require
 
 #: A batch loss above this counts as divergence even while still finite.
 DIVERGENCE_LOSS = 1e8
@@ -59,7 +61,7 @@ class _Optimizer(NamedTuple):
     gradient: str = "loss_and_grad"  # the problem method returning (batch loss, step's g)
     hessian: bool = False  # the stepper takes the problem's constant Hessian
     dense: bool = False  # a dense oracle: the scaling probe caps its dimension
-    iterations_key: str | None = None  # defaults to the run's total_iterations
+    iterations_key: str | None = None  # defaults to the run's iterations
 
 
 OPTIMIZERS = {
@@ -77,7 +79,7 @@ OPTIMIZERS = {
 _COERCE = {"float": float, "int | None": int, "str": str}
 
 
-def _hyperparameters(optimizer_id: str, params: dict, total_iterations: int):
+def _hyperparameters(optimizer_id: str, params: dict, iterations: int):
     """The table row of ``optimizer_id``, its validated hyperparameter
     dataclass (``params`` over the row's defaults, each value coerced) and
     ``params`` coerced without defaults: the form a config keeps."""
@@ -93,30 +95,25 @@ def _hyperparameters(optimizer_id: str, params: dict, total_iterations: int):
             f"unknown hyperparameter(s) {sorted(unknown)} for optimizer {optimizer_id!r}")
     values = {**row.defaults, **params}
     if row.iterations_key:
-        values.setdefault(row.iterations_key, total_iterations)
+        values.setdefault(row.iterations_key, iterations)
     config = row.config(**{k: convert(coerce[k], v, f"hyperparameter {k!r}")
                            for k, v in values.items()})
     return row, config, {k: getattr(config, k) for k in params}
 
 
-def _build_stepper(optimizer_id: str, params: dict, total_iterations: int, dim: int, hessian):
+def _build_stepper(optimizer_id: str, params: dict, iterations: int, dim: int, hessian):
     """A stepper of ``optimizer_id`` at ``dim`` with validated hyperparameters;
     ``hessian()`` is called only for the row whose stepper takes one."""
-    row, config, _ = _hyperparameters(optimizer_id, params, total_iterations)
+    row, config, _ = _hyperparameters(optimizer_id, params, iterations)
     return row.stepper(dim, config, *((hessian(),) if row.hessian else ()))
 
 
-#: File keys named differently from the config field they set.
-KEY_OF_FIELD = {"total_iterations": "iterations", "optimizer_params": "hyperparameters"}
-
-
 def _coerce_ints(cfg) -> None:
-    """Coerce each int field of a frozen config; an error names its file key."""
+    """Coerce each int field of a frozen config; an error names its key."""
     for f in fields(cfg):
         if f.type == "int":
-            key = KEY_OF_FIELD.get(f.name, f.name)
             object.__setattr__(cfg, f.name,
-                               convert(int, getattr(cfg, f.name), f"config key {key!r}"))
+                               convert(int, getattr(cfg, f.name), f"config key {f.name!r}"))
 
 
 @dataclass(frozen=True)
@@ -126,24 +123,24 @@ class ExperimentConfig:
 
     problem: dict
     optimizer: str
-    optimizer_params: dict = field(default_factory=dict)
+    hyperparameters: dict = field(default_factory=dict)
     batch_size: int = 512
-    total_iterations: int = 1000
+    iterations: int = 1000
     eval_every: int = 50
     seed: int = 0
     loss_thresholds: tuple = ()
 
     def __post_init__(self):
         _coerce_ints(self)
-        require(self.total_iterations >= 1,
-                f"config key 'iterations' must be >= 1, got {self.total_iterations}")
+        require(self.iterations >= 1,
+                f"config key 'iterations' must be >= 1, got {self.iterations}")
         require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
-        require(1 <= self.eval_every <= self.total_iterations,
+        require(1 <= self.eval_every <= self.iterations,
                 f"config key 'eval_every' must lie in [1, 'iterations'], got {self.eval_every}")
         require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         store = functools.partial(object.__setattr__, self)
-        store("optimizer_params", _hyperparameters(self.optimizer, self.optimizer_params,
-                                                   self.total_iterations)[2])
+        store("hyperparameters", _hyperparameters(self.optimizer, self.hyperparameters,
+                                                  self.iterations)[2])
         store("problem", problems.canonical_spec(self.problem))
         thresholds = self.loss_thresholds
         thresholds = (thresholds,) if isinstance(thresholds, (int, float)) else thresholds
@@ -159,8 +156,13 @@ class ExperimentConfig:
         return asdict(self)
 
     def config_hash(self) -> str:
-        """Stable short hash of the experiment identity (used in file names)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Stable short hash of the experiment identity (used in file names).
+        ``iterations`` and ``hyperparameters`` are hashed as
+        ``total_iterations`` and ``optimizer_params``, the names that the
+        pinned stems and output digests were made with."""
+        pinned = {"iterations": "total_iterations", "hyperparameters": "optimizer_params"}
+        values = {pinned.get(key, key): value for key, value in self.to_dict().items()}
+        canonical = json.dumps(values, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:10]
 
 
@@ -177,8 +179,11 @@ class RunRecord:
     config: ExperimentConfig
     problem_name: str
     rows: list
-    diverged: bool = False
     diverged_at: int | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
     @property
     def final_train_loss(self) -> float:
@@ -269,32 +274,32 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
     batch_size = min(cfg.batch_size, n_train)
     batches = problems.minibatch_epochs(n_train, batch_size, np.random.default_rng(batch_ss))
 
-    stepper = _build_stepper(cfg.optimizer, cfg.optimizer_params, cfg.total_iterations,
+    stepper = _build_stepper(cfg.optimizer, cfg.hyperparameters, cfg.iterations,
                              problem.dim, lambda: problem.exact_hessian(w))
     loss_and_gradient = getattr(problem, OPTIMIZERS[cfg.optimizer].gradient)
 
     rows: list = []
-    diverged, diverged_at = False, None
+    diverged_at = None
     wall_seconds = 0.0
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        for t in range(1, cfg.total_iterations + 1):
+        for t in range(1, cfg.iterations + 1):
             tic = time.perf_counter()
             batch_loss, g = loss_and_gradient(w, next(batches))
             if not math.isfinite(batch_loss) or batch_loss > DIVERGENCE_LOSS:
-                diverged, diverged_at = True, t
+                diverged_at = t
                 break
             try:
                 stepper.step(w, g)
-            except (NonFiniteError, FloatingPointError, np.linalg.LinAlgError):
-                diverged, diverged_at = True, t
+            except (FloatingPointError, np.linalg.LinAlgError):  # NonFiniteError is one
+                diverged_at = t
                 break
             wall_seconds += time.perf_counter() - tic
 
-            if t % cfg.eval_every == 0 or t == cfg.total_iterations:
+            if t % cfg.eval_every == 0 or t == cfg.iterations:
                 train_loss = problem.loss(w)
                 if not math.isfinite(train_loss) or train_loss > DIVERGENCE_LOSS:
-                    diverged, diverged_at = True, t
+                    diverged_at = t
                     break
                 acc = problem.test_accuracy(w)
                 rows.append(Row(
@@ -307,7 +312,7 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
                     wall_seconds * 1000.0,
                 ))
 
-    return RunRecord(cfg, problem.name, rows, diverged, diverged_at)
+    return RunRecord(cfg, problem.name, rows, diverged_at)
 
 
 @dataclass
@@ -325,7 +330,7 @@ class SweepResult:
     def write(self, out_dir: Path) -> list:
         """Write each point's files and ``sweep_summary.txt``, which names each
         point and the best one by its hyperparameters; return the summary's lines."""
-        labels = [record.config.optimizer_params for record in self.records]
+        labels = [record.config.hyperparameters for record in self.records]
         lines = []
         for label, record in zip(labels, self.records):
             record.write(out_dir)
@@ -382,10 +387,10 @@ def grid(base: ExperimentConfig, axes) -> list:
     for name, values in axes.items():
         require(isinstance(values, (list, tuple)) and values,
                 f"grid entry {name!r} must be a non-empty list of values")
-    points = [replace(base, optimizer_params={**base.optimizer_params, **dict(zip(axes, combo))})
+    points = [replace(base, hyperparameters={**base.hyperparameters, **dict(zip(axes, combo))})
               for combo in itertools.product(*axes.values())]
     for name, values in axes.items():
-        require(len({cfg.optimizer_params[name] for cfg in points}) == len(values),
+        require(len({cfg.hyperparameters[name] for cfg in points}) == len(values),
                 f"grid entry {name!r} lists a value more than once: {values!r}")
     return points
 
@@ -400,7 +405,7 @@ class ScalingConfig:
     dims: tuple = (1_000, 10_000, 100_000, 1_000_000)
     repeats: int = 20
     seed: int = 0
-    optimizer_params: dict = field(default_factory=dict)
+    hyperparameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
         _coerce_ints(self)
@@ -412,12 +417,69 @@ class ScalingConfig:
         object.__setattr__(self, "dims", tuple(dims))
         require(self.repeats >= 1, f"repeats must be >= 1, got {self.repeats}")
         require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        row, _, params = _hyperparameters(self.optimizer, self.optimizer_params, self.repeats)
-        object.__setattr__(self, "optimizer_params", params)
+        row, _, params = _hyperparameters(self.optimizer, self.hyperparameters, self.repeats)
+        object.__setattr__(self, "hyperparameters", params)
         too_big = [d for d in dims if row.dense and d > baselines.DENSE_FIM_CAP]
         if too_big:
             raise ScaleCapError(f"{self.optimizer} is a dense small-scale oracle "
                                 f"(d <= {baselines.DENSE_FIM_CAP}); refusing dims {too_big}")
+
+
+def _read(cls, mapping: dict, **given):
+    """The ``cls`` config of ``mapping``: the ``given`` fields, and each other
+    field from its key, else its default; the config checks its values."""
+    for f in fields(cls):
+        if f.name not in given and f.name in mapping:
+            given[f.name] = mapping[f.name]
+        require(f.name in given or f.default is not MISSING or f.default_factory is not MISSING,
+                f"config is missing required key {f.name!r}")
+    return cls(**given)
+
+
+def _scaling_configs(mapping: dict) -> list:
+    """One ScalingConfig per entry of ``optimizers``, all built, and so all
+    checked, before the first probe runs; an unknown or repeated entry is
+    refused first."""
+    optimizers = mapping.get("optimizers", ["sofim", "sgd_momentum"])
+    if isinstance(optimizers, str):
+        optimizers = [optimizers]
+    require(isinstance(optimizers, (list, tuple)) and optimizers,
+            f"config key 'optimizers' must be an optimizer id or a non-empty list of them, "
+            f"got {optimizers!r}")
+    unknown = [o for o in optimizers if o not in tuple(OPTIMIZERS)]
+    require(not unknown, f"config key 'optimizers' names unknown optimizer(s) {unknown!r}; "
+            f"expected ids from {tuple(OPTIMIZERS)}")
+    require(len(set(optimizers)) == len(optimizers),
+            f"config key 'optimizers' lists an optimizer more than once: {optimizers!r}")
+    return [_read(ScalingConfig, mapping, optimizer=optimizer_id) for optimizer_id in optimizers]
+
+
+def read_configs(subcommand: str, mapping: dict, caller_keys=()) -> list:
+    """The checked configs of a ``run``, ``sweep`` or ``scaling`` file.
+
+    A run file's keys are :class:`ExperimentConfig`'s fields and give its
+    one config.  A sweep file adds ``grid`` (default ``{eta: [1.0, 0.1,
+    0.01, 0.001, 0.0001]}``) and gives its points.  A scaling file's keys
+    are :class:`ScalingConfig`'s fields, with ``optimizers`` (default
+    ``[sofim, sgd_momentum]``) in place of ``optimizer``, and gives one
+    config per entry.  ``caller_keys`` are allowed and not read here.  An
+    unknown key, and a missing one without a default, is refused by name.
+    """
+    cls = ScalingConfig if subcommand == "scaling" else ExperimentConfig
+    keys = {*caller_keys, *(f.name for f in fields(cls))}
+    if subcommand == "scaling":
+        keys = keys - {"optimizer"} | {"optimizers"}
+    if subcommand == "sweep":
+        keys.add("grid")
+    unknown = set(mapping) - keys
+    require(not unknown, f"unknown config key(s) for {subcommand}: {sorted(unknown)}; "
+            f"allowed: {sorted(keys)}")
+    if subcommand == "scaling":
+        return _scaling_configs(mapping)
+    base = _read(ExperimentConfig, mapping)
+    if subcommand == "run":
+        return [base]
+    return grid(base, mapping.get("grid", {"eta": [1.0, 0.1, 0.01, 0.001, 0.0001]}))
 
 
 def _median(values: list) -> float:
@@ -455,7 +517,7 @@ def scaling_probe(cfg: ScalingConfig) -> list:
         if OPTIMIZERS[cfg.optimizer].gradient == "loss_and_per_sample_grads":
             g = rng.random((8, d))
         stepper = _build_stepper(
-            cfg.optimizer, cfg.optimizer_params, cfg.repeats, d,
+            cfg.optimizer, cfg.hyperparameters, cfg.repeats, d,
             lambda: problems.make_quadratic(d, 10.0, cfg.seed).exact_hessian(w))
         steps.append(functools.partial(stepper.step, w, g))
     for do_step in steps:

@@ -226,9 +226,9 @@ def _grid(optimizer: str, params_for_eta, seed: int):
         harness.ExperimentConfig(
             problem=COMPARATIVE_PROBLEM,
             optimizer=optimizer,
-            optimizer_params=params_for_eta(eta),
+            hyperparameters=params_for_eta(eta),
             batch_size=512,
-            total_iterations=ITERATION_BUDGET,
+            iterations=ITERATION_BUDGET,
             eval_every=50,
             seed=seed,
         )
@@ -265,17 +265,17 @@ def comparative():
         for rec in sofim.records:
             if rec.diverged:
                 continue
-            crossings[rec.config.optimizer_params["eta"]] = rec.iterations_to_threshold(target)
+            crossings[rec.config.hyperparameters["eta"]] = rec.iterations_to_threshold(target)
         reached = {eta: c for eta, c in crossings.items() if c is not None}
         sel_rec = sofim.best
         entries.append({
             "seed": seed,
             "target": target,
-            "sgd_eta": sgd_rec.config.optimizer_params["eta"],
+            "sgd_eta": sgd_rec.config.hyperparameters["eta"],
             "sgd_accuracy": sgd_rec.final_test_accuracy,
             "fastest_eta": min(reached, key=reached.get) if reached else None,
             "fastest_crossing": min(reached.values()) if reached else None,
-            "selected_eta": sel_rec.config.optimizer_params["eta"],
+            "selected_eta": sel_rec.config.hyperparameters["eta"],
             "selected_accuracy": sel_rec.final_test_accuracy,
             "selected_crossing": sel_rec.iterations_to_threshold(target),
         })
@@ -322,14 +322,14 @@ def test_criterion_08_rho_sensitivity(comparative):
     base = harness.ExperimentConfig(
         problem=COMPARATIVE_PROBLEM,
         optimizer="sofim",
-        optimizer_params={"eta": eta, "rho": 0.5, "beta": 0.9},
+        hyperparameters={"eta": eta, "rho": 0.5, "beta": 0.9},
         batch_size=512,
-        total_iterations=ITERATION_BUDGET,
+        iterations=ITERATION_BUDGET,
         eval_every=50,
         seed=0,
     )
     result = harness.sweep(harness.grid(base, {"rho": [1.0, 0.5, 0.1]}))
-    accs = {rec.config.optimizer_params["rho"]: rec.final_test_accuracy for rec in result.records}
+    accs = {rec.config.hyperparameters["rho"]: rec.final_test_accuracy for rec in result.records}
     best = max(accs.values())
     within = accs[0.5] >= best - 0.02
 
@@ -337,9 +337,9 @@ def test_criterion_08_rho_sensitivity(comparative):
         harness.ExperimentConfig(
             problem=COMPARATIVE_PROBLEM,
             optimizer="sofim",
-            optimizer_params={"eta": eta, "rho": 0.0, "beta": 0.9},
+            hyperparameters={"eta": eta, "rho": 0.0, "beta": 0.9},
             batch_size=512,
-            total_iterations=ITERATION_BUDGET,
+            iterations=ITERATION_BUDGET,
             eval_every=50,
             seed=0,
         )

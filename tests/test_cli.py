@@ -146,7 +146,7 @@ class TestRunCommand:
         assert cli.main(["run", write_yaml(tmp_path / "config.yaml", data)]) == 2
         assert seen == [harness.ExperimentConfig(
             problem=data["problem"], optimizer="sofim",
-            optimizer_params=data["hyperparameters"],
+            hyperparameters=data["hyperparameters"],
         )]
 
 
@@ -409,9 +409,9 @@ class TestRunFileSchema:
         "problem": ({"kind": "quadratic", "dim": 5, "condition_number": 2.0},
                     "problem", {"kind": "quadratic", "dim": 5, "condition_number": 2.0}),
         "optimizer": ("adam", "optimizer", "adam"),
-        "hyperparameters": ({"eta": 0.05}, "optimizer_params", {"eta": 0.05}),
+        "hyperparameters": ({"eta": 0.05}, "hyperparameters", {"eta": 0.05}),
         "batch_size": (3, "batch_size", 3),
-        "iterations": (70, "total_iterations", 70),
+        "iterations": (70, "iterations", 70),
         "eval_every": (5, "eval_every", 5),
         "seed": (4, "seed", 4),
         "loss_thresholds": ([0.5, 2], "loss_thresholds", (0.5, 2.0)),
@@ -431,16 +431,14 @@ class TestRunFileSchema:
         return seen[0]
 
     @pytest.mark.parametrize("subcommand,cls,file_names", [
-        ("run", harness.ExperimentConfig,
-         {"total_iterations": "iterations", "optimizer_params": "hyperparameters"}),
-        ("scaling", harness.ScalingConfig,
-         {"optimizer": "optimizers", "optimizer_params": "hyperparameters"}),
+        ("run", harness.ExperimentConfig, {}),
+        ("scaling", harness.ScalingConfig, {"optimizer": "optimizers"}),
     ], ids=["run", "scaling"])
     def test_run_keys_are_the_experiment_config_fields(self, tmp_path, capsys, subcommand, cls,
                                                        file_names):
-        """The keys a run or scaling file takes are its config's fields under
-        their file names, plus output_dir; a scaling file lists
-        ``optimizers``, one ScalingConfig each."""
+        """The keys a run or scaling file takes are its config's fields, plus
+        output_dir; a scaling file lists ``optimizers``, one ScalingConfig
+        each."""
         expected = {file_names.get(f.name, f.name) for f in fields(cls)} | {"output_dir"}
         config = [run_config(tmp_path)] if subcommand == "run" else []
         assert cli.main([subcommand, *config, "--set", "bogus=1"]) == 1
@@ -466,11 +464,9 @@ class TestShippedConfigs:
         spec pass that subcommand's checks; nothing is trained."""
         usage = re.search(r"^# Usage: sofim (\S+)", path.read_text(encoding="utf-8"), re.M)
         assert usage, f"{path.name} has no '# Usage: sofim <subcommand>' line"
-        command = cli._COMMANDS[usage.group(1)]
         config = cli._load_config(str(path), usage.group(1))
-        assert set(config) <= command.keys
         cli._output_dir(config)
-        command.build(config)
+        harness.read_configs(usage.group(1), config)
         if "problem" in config:
             problems.problem_from_spec(config["problem"])
 
@@ -520,8 +516,7 @@ class TestConfigIdentity:
         runs, and a scaling file builds equal ScalingConfigs.  Nothing is
         trained."""
         def built(config):
-            job = cli._COMMANDS[usage(path)].build(config)
-            return job if isinstance(job, list) else [job]
+            return harness.read_configs(usage(path), config)
 
         config = cli._load_config(str(path), usage(path))
         assert repr(respelled(config)) != repr(config)
@@ -529,6 +524,43 @@ class TestConfigIdentity:
         assert repr(again) == repr(original)  # repr, unlike ==, tells 1 from 1.0
         if usage(path) != "scaling":
             assert [cfg.config_hash() for cfg in again] == [cfg.config_hash() for cfg in original]
+
+
+def comparable(out_dir):
+    """Each file of ``out_dir`` by name: a CSV without its last column, the
+    wall time (``wall_ms`` or ``median_step_seconds``), and the echo with
+    ``out_dir`` replaced by a placeholder."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix == ".csv":
+            files[path.name] = strip_wall(read_csv_rows(path))
+        else:
+            files[path.name] = path.read_text(encoding="utf-8").replace(str(out_dir), "<out>")
+    return files
+
+
+class TestEchoReplay:
+    @pytest.mark.parametrize("path,overrides", [
+        *((path, []) for path in CONFIGS),
+        (REPO / "configs" / "blobs_mlp_rho_sweep.yaml",
+         ["grid={rho: [1.0, 0.5], eta: [0.1, 0.01]}"]),
+    ], ids=[*(path.name for path in CONFIGS), "blobs_mlp_rho_sweep.yaml-two-axes"])
+    def test_replay_from_the_echo_writes_the_same_files(self, tmp_path, capsys, path, overrides):
+        """A shipped config run at a small size, then replayed from its
+        config_echo.yaml into a second directory, writes the same files
+        with the same contents, wall times and the output directory aside:
+        a sweep neither relabels nor reorders its points."""
+        sizes = (["dims=[8, 16]", "repeats=2"] if usage(path) == "scaling"
+                 else ["iterations=20", "eval_every=10"])
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = [usage(path), str(path), "--set", f"output_dir={first}"]
+        for item in [*sizes, *overrides]:
+            argv += ["--set", item]
+        assert cli.main(argv) == 0
+        assert cli.main([usage(path), str(first / "config_echo.yaml"),
+                         "--set", f"output_dir={second}"]) == 0
+        capsys.readouterr()
+        assert comparable(second) == comparable(first)
 
 
 #: The values a fuzzed key takes in place of its own: each type a YAML
@@ -721,7 +753,9 @@ class TestGradcheckCommand:
 
     def test_failure_exits_two(self, monkeypatch, capsys):
         """A tolerance violation is a runtime failure (exit 2)."""
-        monkeypatch.setitem(cli.GRADCHECK_TOLERANCES, "quadratic", 1e-30)
+        checked = cli._gradcheck_problems
+        monkeypatch.setattr(cli, "_gradcheck_problems", lambda seed: {
+            **checked(seed), "quadratic": (checked(seed)["quadratic"][0], 1e-30)})
         assert cli.main(["gradcheck", "--points", "2"]) == 2
         assert "quadratic" in capsys.readouterr().err
 
@@ -730,7 +764,8 @@ class TestGradcheckCommand:
         exit 2, not ok."""
         quadratic = problems.make_quadratic(5, 10.0, 0)
         monkeypatch.setattr(quadratic, "grad", lambda w, batch=None: np.full(5, np.nan))
-        monkeypatch.setattr(cli, "_gradcheck_problems", lambda seed: {"quadratic": quadratic})
+        monkeypatch.setattr(cli, "_gradcheck_problems",
+                            lambda seed: {"quadratic": (quadratic, 1e-8)})
         assert cli.main(["gradcheck", "--points", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "quadratic: max relative error nan (tolerance 1e-08) FAIL\n"

@@ -38,9 +38,9 @@ def quick_config(**overrides):
     base = dict(
         problem=BLOBS_LOGISTIC,
         optimizer="sofim",
-        optimizer_params={"eta": 0.1, "rho": 0.5, "beta": 0.9},
+        hyperparameters={"eta": 0.1, "rho": 0.5, "beta": 0.9},
         batch_size=32,
-        total_iterations=60,
+        iterations=60,
         eval_every=20,
         seed=1,
     )
@@ -67,16 +67,16 @@ class TestExperimentConfig:
         thresholds are kept coerced and without defaults, so two spellings
         of one number give one config and one hash."""
         ints = quick_config(problem={**BLOBS_LOGISTIC, "spread": 3},
-                            optimizer_params={"eta": 1, "rho": 1}, loss_thresholds=[1])
+                            hyperparameters={"eta": 1, "rho": 1}, loss_thresholds=[1])
         floats = quick_config(problem={**BLOBS_LOGISTIC, "n": 300.0},
-                              optimizer_params={"eta": 1.0, "rho": 1.0}, loss_thresholds=(1.0,),
-                              batch_size=32.0, total_iterations=60.0, eval_every=20.0, seed=1.0)
+                              hyperparameters={"eta": 1.0, "rho": 1.0}, loss_thresholds=(1.0,),
+                              batch_size=32.0, iterations=60.0, eval_every=20.0, seed=1.0)
         assert ints == floats and ints.config_hash() == floats.config_hash()
         assert all(type(floats.to_dict()[key]) is int
-                   for key in ("batch_size", "total_iterations", "eval_every", "seed"))
-        assert ints.optimizer_params == {"eta": 1.0, "rho": 1.0}
+                   for key in ("batch_size", "iterations", "eval_every", "seed"))
+        assert ints.hyperparameters == {"eta": 1.0, "rho": 1.0}
         assert ints.problem == BLOBS_LOGISTIC and ints.loss_thresholds == (1.0,)
-        coerced = [ints.optimizer_params["rho"], ints.problem["spread"], floats.problem["n"],
+        coerced = [ints.hyperparameters["rho"], ints.problem["spread"], floats.problem["n"],
                    ints.loss_thresholds[0]]
         assert [type(value) for value in coerced] == [float, float, int, float]
         assert quick_config(problem={"kind": "quadratic"}).problem == {"kind": "quadratic"}
@@ -90,7 +90,7 @@ class TestExperimentConfig:
             quick_config(problem={**BLOBS_LOGISTIC, "model": "tree"})
 
     @pytest.mark.parametrize("field,value,key", [
-        ("batch_size", "32", "'batch_size'"), ("total_iterations", 6.5, "'iterations'"),
+        ("batch_size", "32", "'batch_size'"), ("iterations", 6.5, "'iterations'"),
         ("eval_every", True, "'eval_every'"), ("seed", None, "'seed'")])
     def test_malformed_integer_field_names_its_run_file_key(self, field, value, key):
         """An integer field that does not convert raises ConfigError naming
@@ -99,19 +99,19 @@ class TestExperimentConfig:
             quick_config(**{field: value})
 
     def test_zero_iterations_rejected(self):
-        """total_iterations=0 violates the contract; the error names the
+        """iterations=0 violates the contract; the error names the
         run-file key."""
         with pytest.raises(ConfigError, match="config key 'iterations' must be >= 1"):
-            quick_config(total_iterations=0)
+            quick_config(iterations=0)
 
     def test_eval_every_bounded(self):
-        """eval_every must lie in [1, total_iterations], which the error
+        """eval_every must lie in [1, iterations], which the error
         names by their run-file keys."""
         bounded = r"config key 'eval_every' must lie in \[1, 'iterations'\]"
         with pytest.raises(ConfigError, match=bounded + ", got 0"):
             quick_config(eval_every=0)
         with pytest.raises(ConfigError, match=bounded + ", got 11"):
-            quick_config(total_iterations=10, eval_every=11)
+            quick_config(iterations=10, eval_every=11)
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ConfigError, match="lbfgs"):
@@ -121,27 +121,27 @@ class TestExperimentConfig:
         """A typoed hyperparameter is rejected with its name, by the dense
         oracles too."""
         with pytest.raises(ConfigError, match="lr"):
-            quick_config(optimizer_params={"lr": 0.1})
+            quick_config(hyperparameters={"lr": 0.1})
         with pytest.raises(ConfigError, match="bogus"):
-            quick_config(optimizer="ngd_oracle", optimizer_params={"bogus": 1})
+            quick_config(optimizer="ngd_oracle", hyperparameters={"bogus": 1})
         with pytest.raises(ConfigError, match="damping"):
             quick_config(problem=QUADRATIC, optimizer="newton_oracle",
-                         optimizer_params={"damping": 0.1})
+                         hyperparameters={"damping": 0.1})
 
     def test_nonpositive_rho_rejected_at_config_time(self):
         """rho <= 0 fails at construction, before any run starts; so do the
         dense oracles' eta <= 0 and damping <= 0."""
         with pytest.raises(ConfigError, match="rho"):
-            quick_config(optimizer_params={"eta": 0.1, "rho": 0.0})
+            quick_config(hyperparameters={"eta": 0.1, "rho": 0.0})
         with pytest.raises(ConfigError, match="rho"):
-            quick_config(optimizer_params={"eta": 0.1, "rho": -0.5})
+            quick_config(hyperparameters={"eta": 0.1, "rho": -0.5})
         with pytest.raises(ConfigError, match="eta"):
-            quick_config(optimizer="ngd_oracle", optimizer_params={"eta": -1.0})
+            quick_config(optimizer="ngd_oracle", hyperparameters={"eta": -1.0})
         with pytest.raises(ConfigError, match="damping"):
-            quick_config(optimizer="ngd_oracle", optimizer_params={"damping": 0.0})
+            quick_config(optimizer="ngd_oracle", hyperparameters={"damping": 0.0})
         with pytest.raises(ConfigError, match="eta"):
             quick_config(problem=QUADRATIC, optimizer="newton_oracle",
-                         optimizer_params={"eta": 0.0})
+                         hyperparameters={"eta": 0.0})
 
     @pytest.mark.parametrize("kind,value", [
         (float, True), (int, False), (int, 6.5), (int, "6.5"), (int, math.inf), (float, "x"),
@@ -162,8 +162,8 @@ class TestExperimentConfig:
 
 class TestRunExperiment:
     def test_single_iteration_single_row(self):
-        """total_iterations = eval_every = 1 yields exactly one metric row."""
-        record = run_experiment(quick_config(total_iterations=1, eval_every=1))
+        """iterations = eval_every = 1 yields exactly one metric row."""
+        record = run_experiment(quick_config(iterations=1, eval_every=1))
         assert len(record.rows) == 1
         assert record.rows[0][0] == 1
 
@@ -186,7 +186,7 @@ class TestRunExperiment:
 
     def test_epoch_accounting(self):
         """Epoch column is floor(iteration * batch_size / train_size)."""
-        cfg = quick_config(batch_size=32, total_iterations=40, eval_every=5)
+        cfg = quick_config(batch_size=32, iterations=40, eval_every=5)
         record = run_experiment(cfg)
         n_train = 240  # 80% of 300
         for row in record.rows:
@@ -197,7 +197,7 @@ class TestRunExperiment:
         a batch, then once each for the full-train loss, the test accuracy
         and the test loss."""
         cfg = quick_config(problem={**BLOBS_LOGISTIC, "model": "mlp", "hidden": 4},
-                           total_iterations=7, eval_every=7)
+                           iterations=7, eval_every=7)
         problem = problems.problem_from_spec(cfg.problem)
         sizes, forward = [], problem._forward
 
@@ -213,14 +213,14 @@ class TestRunExperiment:
 
     def test_batch_size_clipped_to_train_size(self):
         """batch_size above the train size degrades to full-batch epochs."""
-        cfg = quick_config(batch_size=10_000, total_iterations=4, eval_every=1)
+        cfg = quick_config(batch_size=10_000, iterations=4, eval_every=1)
         record = run_experiment(cfg)
         assert [row[1] for row in record.rows] == [1, 2, 3, 4]
 
     def test_quadratic_has_nan_accuracy(self):
         """Problems without classes record NaN in the accuracy column."""
         cfg = quick_config(problem=QUADRATIC, batch_size=1,
-                           total_iterations=10, eval_every=5)
+                           iterations=10, eval_every=5)
         record = run_experiment(cfg)
         assert all(math.isnan(row[5]) for row in record.rows)
         assert math.isnan(record.final_test_accuracy)
@@ -231,8 +231,8 @@ class TestRunExperiment:
             problem={"kind": "quadratic", "dim": 10,
                      "condition_number": 100.0, "seed": 0},
             optimizer="sgd_momentum",
-            optimizer_params={"eta": 10.0, "momentum": 0.9},
-            batch_size=1, total_iterations=200, eval_every=1,
+            hyperparameters={"eta": 10.0, "momentum": 0.9},
+            batch_size=1, iterations=200, eval_every=1,
         )
         record = run_experiment(cfg)
         assert record.diverged
@@ -247,8 +247,8 @@ class TestRunExperiment:
             problem={"kind": "blobs", "n": 2000, "p": 20, "classes": 2,
                      "spread": 3.0, "seed": 0, "model": "logistic"},
             optimizer="sofim",
-            optimizer_params={"eta": 0.1, "rho": 0.5, "beta": 0.9},
-            batch_size=64, total_iterations=500, eval_every=100, seed=0,
+            hyperparameters={"eta": 0.1, "rho": 0.5, "beta": 0.9},
+            batch_size=64, iterations=500, eval_every=100, seed=0,
         )
         record = run_experiment(cfg)
         assert not record.diverged
@@ -258,8 +258,8 @@ class TestRunExperiment:
         """The Newton oracle hits the minimizer after its first iteration."""
         cfg = ExperimentConfig(
             problem=QUADRATIC, optimizer="newton_oracle",
-            optimizer_params={"eta": 1.0},
-            batch_size=1, total_iterations=2, eval_every=1, seed=0,
+            hyperparameters={"eta": 1.0},
+            batch_size=1, iterations=2, eval_every=1, seed=0,
         )
         record = run_experiment(cfg)
         assert record.rows[0][3] <= 1e-18
@@ -268,15 +268,15 @@ class TestRunExperiment:
         """The dense NGD oracle decreases the train loss."""
         cfg = ExperimentConfig(
             problem=BLOBS_LOGISTIC, optimizer="ngd_oracle",
-            optimizer_params={"eta": 0.5, "damping": 0.1},
-            batch_size=32, total_iterations=30, eval_every=30, seed=0,
+            hyperparameters={"eta": 0.5, "damping": 0.1},
+            batch_size=32, iterations=30, eval_every=30, seed=0,
         )
         record = run_experiment(cfg)
         assert record.final_train_loss < math.log(2.0)
 
     def test_thresholds_reported(self):
         """iterations_to_threshold finds the first qualifying eval row."""
-        cfg = quick_config(total_iterations=200, eval_every=10,
+        cfg = quick_config(iterations=200, eval_every=10,
                            loss_thresholds=(0.2, 1e-9))
         record = run_experiment(cfg)
         hit = record.iterations_to_threshold(0.2)
@@ -301,10 +301,10 @@ class TestSweep:
         stiff = {"kind": "quadratic", "dim": 10, "condition_number": 100.0, "seed": 0}
         diverging = ExperimentConfig(
             problem=stiff, optimizer="sgd_momentum",
-            optimizer_params={"eta": 10.0, "momentum": 0.9},
-            batch_size=1, total_iterations=100, eval_every=10, seed=0,
+            hyperparameters={"eta": 10.0, "momentum": 0.9},
+            batch_size=1, iterations=100, eval_every=10, seed=0,
         )
-        stable = replace(diverging, optimizer_params={"eta": 0.01, "momentum": 0.9})
+        stable = replace(diverging, hyperparameters={"eta": 0.01, "momentum": 0.9})
         result = sweep([diverging, stable])
         assert result.best_index == 1
         assert result.records[0].diverged
@@ -314,17 +314,17 @@ class TestSweep:
         stiff = {"kind": "quadratic", "dim": 10, "condition_number": 100.0, "seed": 0}
         bad = ExperimentConfig(
             problem=stiff, optimizer="sgd_momentum",
-            optimizer_params={"eta": 50.0, "momentum": 0.9},
-            batch_size=1, total_iterations=50, eval_every=10, seed=0,
+            hyperparameters={"eta": 50.0, "momentum": 0.9},
+            batch_size=1, iterations=50, eval_every=10, seed=0,
         )
-        result = sweep([bad, replace(bad, optimizer_params={"eta": 99.0, "momentum": 0.9})])
+        result = sweep([bad, replace(bad, hyperparameters={"eta": 99.0, "momentum": 0.9})])
         assert result.best_index is None
         assert result.best is None
 
     def test_selection_prefers_accuracy_then_losses(self):
         """Selection is lexicographic on (accuracy, test loss, train loss)."""
         grid = [
-            quick_config(optimizer_params={"eta": eta, "rho": 0.5})
+            quick_config(hyperparameters={"eta": eta, "rho": 0.5})
             for eta in (0.1, 1e-4)
         ]
         result = sweep(grid)
@@ -352,7 +352,7 @@ class TestGrid:
         the base config with those hyperparameters set."""
         base = quick_config()
         assert grid(base, {"eta": [0.1, 0.01], "rho": [1.0, 0.5, 0.1]}) == [
-            replace(base, optimizer_params={**base.optimizer_params, "eta": eta, "rho": rho})
+            replace(base, hyperparameters={**base.hyperparameters, "eta": eta, "rho": rho})
             for eta in (0.1, 0.01) for rho in (1.0, 0.5, 0.1)]
 
     @pytest.mark.parametrize("axes,named", [
@@ -382,14 +382,14 @@ class TestRhoSweep:
         by the selection rule."""
         result = sweep(grid(quick_config(), {"rho": [1.0, 0.5, 0.1]}))
         assert len(result.records) == 3
-        rhos = [rec.config.optimizer_params["rho"] for rec in result.records]
+        rhos = [rec.config.hyperparameters["rho"] for rec in result.records]
         assert rhos == [1.0, 0.5, 0.1]
         assert result.best_index is not None
 
     def test_requires_sofim(self):
         """rho is a sofim hyperparameter; a rho grid for another optimizer
         is refused naming it."""
-        cfg = quick_config(optimizer="adam", optimizer_params={"eta": 0.001})
+        cfg = quick_config(optimizer="adam", hyperparameters={"eta": 0.001})
         with pytest.raises(ConfigError, match=r"unknown hyperparameter\(s\) \['rho'\]"):
             grid(cfg, {"rho": [0.5]})
 
@@ -455,11 +455,11 @@ class TestScalingProbe:
         with pytest.raises(ConfigError):
             ScalingConfig("sofim", [10], repeats=0)
         with pytest.raises(ConfigError, match="bogus"):
-            ScalingConfig("ngd_oracle", [20], repeats=1, optimizer_params={"bogus": 1})
+            ScalingConfig("ngd_oracle", [20], repeats=1, hyperparameters={"bogus": 1})
         with pytest.raises(ConfigError, match="damping"):
-            ScalingConfig("newton_oracle", [20], repeats=1, optimizer_params={"damping": -1})
+            ScalingConfig("newton_oracle", [20], repeats=1, hyperparameters={"damping": -1})
         with pytest.raises(ConfigError, match="eta"):
-            ScalingConfig("newton_oracle", [20], repeats=1, optimizer_params={"eta": -1})
+            ScalingConfig("newton_oracle", [20], repeats=1, hyperparameters={"eta": -1})
 
 
 class TestCsvContract:
@@ -510,10 +510,9 @@ class TestCsvContract:
 def hand_record(eta, rows=(), thresholds=(), diverged_at=None):
     """A record built without training: ``rows`` as given, diverged at
     ``diverged_at`` if it is set."""
-    cfg = quick_config(optimizer_params={"eta": eta, "rho": 0.5}, total_iterations=20,
+    cfg = quick_config(hyperparameters={"eta": eta, "rho": 0.5}, iterations=20,
                        eval_every=10, seed=0, loss_thresholds=thresholds)
-    return RunRecord(cfg, "logistic8", [Row(*row) for row in rows], diverged_at is not None,
-                     diverged_at)
+    return RunRecord(cfg, "logistic8", [Row(*row) for row in rows], diverged_at)
 
 
 def written(out_dir):
