@@ -112,13 +112,14 @@ class SgdMomentumOptimizer:
         self.config = config
         self.velocity = np.zeros(dim)
         self._scratch = np.empty(min(dim, BLOCK))
+        self._blocks = blocks(dim)
         self.step_count = 0
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
         check_step(w, g, self.velocity.shape)
         cfg = self.config
         lr = sgd_learning_rate(cfg, self.step_count)
-        for rows in blocks(len(w)):
+        for rows in self._blocks:
             w_b, v = w[rows], self.velocity[rows]
             scratch = self._scratch[:len(v)]
             v *= cfg.momentum
@@ -153,6 +154,7 @@ class AdamOptimizer:
         self.v = np.zeros(dim)
         self._scratch = np.empty(min(dim, BLOCK))
         self._denom = np.empty(min(dim, BLOCK))
+        self._blocks = blocks(dim)
         self.step_count = 0
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
@@ -161,7 +163,7 @@ class AdamOptimizer:
         cfg, t = self.config, self.step_count
         root_bc2 = math.sqrt(1.0 - cfg.beta2**t)
         alpha, eps_hat = cfg.eta * root_bc2 / (1.0 - cfg.beta1**t), cfg.epsilon * root_bc2
-        for rows in blocks(len(w)):
+        for rows in self._blocks:
             w_b, g_b, m, v = w[rows], g[rows], self.m[rows], self.v[rows]
             scratch, denom = self._scratch[:len(m)], self._denom[:len(m)]
             m *= cfg.beta1

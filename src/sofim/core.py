@@ -10,10 +10,12 @@ identity, applying ``F^{-1}`` to ``m_hat`` costs O(d) via the rank-one
 time with O(d) extra memory, like SGD with momentum.
 
 :class:`SofimOptimizer` is the one implementation of that update: it runs
-in place with numpy and allocates nothing per step.  The momentum-SGD and
-Adam steppers of :mod:`sofim.baselines` run their elementwise work over
-:func:`blocks`, one cache-sized block at a time, and so does forward-only
-evaluation in :mod:`sofim.problems`.
+in place with numpy and allocates nothing per step.  It and the
+momentum-SGD and Adam steppers of :mod:`sofim.baselines`, the three O(d)
+steppers, run their elementwise work over :func:`blocks`, one cache-sized
+block at a time, and so does forward-only evaluation in
+:mod:`sofim.problems`.  Sofim keeps a whole ``m_hat`` only for its one sum,
+``||m_hat||^2``.
 """
 
 from __future__ import annotations
@@ -30,15 +32,16 @@ from sofim.exceptions import DimensionMismatchError, NonFiniteError, require
 #: clear of rounding in the bound and in the sum.
 _SAFE_NORM = 1e150
 
-#: The momentum-SGD and Adam steppers and forward-only evaluation work over
-#: contiguous blocks of at most this many float64 elements, 256 KiB a
-#: vector (:func:`blocks`).  The most any step's block touches is Adam's six
-#: views (w, g, both moments and two scratch blocks), 1.5 MiB, which fits a
-#: 2 MiB per-core L2: each of a block's operations then reads what the one
-#: before it wrote from L2, where whole-vector operations at d = 1e6 stream
-#: every 8 MB vector through the last-level cache once per operation.  It
-#: also bounds the scratch those steppers need to one block, and the
-#: memory of an evaluation pass to one block of its widest intermediate.
+#: The O(d) steppers and forward-only evaluation work over contiguous
+#: blocks of at most this many float64 elements, 256 KiB a vector
+#: (:func:`blocks`).  The most any step's block touches is Adam's six views
+#: (w, g, both moments and two scratch blocks), 1.5 MiB, which fits a 2 MiB
+#: per-core L2: each of a block's operations then reads what the one before
+#: it wrote from L2, where whole-vector operations at d = 1e6 stream every
+#: 8 MB vector through the last-level cache once per operation.  It also
+#: bounds the scratch the momentum-SGD and Adam steppers need to one block,
+#: and the memory of an evaluation pass to one block of its widest
+#: intermediate.
 BLOCK = 32768
 
 _FLOAT64 = np.dtype(np.float64)
@@ -128,14 +131,17 @@ class SofimOptimizer:
     shape or dtype, a gradient with a NaN or Inf entry, or one whose
     ``||m_hat||^2`` would overflow is refused before any state changes.
 
-    It owns 2d floats, the moment and a d-length ``m_hat``: the O(d) space
-    the paper claims, as for momentum SGD.  ``m_hat`` must be whole at once,
-    because ``||m_hat||^2`` is one BLAS sum over all of it, and summing it
-    block by block would change its rounding.  Blocking (:func:`blocks`)
-    would therefore save sofim no memory, only cache traffic, and the step
-    runs whole-vector operations.  Blocked, it was about 12% faster at
-    d = 1e6 with its vectors warm, but about 18% slower in the scaling
-    probe, which interleaves dimensions, on a busy 2-vCPU host.
+    The step makes two passes over :func:`blocks`: the first updates the
+    moment and writes ``m_hat``, block by block; then ``||m_hat||^2`` is one
+    BLAS sum over the whole ``m_hat``; the second pass scales ``m_hat`` and
+    steps ``w``.  Each entry meets the same operations in the same order as
+    in whole-vector operations, so blocking changes no bit, and at d = 1e6
+    each block's operations read from cache what the one before wrote.  Where
+    ``d <= BLOCK`` the passes run on the whole vectors.  It owns 2d floats,
+    the moment and a d-length ``m_hat``: the O(d) space the paper claims,
+    as for momentum SGD.  ``m_hat`` must be whole at once because summing
+    it block by block would change the sum's rounding, so blocking saves
+    sofim cache traffic, not memory.
 
     The overflow test costs a normal step O(1): by the triangle inequality
     ``||m_hat|| <= (beta ||m|| + (1 - beta) ||g||) / (1 - beta^t)``, where
@@ -143,20 +149,24 @@ class SofimOptimizer:
     ``sq = ||m_hat||^2`` and ``||g||^2`` from :func:`check_step`.  Only a step
     whose bound is not safely finite works out ``||m_hat||^2`` exactly, in
     temporaries, before it mutates anything.
+
+    ``last_sq`` is the last step's ``||m_hat||^2`` (0 before the first):
+    against ``rho`` it tells which regime the step was in.
     """
 
     def __init__(self, dim: int, config: SofimConfig):
         self.config = config
         self.moment = np.zeros(dim)
-        self._scratch = np.empty(dim)
+        self._scratch = np.empty(dim)  # m_hat
+        self._blocks = blocks(dim)
         self.step_count = 0
         self._beta_pow = 1.0
-        self._last_sq = 0.0  # ||m_hat||^2 of the last step
+        self.last_sq = 0.0  # ||m_hat||^2 of the last step
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
         gg = check_step(w, g, self.moment.shape)
         beta, beta_pow = self.config.beta, self._beta_pow * self.config.beta
-        bound = (beta * math.sqrt(self._last_sq) * (1.0 - self._beta_pow)
+        bound = (beta * math.sqrt(self.last_sq) * (1.0 - self._beta_pow)
                  + (1.0 - beta) * math.sqrt(gg)) / (1.0 - beta_pow)
         if not bound < _SAFE_NORM:  # also true for an inf or NaN bound
             m_hat = (self.moment * beta + g * (1.0 - beta)) / (1.0 - beta_pow)
@@ -164,11 +174,32 @@ class SofimOptimizer:
                 raise NonFiniteError("||m_hat||^2 overflowed during a step")
         self.step_count += 1
         self._beta_pow = beta_pow
-        m, scratch = self.moment, self._scratch
-        m *= beta
-        np.multiply(g, 1.0 - beta, out=scratch)
-        m += scratch
-        m_hat = np.divide(m, 1.0 - beta_pow, out=scratch)
-        sq = self._last_sq = float(np.vdot(m_hat, m_hat))  # no overflow warning
-        m_hat *= self.config.eta / (self.config.rho + sq)
-        w -= m_hat
+        m, m_hat, one_block = self.moment, self._scratch, len(self._blocks) < 2
+        if one_block:  # d <= BLOCK: the whole vectors, with no per-block views
+            _moment_pass(m, g, m_hat, beta, 1.0 - beta_pow)
+        else:
+            for rows in self._blocks:
+                _moment_pass(m[rows], g[rows], m_hat[rows], beta, 1.0 - beta_pow)
+        sq = self.last_sq = float(np.vdot(m_hat, m_hat))  # no overflow warning
+        rate = self.config.eta / (self.config.rho + sq)
+        if one_block:
+            _descent_pass(w, m_hat, rate)
+        else:
+            for rows in self._blocks:
+                _descent_pass(w[rows], m_hat[rows], rate)
+
+
+def _moment_pass(m, g, m_hat, beta, bias):
+    """Sofim's first pass over one block: ``m = beta m + (1 - beta) g`` in
+    place, then ``m_hat = m / bias``."""
+    m *= beta
+    np.multiply(g, 1.0 - beta, out=m_hat)
+    m += m_hat
+    np.divide(m, bias, out=m_hat)
+
+
+def _descent_pass(w, m_hat, rate):
+    """Sofim's second pass over one block: ``w -= rate m_hat``, scaling
+    ``m_hat`` in place."""
+    m_hat *= rate
+    w -= m_hat

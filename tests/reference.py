@@ -59,7 +59,7 @@ def stepped_m_hat(opt, g):
     steps with on ``g``: its step from ``w = 0`` is ``-eta m_hat / (rho + sq)``."""
     w = np.zeros(len(g))
     opt.step(w, g)
-    return -w / (opt.config.eta / (opt.config.rho + opt._last_sq))
+    return -w / (opt.config.eta / (opt.config.rho + opt.last_sq))
 
 
 def stepped_direction(m_hat, rho):

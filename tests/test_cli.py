@@ -571,11 +571,11 @@ SWAPS = (True, "x", [1], {"zzz": 1}, None, math.nan, math.inf, -math.inf, -3, 2.
 #: The fuzzed shipped configs: each one's subcommand, and the test's own
 #: small sizes and hyperparameters, so that every mutant runs quickly and
 #: the scaling file has a ``hyperparameters`` mapping to mutate; the logistic
-#: run also fuzzes as a 3-class MLP, and the sweep at 200 rows, width 4 and
+#: run also fuzzes as a 3-class MLP, and each sweep at 200 rows, width 4 and
 #: a 2-point grid.  Each run or probe has fewer mutants than the fuzzer's
 #: example count, so Hypothesis, which does not repeat an example, runs each
-#: of them once.  The sweep's 271 mutants take about 1.4 s in all on a
-#: 2-vCPU host, so it draws :data:`SWEEP_EXAMPLES` of them, about 0.7 s.
+#: of them once.  A sweep has about 300 mutants, about 1.9 s in all on a
+#: 2-vCPU host, so it draws :data:`SWEEP_EXAMPLES` of them, about 0.5 s.
 FUZZED = {
     name: (subcommand, {**yaml.safe_load((REPO / "configs" / name).read_text(encoding="utf-8")),
                         **sizes, "output_dir": "out"})
@@ -583,16 +583,18 @@ FUZZED = {
         ("scaling.yaml", "scaling",
          {"dims": [8, 16], "repeats": 2, "hyperparameters": {"eta": 0.01}}),
         ("blobs_logistic_sofim.yaml", "run", {"iterations": 20, "eval_every": 10}),
-        ("blobs_mlp_sgd_sweep.yaml", "sweep",
-         {"iterations": 20, "eval_every": 10, "grid": {"eta": [0.1, 0.01]}}),
+        *((name, "sweep", {"iterations": 20, "eval_every": 10, "grid": grid})
+          for name, grid in [("blobs_mlp_sgd_sweep.yaml", {"eta": [0.1, 0.01]}),
+                             ("blobs_mlp_sofim_sweep.yaml", {"eta": [0.1, 0.01]}),
+                             ("blobs_mlp_rho_sweep.yaml", {"rho": [1.0, 0.5]})]),
     ]
 }
 _, _LOGISTIC = FUZZED["blobs_logistic_sofim.yaml"]
 FUZZED["blobs_logistic_sofim.yaml-mlp"] = ("run", {**_LOGISTIC, "problem": {
     **_LOGISTIC["problem"], "model": "mlp", "hidden": 4, "classes": 3}})
-_, _SWEEP = FUZZED["blobs_mlp_sgd_sweep.yaml"]
-FUZZED["blobs_mlp_sgd_sweep.yaml"] = ("sweep", {**_SWEEP, "problem": {
-    **_SWEEP["problem"], "n": 200, "hidden": 4}})
+for _subcommand, _base in FUZZED.values():
+    if _subcommand == "sweep":
+        _base["problem"].update(n=200, hidden=4)
 SWEEP_EXAMPLES = 60
 
 
@@ -600,14 +602,28 @@ SWEEP_EXAMPLES = 60
 def mutants(draw, base):
     """``base`` with one key dropped, one unknown key added, or one value
     swapped for one of :data:`SWAPS`, at the top level or inside
-    ``hyperparameters``, ``problem`` or ``grid``; and the names an error
-    may give it: the key, the keys of a mapping swapped in, and the mapping
-    whose only key was dropped (an empty ``grid`` is refused by name)."""
+    ``hyperparameters``, ``problem`` or ``grid``, or one entry of a ``grid``
+    list dropped, swapped or added (a :data:`SWAPS` value or a repeat); and
+    the names an error may give it: the key, the keys of a mapping swapped
+    in, and the mapping whose only key was dropped (an empty ``grid`` is
+    refused by name).  A grid list's mutant is named by its axis."""
     config = copy.deepcopy(base)
     path = draw(st.sampled_from([None, *(key for key in ("hyperparameters", "problem", "grid")
-                                         if key in config)]))
-    node = config if path is None else config[path]
+                                         if key in config),
+                                 *(("grid", axis) for axis in config.get("grid", {}))]))
     action = draw(st.sampled_from(["drop", "add", "swap"]))
+    if isinstance(path, tuple):
+        values = config["grid"][path[1]]
+        if action == "add":
+            values.append(draw(st.sampled_from([*SWAPS, *values])))
+        else:
+            index = draw(st.integers(0, len(values) - 1))
+            if action == "drop":
+                del values[index]
+            else:
+                values[index] = draw(st.sampled_from(SWAPS))
+        return config, (path[1],)
+    node = config if path is None else config[path]
     key = "bogus" if action == "add" else draw(st.sampled_from(sorted(node)))
     if action == "drop":
         del node[key]

@@ -6,8 +6,7 @@ agree.  A beta = 0, eta = 1 step from ``w = 0`` moves ``w`` by exactly
 minus the direction (``reference.stepped_direction``), and
 ``reference.stepped_m_hat`` reads a step's bias-corrected moment back.
 The in-place steppers' whole-vector step bodies are kept as oracles for
-the cache-blocked momentum-SGD and Adam steps, and for sofim's step,
-which must all match them bitwise.
+the three cache-blocked O(d) steps, which must match them bitwise.
 """
 
 import math
@@ -60,7 +59,7 @@ class WholeVectorSofim:
 
     def __init__(self, dim, config):
         self.config, self.moment = config, np.zeros(dim)
-        self.step_count, self._beta_pow, self._last_sq = 0, 1.0, 0.0
+        self.step_count, self._beta_pow, self.last_sq = 0, 1.0, 0.0
 
     def step(self, w, g):
         beta, beta_pow = self.config.beta, self._beta_pow * self.config.beta
@@ -71,7 +70,7 @@ class WholeVectorSofim:
         np.multiply(g, 1.0 - beta, out=scratch)
         m += scratch
         m_hat = np.divide(m, 1.0 - beta_pow, out=scratch)
-        sq = self._last_sq = float(np.vdot(m_hat, m_hat))
+        sq = self.last_sq = float(np.vdot(m_hat, m_hat))
         m_hat *= self.config.eta / (self.config.rho + sq)
         w -= m_hat
 
@@ -375,20 +374,19 @@ class TestSofimOptimizer:
 
     def test_warm_step_allocates_less_than_one_vector(self):
         """A warm step keeps its intermediates in owned buffers: numpy
-        allocates less than one d-length float64 vector inside it.  The
-        momentum-SGD (with weight decay) and Adam steppers, whose scratch is
-        one block, allocate less than one block.  Each stepper owns the
-        float64 arrays its docstring states: sofim 2d, SGD d plus a block,
-        Adam 2d plus two blocks."""
+        allocates less than one block of float64 inside it, for sofim and
+        for the momentum-SGD (with weight decay) and Adam steppers alike.
+        Each stepper owns the float64 arrays its docstring states: sofim 2d,
+        SGD d plus a block, Adam 2d plus two blocks."""
         d = 100_000  # four blocks, the last one short
         block = min(d, BLOCK)
         steppers = [
-            (SofimOptimizer(d, SofimConfig(eta=0.01, rho=0.5, beta=0.9)), 2 * d, d),
+            (SofimOptimizer(d, SofimConfig(eta=0.01, rho=0.5, beta=0.9)), 2 * d),
             (SgdMomentumOptimizer(d, SgdConfig(eta=0.01, momentum=0.9, weight_decay=1e-4)),
-             d + block, block),
-            (AdamOptimizer(d, AdamConfig(eta=0.01)), 2 * d + 2 * block, block),
+             d + block),
+            (AdamOptimizer(d, AdamConfig(eta=0.01)), 2 * d + 2 * block),
         ]
-        for opt, owned, peak_bound in steppers:
+        for opt, owned in steppers:
             name = type(opt).__name__
             arrays = [a for a in vars(opt).values() if isinstance(a, np.ndarray)]
             assert all(a.dtype == np.float64 for a in arrays), name
@@ -403,14 +401,14 @@ class TestSofimOptimizer:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < peak_bound * 8, f"one warm {name} step allocated {peak} bytes at d={d}"
+            assert peak < block * 8, f"one warm {name} step allocated {peak} bytes at d={d}"
 
 
 class TestBlockedStepsMatchTheirFormerForms:
-    """The momentum-SGD and Adam steppers, blocked over :func:`blocks`, and
-    sofim's whole-vector step keep ``w`` and their state bitwise equal to
-    the whole-vector steps above (Adam's in its one-divide form), at
-    dimensions on both sides of each block edge and over four blocks."""
+    """The three O(d) steppers, blocked over :func:`blocks`, keep ``w`` and
+    their state bitwise equal to the whole-vector steps above (Adam's in its
+    one-divide form), at dimensions on both sides of each block edge and
+    over four blocks; sofim's one sum stays over its whole ``m_hat``."""
 
     CASES = {
         "sofim": (SofimOptimizer, WholeVectorSofim, SofimConfig(eta=0.01, rho=0.5, beta=0.9)),

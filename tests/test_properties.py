@@ -98,9 +98,9 @@ def test_sofim_stepper_is_momentum_sgd_at_rate_lr_t(stream, eta, rho, beta):
     g_max = path = 0.0
     for t, g in enumerate(grads, start=1):
         opt.step(w, g)
-        w_ref, v = sofim_momentum_step(w_ref, v, g, cfg, t, opt._last_sq)
+        w_ref, v = sofim_momentum_step(w_ref, v, g, cfg, t, opt.last_sq)
         g_max = max(g_max, np.abs(g).max())
-        path += eta * g_max / (rho + opt._last_sq)
+        path += eta * g_max / (rho + opt.last_sq)
         assert np.abs(w - w_ref).max() <= 1e-12 * (1.0 + np.abs(w_ref).max() + path), t
 
 
@@ -169,8 +169,8 @@ FAULTS = {"g length": DimensionMismatchError, "g rank": DimensionMismatchError,
           "w length": DimensionMismatchError, "nan": NonFiniteError, "inf": NonFiniteError,
           "-inf": NonFiniteError, "w int64": TypeError, "w float32": TypeError,
           "g int64": TypeError, "g float32": TypeError}
-#: The O(d) steppers, checked again at MULTI_BLOCK_DIM: momentum SGD and
-#: Adam step over blocks(MULTI_BLOCK_DIM) there, and sofim over whole vectors.
+#: The O(d) steppers, checked again at MULTI_BLOCK_DIM, where each steps
+#: over blocks(MULTI_BLOCK_DIM).
 O_D_STEPPERS = ("sofim", "sgd_momentum", "adam")
 #: Four blocks of 24577 or 24578 elements.
 MULTI_BLOCK_DIM = 3 * BLOCK + 5
