@@ -32,8 +32,8 @@ class SgdConfig:
     """SGD hyperparameters.  ``schedule`` is ``"constant"`` or ``"cosine"``;
     cosine anneals from ``eta`` to 0 over ``total_steps``."""
 
-    eta: float
-    momentum: float = 0.0
+    eta: float = 0.1
+    momentum: float = 0.9
     weight_decay: float = 0.0
     schedule: str = "constant"
     total_steps: int | None = None
@@ -52,7 +52,7 @@ class SgdConfig:
 class AdamConfig:
     """Adam hyperparameters with the canonical defaults."""
 
-    eta: float
+    eta: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8

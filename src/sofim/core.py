@@ -103,8 +103,8 @@ class SofimConfig:
     """Hyperparameters: learning rate ``eta``, curvature regularizer ``rho``,
     moment decay ``beta``."""
 
-    eta: float
-    rho: float
+    eta: float = 0.1
+    rho: float = 0.5
     beta: float = 0.9
 
     def __post_init__(self):

@@ -3,12 +3,11 @@ hyperparameter sweeps, O(d) step-cost measurement, and every result file.
 
 Every optimizer, the dense NGD and Newton oracles included, is one row of
 :data:`OPTIMIZERS`: a frozen hyperparameter dataclass (its fields are the
-accepted keys), the harness defaults that differ from the dataclass's, and
-a stepper whose ``step(w, g)`` updates ``w`` in place.  Runs and the
-scaling probe build their stepper from that row the same way, so the
-training loop makes one ``stepper.step`` call per iteration, fed by one
-problem call that returns the batch loss and the gradient from a single
-forward pass.
+accepted keys, and its field defaults the only defaults) and a stepper
+whose ``step(w, g)`` updates ``w`` in place.  Runs and the scaling probe
+build their stepper from that row the same way, so the training loop makes
+one ``stepper.step`` call per iteration, fed by one problem call that
+returns the batch loss and the gradient from a single forward pass.
 
 A run is a pure function of its :class:`ExperimentConfig` (wall-time
 columns aside): initialization, batch order and updates are all seeded.
@@ -57,7 +56,6 @@ class _Optimizer(NamedTuple):
 
     config: type  # frozen hyperparameter dataclass
     stepper: type  # built as stepper(dim, config), plus the Hessian if `hessian`
-    defaults: dict = {}  # harness defaults that differ from the dataclass's
     gradient: str = "loss_and_grad"  # the problem method returning (batch loss, step's g)
     hessian: bool = False  # the stepper takes the problem's constant Hessian
     dense: bool = False  # a dense oracle: the scaling probe caps its dimension
@@ -65,10 +63,10 @@ class _Optimizer(NamedTuple):
 
 
 OPTIMIZERS = {
-    "sofim": _Optimizer(SofimConfig, SofimOptimizer, {"eta": 0.1, "rho": 0.5}),
+    "sofim": _Optimizer(SofimConfig, SofimOptimizer),
     "sgd_momentum": _Optimizer(baselines.SgdConfig, baselines.SgdMomentumOptimizer,
-                               {"eta": 0.1, "momentum": 0.9}, iterations_key="total_steps"),
-    "adam": _Optimizer(baselines.AdamConfig, baselines.AdamOptimizer, {"eta": 0.001}),
+                               iterations_key="total_steps"),
+    "adam": _Optimizer(baselines.AdamConfig, baselines.AdamOptimizer),
     "ngd_oracle": _Optimizer(baselines.NgdConfig, baselines.NgdOracle,
                              gradient="loss_and_per_sample_grads", dense=True),
     "newton_oracle": _Optimizer(baselines.NewtonConfig, baselines.NewtonOracle,
@@ -81,8 +79,8 @@ _COERCE = {"float": float, "int | None": int, "str": str}
 
 def _hyperparameters(optimizer_id: str, params: dict, iterations: int):
     """The table row of ``optimizer_id``, its validated hyperparameter
-    dataclass (``params`` over the row's defaults, each value coerced) and
-    ``params`` coerced without defaults: the form a config keeps."""
+    dataclass (``params`` coerced, the dataclass's defaults for the rest)
+    and ``params`` coerced without defaults: the form a config keeps."""
     require(isinstance(params, dict),
             f"config key 'hyperparameters' must be a mapping, got {params!r}")
     require(optimizer_id in tuple(OPTIMIZERS),
@@ -93,7 +91,7 @@ def _hyperparameters(optimizer_id: str, params: dict, iterations: int):
     unknown = set(params) - set(coerce)
     require(not unknown,
             f"unknown hyperparameter(s) {sorted(unknown)} for optimizer {optimizer_id!r}")
-    values = {**row.defaults, **params}
+    values = dict(params)
     if row.iterations_key:
         values.setdefault(row.iterations_key, iterations)
     config = row.config(**{k: convert(coerce[k], v, f"hyperparameter {k!r}")
@@ -174,6 +172,7 @@ class RunRecord:
     mini-batch loss at that iteration, full-train loss, test loss, test
     accuracy (NaN for problems without classification semantics) and
     cumulative training wall time in ms (evaluation overhead excluded).
+    The summary and sweep selection read the run's end from :attr:`final`.
     """
 
     config: ExperimentConfig
@@ -186,16 +185,9 @@ class RunRecord:
         return self.diverged_at is not None
 
     @property
-    def final_train_loss(self) -> float:
-        return self.rows[-1].train_loss if self.rows else math.nan
-
-    @property
-    def final_test_loss(self) -> float:
-        return self.rows[-1].test_loss if self.rows else math.nan
-
-    @property
-    def final_test_accuracy(self) -> float:
-        return self.rows[-1].test_accuracy if self.rows else math.nan
+    def final(self) -> Row:
+        """The last row, or a row of NaNs at iteration 0 when there is none."""
+        return self.rows[-1] if self.rows else Row(0, *[math.nan] * 6)
 
     @property
     def best_test_accuracy(self) -> float:
@@ -211,16 +203,17 @@ class RunRecord:
         return None
 
     def summary(self) -> dict:
+        final = self.final
         out = {
             "problem": self.problem_name,
             "optimizer": self.config.optimizer,
             "config_hash": self.config.config_hash(),
             "diverged": self.diverged,
             "diverged_at": self.diverged_at,
-            "final_iteration": int(self.rows[-1].iteration) if self.rows else 0,
-            "final_train_loss": self.final_train_loss,
-            "final_test_loss": self.final_test_loss,
-            "final_test_accuracy": self.final_test_accuracy,
+            "final_iteration": int(final.iteration),
+            "final_train_loss": final.train_loss,
+            "final_test_loss": final.test_loss,
+            "final_test_accuracy": final.test_accuracy,
             "best_test_accuracy": self.best_test_accuracy,
         }
         for threshold in self.config.loss_thresholds:
@@ -301,14 +294,13 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
                 if not math.isfinite(train_loss) or train_loss > DIVERGENCE_LOSS:
                     diverged_at = t
                     break
-                acc = problem.test_accuracy(w)
                 rows.append(Row(
                     t,
                     (t * batch_size) // n_train,
                     float(batch_loss),
                     float(train_loss),
                     float(problem.test_loss(w)),
-                    math.nan if acc is None else float(acc),
+                    float(problem.test_accuracy(w)),
                     wall_seconds * 1000.0,
                 ))
 
@@ -334,13 +326,14 @@ class SweepResult:
         lines = []
         for label, record in zip(labels, self.records):
             record.write(out_dir)
+            final = record.final
             lines.append(f"point={label} diverged={record.diverged} "
-                         f"final_train_loss={record.final_train_loss} "
-                         f"final_test_loss={record.final_test_loss} "
-                         f"final_test_accuracy={record.final_test_accuracy}")
+                         f"final_train_loss={final.train_loss} "
+                         f"final_test_loss={final.test_loss} "
+                         f"final_test_accuracy={final.test_accuracy}")
         lines.append("best=none (all points diverged)" if self.best is None else
                      f"best={labels[self.best_index]} "
-                     f"final_test_accuracy={self.best.final_test_accuracy}")
+                     f"final_test_accuracy={self.best.final.test_accuracy}")
         (out_dir / "sweep_summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
         return lines
 
@@ -349,12 +342,9 @@ def _selection_key(record: RunRecord):
     # Lexicographic: highest final test accuracy, then lowest final test
     # loss, then lowest final train loss.  NaN accuracy (quadratics) sorts
     # below any real accuracy.
-    acc = record.final_test_accuracy
-    return (
-        -(acc if not math.isnan(acc) else -math.inf),
-        record.final_test_loss,
-        record.final_train_loss,
-    )
+    final = record.final
+    acc = final.test_accuracy
+    return -(acc if not math.isnan(acc) else -math.inf), final.test_loss, final.train_loss
 
 
 def sweep(grid: list) -> SweepResult:

@@ -1,15 +1,15 @@
 """Differentiable test problems with analytic gradients, plus dataset
 generation and loading.
 
-Every problem exposes the same surface: a mean loss over a batch of
-training rows, its analytic gradient, per-sample gradients (for the dense
-Fisher oracle), and held-out test metrics.  Losses are means of per-sample
-losses, so the gradient of a batch equals the mean of the per-sample
-gradients.  Each dataset model (logistic, softmax, MLP) states its math
-once: a forward pass, a cross-entropy head (sigmoid or softmax) and a
-pull-back from the head's residual to the gradient.  ``loss_and_grad`` and
-``loss_and_per_sample_grads`` return the batch loss with a gradient from
-that one forward pass, so a training step runs the model forward once.
+Every problem exposes the same surface (:class:`Problem`): a mean loss over
+a batch of training rows, fused with its analytic gradient or per-sample
+gradients (for the dense Fisher oracle), and held-out test metrics.  Losses
+are means of per-sample losses, so the gradient of a batch equals the mean
+of the per-sample gradients.  Each dataset model (logistic, softmax, MLP)
+states its math once: a forward pass, a cross-entropy head (sigmoid or
+softmax) and a pull-back from the head's residual to the gradient.  Its
+fused calls return the batch loss with a gradient from that one forward
+pass, so a training step runs the model forward once.
 
 Forward-only evaluation (``loss``, ``test_loss``, ``test_accuracy``) runs
 over the row blocks of :func:`sofim.core.blocks`, each holding at most
@@ -30,6 +30,7 @@ weight arrays (the MLP) define a fixed, documented flattening order.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,12 +166,15 @@ def make_blobs(n: int, p: int, c: int, spread: float, seed: int) -> Dataset:
 def load_csv_dataset(path, label_column: str, split_fraction: float, seed: int) -> Dataset:
     """Load a numeric CSV (header row, comma separators, '.' decimals).
 
-    ``label_column`` names the integer class column.  Features are
-    standardized per column to mean 0 / variance 1 using train-split
+    ``label_column`` names the integer class column; its distinct values
+    map onto ``0..C-1`` in increasing order; a non-finite or non-integral
+    label, or a ``path`` that is not a file, is a ``ConfigError``.  Features
+    are standardized per column to mean 0 / variance 1 using train-split
     statistics only; constant columns standardize to 0.  The train split
     holds ``round(split_fraction * N)`` rows chosen by a seeded shuffle.
     """
     require(0.0 < split_fraction < 1.0, f"split_fraction must lie in (0, 1), got {split_fraction}")
+    require(os.path.isfile(path), f"problem key 'path' names no file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -197,11 +201,12 @@ def load_csv_dataset(path, label_column: str, split_fraction: float, seed: int) 
 
     data = np.asarray(rows, dtype=np.float64)
     raw_labels = data[:, label_pos]
+    require(np.isfinite(raw_labels).all(),
+            f"{path}: label column {label_column!r} has non-finite values")
     require(np.all(raw_labels == np.round(raw_labels)),
             f"{path}: label column {label_column!r} has non-integral values")
     features = np.delete(data, label_pos, axis=1)
-    # Remap arbitrary integer labels onto 0..C-1, preserving order.
-    _, labels = np.unique(raw_labels.astype(np.int64), return_inverse=True)
+    _, labels = np.unique(raw_labels, return_inverse=True)
     num_classes = int(labels.max()) + 1
 
     n = features.shape[0]
@@ -232,7 +237,6 @@ def minibatch_epochs(n_train: int, batch_size: int, rng: np.random.Generator):
     it in contiguous chunks of ``batch_size``; a short final chunk is kept,
     so every index is visited exactly once per epoch.
     """
-    batch_size = min(batch_size, n_train)
     while True:
         perm = rng.permutation(n_train)
         for start in range(0, n_train, batch_size):
@@ -247,7 +251,10 @@ class Problem:
     """Loss over (flat parameter vector, batch of train rows).
 
     ``batch`` arguments are integer indices into the train split;
-    ``None`` means the full train split.
+    ``None`` means the full train split.  A problem implements ``loss``,
+    ``test_loss`` and the two fused calls, which derive ``grad`` and
+    ``per_sample_grads``; each of the four refuses a ``w`` not of shape
+    ``(dim,)`` with ``DimensionMismatchError`` (:meth:`_check_w`).
     """
 
     dim: int
@@ -260,40 +267,45 @@ class Problem:
     def loss(self, w, batch=None) -> float:
         raise NotImplementedError
 
+    def loss_and_grad(self, w, batch=None) -> tuple:
+        """``(loss(w, batch), grad(w, batch))``, for dataset problems from one
+        forward pass.  On the full split (``batch=None``) that pass covers
+        every row while ``loss`` runs over row blocks, so the two losses are
+        equal bitwise only where the BLAS rounds a block's rows as it rounds
+        the whole split's; it does for the shipped shapes, not for every
+        hidden width (see the module docstring)."""
+        raise NotImplementedError
+
+    def loss_and_per_sample_grads(self, w, batch=None) -> tuple:
+        """``(loss(w, batch), per_sample_grads(w, batch))``, one row of
+        gradient per batch row, the same way as :meth:`loss_and_grad`."""
+        raise NotImplementedError
+
     def grad(self, w, batch=None) -> np.ndarray:
         return self.loss_and_grad(w, batch)[1]
 
     def per_sample_grads(self, w, batch=None) -> np.ndarray:
         return self.loss_and_per_sample_grads(w, batch)[1]
 
-    def loss_and_grad(self, w, batch=None) -> tuple:
-        """``(loss(w, batch), grad(w, batch))``.  A problem overrides either
-        this or ``grad``; dataset problems override this with one forward
-        pass.  On the full split (``batch=None``) that pass covers every
-        row while ``loss`` runs over row blocks, so the two losses are equal
-        bitwise only where the BLAS rounds a block's rows as it rounds the
-        whole split's; it does for the shipped shapes, not for every hidden
-        width (see the module docstring)."""
-        return self.loss(w, batch), self.grad(w, batch)
-
-    def loss_and_per_sample_grads(self, w, batch=None) -> tuple:
-        """``(loss(w, batch), per_sample_grads(w, batch))``; overridden the
-        same way as :meth:`loss_and_grad`."""
-        return self.loss(w, batch), self.per_sample_grads(w, batch)
-
     def test_loss(self, w) -> float:
         raise NotImplementedError
 
-    def test_accuracy(self, w):
-        """Fraction of correct test predictions, or None when the problem
+    def test_accuracy(self, w) -> float:
+        """Fraction of correct test predictions, or NaN when the problem
         has no classification semantics."""
-        return None
+        return np.nan
 
     def initial_point(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
     def exact_hessian(self, w) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} has no cheap exact Hessian")
+
+    def _check_w(self, w) -> np.ndarray:
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != (self.dim,):
+            raise DimensionMismatchError(f"w must have shape ({self.dim},), got {w.shape}")
+        return w
 
 
 class QuadraticProblem(Problem):
@@ -324,15 +336,15 @@ class QuadraticProblem(Problem):
         return 1
 
     def loss(self, w, batch=None) -> float:
-        r = np.asarray(w, dtype=np.float64) - self.w_star
+        r = self._check_w(w) - self.w_star
         return 0.5 * float(r @ self.a_matrix @ r)
 
-    def grad(self, w, batch=None) -> np.ndarray:
-        r = np.asarray(w, dtype=np.float64) - self.w_star
-        return self.a_matrix @ r
+    def loss_and_grad(self, w, batch=None) -> tuple:
+        return self.loss(w), self.a_matrix @ (self._check_w(w) - self.w_star)
 
-    def per_sample_grads(self, w, batch=None) -> np.ndarray:
-        return self.grad(w)[None, :]
+    def loss_and_per_sample_grads(self, w, batch=None) -> tuple:
+        loss, g = self.loss_and_grad(w)
+        return loss, g[None, :]
 
     def test_loss(self, w) -> float:
         return self.loss(w)
@@ -476,12 +488,6 @@ class _DatasetProblem(Problem):
             return self._x_train, self._y_train
         batch = np.asarray(batch, dtype=np.int64)
         return self._x_train.take(batch, axis=0), self._y_train.take(batch)
-
-    def _check_w(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.dim,):
-            raise DimensionMismatchError(f"w must have shape ({self.dim},), got {w.shape}")
-        return w
 
     def _mean_loss(self, w, x, y) -> float:
         """The mean loss over rows ``x``, forward only.  The blocks write

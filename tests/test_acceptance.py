@@ -255,7 +255,7 @@ def comparative():
             seed,
         ))
         sgd_rec = sgd.best
-        target = sgd_rec.final_train_loss
+        target = sgd_rec.final.train_loss
         sofim = harness.sweep(_grid(
             "sofim",
             lambda eta: {"eta": eta, "rho": 0.5, "beta": 0.9},
@@ -272,11 +272,11 @@ def comparative():
             "seed": seed,
             "target": target,
             "sgd_eta": sgd_rec.config.hyperparameters["eta"],
-            "sgd_accuracy": sgd_rec.final_test_accuracy,
+            "sgd_accuracy": sgd_rec.final.test_accuracy,
             "fastest_eta": min(reached, key=reached.get) if reached else None,
             "fastest_crossing": min(reached.values()) if reached else None,
             "selected_eta": sel_rec.config.hyperparameters["eta"],
-            "selected_accuracy": sel_rec.final_test_accuracy,
+            "selected_accuracy": sel_rec.final.test_accuracy,
             "selected_crossing": sel_rec.iterations_to_threshold(target),
         })
     return entries
@@ -329,7 +329,7 @@ def test_criterion_08_rho_sensitivity(comparative):
         seed=0,
     )
     result = harness.sweep(harness.grid(base, {"rho": [1.0, 0.5, 0.1]}))
-    accs = {rec.config.hyperparameters["rho"]: rec.final_test_accuracy for rec in result.records}
+    accs = {rec.config.hyperparameters["rho"]: rec.final.test_accuracy for rec in result.records}
     best = max(accs.values())
     within = accs[0.5] >= best - 0.02
 

@@ -42,12 +42,14 @@ class TestSgdMomentum:
         assert_allclose(opt.velocity, [1.9], rtol=1e-15)
 
     def test_zero_momentum_is_plain_sgd(self):
-        """momentum=0 reduces to w' = w - eta g."""
+        """momentum=0 reduces to w' = w - eta g at every step, not only the
+        first, whose velocity starts at zero for any momentum."""
         rng = np.random.default_rng(42)
-        w, g = rng.standard_normal((2, 8))
-        w_new = w.copy()
-        SgdMomentumOptimizer(8, SgdConfig(eta=0.05)).step(w_new, g)
-        assert_allclose(w_new, w - 0.05 * g, rtol=1e-15)
+        w, g1, g2 = rng.standard_normal((3, 8))
+        opt, w_new = SgdMomentumOptimizer(8, SgdConfig(eta=0.05, momentum=0.0)), w.copy()
+        opt.step(w_new, g1)
+        opt.step(w_new, g2)
+        assert_allclose(w_new, w - 0.05 * g1 - 0.05 * g2, rtol=1e-14)
 
     def test_weight_decay_folds_into_gradient(self):
         """g_eff = g + weight_decay * w enters the velocity."""

@@ -269,6 +269,7 @@ class TestExitCodes:
         ("run", ["problem.hidden=64", "problem.activation=relu"]),
         ("run", ["problem.classes=-3"]),
         ("run", ["loss_thresholds=[1.0e-7, 1.00000001e-7, 0.5, 0.5]"]),
+        ("run", ["problem={kind: csv, path: no_such_dir/missing.csv}"]),
     ])
     def test_refused_config_writes_nothing(self, tmp_path, capsys, subcommand, overrides):
         """A refused config exits 1 without creating its output directory,

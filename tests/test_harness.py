@@ -5,7 +5,7 @@ handling, sweep selection, epoch accounting and the CSV contract.
 import csv
 import math
 import statistics
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -128,6 +128,19 @@ class TestExperimentConfig:
             quick_config(problem=QUADRATIC, optimizer="newton_oracle",
                          hyperparameters={"damping": 0.1})
 
+    @pytest.mark.parametrize("optimizer,former", [
+        ("sofim", {"eta": 0.1, "rho": 0.5, "beta": 0.9}),
+        ("sgd_momentum", {"eta": 0.1, "momentum": 0.9, "weight_decay": 0.0,
+                          "schedule": "constant", "total_steps": 60}),
+        ("adam", {"eta": 0.001, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}),
+    ])
+    def test_omitted_hyperparameters_keep_their_former_defaults(self, optimizer, former):
+        """A config that gives no hyperparameters builds its stepper from the
+        dataclass's defaults, the values the harness has always run with,
+        written out here as literals; the config keeps none of them."""
+        _, built, given = harness._hyperparameters(optimizer, {}, 60)
+        assert asdict(built) == former and given == {}
+
     def test_nonpositive_rho_rejected_at_config_time(self):
         """rho <= 0 fails at construction, before any run starts; so do the
         dense oracles' eta <= 0 and damping <= 0."""
@@ -223,7 +236,7 @@ class TestRunExperiment:
                            iterations=10, eval_every=5)
         record = run_experiment(cfg)
         assert all(math.isnan(row[5]) for row in record.rows)
-        assert math.isnan(record.final_test_accuracy)
+        assert math.isnan(record.final.test_accuracy)
 
     def test_divergence_flag_and_no_poisoned_rows(self):
         """An exploding run ends early, flagged, with only finite rows."""
@@ -252,7 +265,7 @@ class TestRunExperiment:
         )
         record = run_experiment(cfg)
         assert not record.diverged
-        assert record.final_test_accuracy >= 0.95
+        assert record.final.test_accuracy >= 0.95
 
     def test_newton_oracle_solves_quadratic_in_one_step(self):
         """The Newton oracle hits the minimizer after its first iteration."""
@@ -272,7 +285,7 @@ class TestRunExperiment:
             batch_size=32, iterations=30, eval_every=30, seed=0,
         )
         record = run_experiment(cfg)
-        assert record.final_train_loss < math.log(2.0)
+        assert record.final.train_loss < math.log(2.0)
 
     def test_thresholds_reported(self):
         """iterations_to_threshold finds the first qualifying eval row."""
@@ -332,8 +345,8 @@ class TestSweep:
         for i, rec in enumerate(result.records):
             if i == result.best_index or rec.diverged:
                 continue
-            assert (best.final_test_accuracy, -best.final_test_loss) >= (
-                rec.final_test_accuracy, -rec.final_test_loss
+            assert (best.final.test_accuracy, -best.final.test_loss) >= (
+                rec.final.test_accuracy, -rec.final.test_loss
             )
 
     def test_mixed_problems_rejected(self):
@@ -498,12 +511,12 @@ class TestCsvContract:
         lines = dict(line.split("=", 1) for line in text.strip().splitlines())
         assert lines["diverged"] == "False"
         assert lines["optimizer"] == "sofim"
-        assert float(lines["final_train_loss"]) == record.final_train_loss
+        assert float(lines["final_train_loss"]) == record.final.train_loss
 
     def test_empty_record_yields_nan_summary(self):
         """A record with no rows reports NaN finals instead of crashing."""
         record = RunRecord(config=quick_config(), problem_name="x", rows=[])
-        assert math.isnan(record.final_train_loss)
+        assert math.isnan(record.final.train_loss)
         assert record.summary()["final_iteration"] == 0
 
 

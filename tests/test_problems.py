@@ -3,6 +3,7 @@ identities at known points, dataset determinism, and CSV loading.
 """
 
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -118,6 +119,32 @@ class TestGradientOracle:
             assert again[0] == loss and np.array_equal(again[1], expected)
             assert not np.shares_memory(again[1], g)
             assert np.array_equal(w, w_before)
+
+    @pytest.mark.parametrize("shape", [(1,), ()])
+    @pytest.mark.parametrize("label,problem,tol",
+                             problem_zoo(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_w_of_a_wrong_shape_is_refused(self, label, problem, tol, shape):
+        """Every problem refuses a ``w`` that is not of shape ``(dim,)``
+        rather than broadcasting it."""
+        w = np.zeros(shape)
+        for call in (problem.loss, problem.loss_and_grad, problem.test_loss):
+            with pytest.raises(DimensionMismatchError, match=rf"shape \({problem.dim},\)"):
+                call(w)
+
+    def test_problem_with_only_a_loss_has_no_gradient(self):
+        """The base class derives gradients from the fused calls only, so a
+        problem that implements just ``loss`` fails with NotImplementedError,
+        not a recursion between two defaults."""
+
+        class LossOnly(problems.Problem):
+            dim = 2
+
+            def loss(self, w, batch=None):
+                return float(self._check_w(w) @ w)
+
+        for call in (LossOnly().grad, LossOnly().per_sample_grads):
+            with pytest.raises(NotImplementedError):
+                call(np.zeros(2))
 
     @pytest.mark.parametrize("label", ["logistic", "softmax", "mlp_tanh", "mlp_relu"])
     def test_public_methods_leave_their_inputs_unchanged(self, label):
@@ -478,7 +505,7 @@ class TestQuadratic:
         problem = make_quadratic(5, 2.0, seed=1)
         w = np.ones(5)
         assert problem.test_loss(w) == problem.loss(w)
-        assert problem.test_accuracy(w) is None
+        assert math.isnan(problem.test_accuracy(w))
 
     def test_construction_validation(self):
         """Asymmetric, indefinite or NaN matrices, bad shapes and a NaN
@@ -761,6 +788,9 @@ class TestCsvDataset:
         assert np.array_equal(np.unique(ds.labels), [0, 1])
         # 3 < 7, so 3 -> 0 and 7 -> 1.
         assert np.array_equal(ds.labels, [1, 0, 1, 0])
+        # Labels beyond the int64 range keep their order too.
+        path = write_csv(tmp_path / "big.csv", "a,label\n1,1e300\n2,0\n3,-1e300\n4,1\n")
+        assert np.array_equal(load_csv_dataset(path, "label", 0.5, seed=0).labels, [3, 1, 0, 2])
 
     def test_error_messages_name_the_line(self, tmp_path):
         """Bad cells and ragged rows are reported with their line number."""
@@ -779,11 +809,23 @@ class TestCsvDataset:
         frac = write_csv(tmp_path / "f.csv", "a,label\n1,0.5\n2,1\n")
         with pytest.raises(ConfigError, match="non-integral"):
             load_csv_dataset(frac, "label", 0.5, seed=0)
+        for label in ("inf", "-inf", "nan"):
+            bad = write_csv(tmp_path / "n.csv", f"a,label\n1,0\n2,1\n3,{label}\n")
+            with pytest.raises(ConfigError, match="label column 'label' has non-finite values"):
+                load_csv_dataset(bad, "label", 0.5, seed=0)
         empty = write_csv(tmp_path / "e.csv", "")
         with pytest.raises(ConfigError, match="empty"):
             load_csv_dataset(empty, "label", 0.5, seed=0)
         with pytest.raises(ConfigError):
             load_csv_dataset(path, "label", 1.0, seed=0)
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."])
+    def test_path_that_is_not_a_file_refused_naming_it(self, tmp_path, name):
+        """A missing file or a directory is a ConfigError naming the path,
+        not an OSError from ``open``."""
+        path = tmp_path / name
+        with pytest.raises(ConfigError, match=re.escape(f"names no file: {path}")):
+            load_csv_dataset(path, "label", 0.5, seed=0)
 
     def test_label_only_file_refused_naming_it(self, tmp_path):
         """A file whose only column is the label has no features to learn
