@@ -106,22 +106,24 @@ class SgdMomentumOptimizer:
 
     It mutates ``w`` in place over :func:`sofim.core.blocks`, so a step
     allocates nothing.  It owns ``d + min(d, BLOCK)`` floats: the velocity
-    and one scratch block for its one intermediate."""
+    and one scratch block for its one intermediate.  Each block's views of
+    both are cut once, at construction, so a step slices only ``w`` and
+    ``g``."""
 
     def __init__(self, dim: int, config: SgdConfig):
         self.config = config
         self.velocity = np.zeros(dim)
         self._scratch = np.empty(min(dim, BLOCK))
-        self._blocks = blocks(dim)
+        self._blocks = [(rows, self.velocity[rows], self._scratch[:rows.stop - rows.start])
+                        for rows in blocks(dim)]
         self.step_count = 0
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
         check_step(w, g, self.velocity.shape)
         cfg = self.config
         lr = sgd_learning_rate(cfg, self.step_count)
-        for rows in self._blocks:
-            w_b, v = w[rows], self.velocity[rows]
-            scratch = self._scratch[:len(v)]
+        for rows, v, scratch in self._blocks:
+            w_b = w[rows]
             v *= cfg.momentum
             v += g[rows]
             if cfg.weight_decay != 0.0:
@@ -146,7 +148,9 @@ class AdamOptimizer:
 
     It mutates ``w`` in place over :func:`sofim.core.blocks`, so a step
     allocates nothing.  It owns ``2d + 2 min(d, BLOCK)`` floats: the
-    moments ``m`` and ``v`` and two scratch blocks for its intermediates."""
+    moments ``m`` and ``v`` and two scratch blocks for its intermediates.
+    Each block's views of all four are cut once, at construction, so a step
+    slices only ``w`` and ``g``."""
 
     def __init__(self, dim: int, config: AdamConfig):
         self.config = config
@@ -154,7 +158,8 @@ class AdamOptimizer:
         self.v = np.zeros(dim)
         self._scratch = np.empty(min(dim, BLOCK))
         self._denom = np.empty(min(dim, BLOCK))
-        self._blocks = blocks(dim)
+        self._blocks = [(rows, self.m[rows], self.v[rows], self._scratch[:rows.stop - rows.start],
+                         self._denom[:rows.stop - rows.start]) for rows in blocks(dim)]
         self.step_count = 0
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
@@ -163,9 +168,8 @@ class AdamOptimizer:
         cfg, t = self.config, self.step_count
         root_bc2 = math.sqrt(1.0 - cfg.beta2**t)
         alpha, eps_hat = cfg.eta * root_bc2 / (1.0 - cfg.beta1**t), cfg.epsilon * root_bc2
-        for rows in self._blocks:
-            w_b, g_b, m, v = w[rows], g[rows], self.m[rows], self.v[rows]
-            scratch, denom = self._scratch[:len(m)], self._denom[:len(m)]
+        for rows, m, v, scratch, denom in self._blocks:
+            w_b, g_b = w[rows], g[rows]
             m *= cfg.beta1
             m += np.multiply(g_b, 1.0 - cfg.beta1, out=scratch)
             v *= cfg.beta2

@@ -14,8 +14,10 @@ in place with numpy and allocates nothing per step.  It and the
 momentum-SGD and Adam steppers of :mod:`sofim.baselines`, the three O(d)
 steppers, run their elementwise work over :func:`blocks`, one cache-sized
 block at a time, and so does forward-only evaluation in
-:mod:`sofim.problems`.  Sofim keeps a whole ``m_hat`` only for its one sum,
-``||m_hat||^2``.
+:mod:`sofim.problems`.  Each stepper cuts its state and scratch into block
+views once, when it is built, so a step slices only ``w`` and ``g``, and
+every dimension runs the one loop.  Sofim keeps a whole ``m_hat`` only for
+its one sum, ``||m_hat||^2``.
 """
 
 from __future__ import annotations
@@ -131,13 +133,14 @@ class SofimOptimizer:
     shape or dtype, a gradient with a NaN or Inf entry, or one whose
     ``||m_hat||^2`` would overflow is refused before any state changes.
 
-    The step makes two passes over :func:`blocks`: the first updates the
+    The step makes two passes over :func:`blocks`, whose views of the moment
+    and of ``m_hat`` are cut once, at construction: the first updates the
     moment and writes ``m_hat``, block by block; then ``||m_hat||^2`` is one
     BLAS sum over the whole ``m_hat``; the second pass scales ``m_hat`` and
     steps ``w``.  Each entry meets the same operations in the same order as
     in whole-vector operations, so blocking changes no bit, and at d = 1e6
-    each block's operations read from cache what the one before wrote.  Where
-    ``d <= BLOCK`` the passes run on the whole vectors.  It owns 2d floats,
+    each block's operations read from cache what the one before wrote; at
+    ``d <= BLOCK`` each pass is one block.  It owns 2d floats,
     the moment and a d-length ``m_hat``: the O(d) space the paper claims,
     as for momentum SGD.  ``m_hat`` must be whole at once because summing
     it block by block would change the sum's rounding, so blocking saves
@@ -158,7 +161,7 @@ class SofimOptimizer:
         self.config = config
         self.moment = np.zeros(dim)
         self._scratch = np.empty(dim)  # m_hat
-        self._blocks = blocks(dim)
+        self._blocks = [(rows, self.moment[rows], self._scratch[rows]) for rows in blocks(dim)]
         self.step_count = 0
         self._beta_pow = 1.0
         self.last_sq = 0.0  # ||m_hat||^2 of the last step
@@ -174,32 +177,15 @@ class SofimOptimizer:
                 raise NonFiniteError("||m_hat||^2 overflowed during a step")
         self.step_count += 1
         self._beta_pow = beta_pow
-        m, m_hat, one_block = self.moment, self._scratch, len(self._blocks) < 2
-        if one_block:  # d <= BLOCK: the whole vectors, with no per-block views
-            _moment_pass(m, g, m_hat, beta, 1.0 - beta_pow)
-        else:
-            for rows in self._blocks:
-                _moment_pass(m[rows], g[rows], m_hat[rows], beta, 1.0 - beta_pow)
-        sq = self.last_sq = float(np.vdot(m_hat, m_hat))  # no overflow warning
+        bias = 1.0 - beta_pow
+        for rows, m, m_hat in self._blocks:
+            m *= beta
+            np.multiply(g[rows], 1.0 - beta, out=m_hat)
+            m += m_hat
+            np.divide(m, bias, out=m_hat)
+        sq = self.last_sq = float(np.vdot(self._scratch, self._scratch))  # no overflow warning
         rate = self.config.eta / (self.config.rho + sq)
-        if one_block:
-            _descent_pass(w, m_hat, rate)
-        else:
-            for rows in self._blocks:
-                _descent_pass(w[rows], m_hat[rows], rate)
-
-
-def _moment_pass(m, g, m_hat, beta, bias):
-    """Sofim's first pass over one block: ``m = beta m + (1 - beta) g`` in
-    place, then ``m_hat = m / bias``."""
-    m *= beta
-    np.multiply(g, 1.0 - beta, out=m_hat)
-    m += m_hat
-    np.divide(m, bias, out=m_hat)
-
-
-def _descent_pass(w, m_hat, rate):
-    """Sofim's second pass over one block: ``w -= rate m_hat``, scaling
-    ``m_hat`` in place."""
-    m_hat *= rate
-    w -= m_hat
+        for rows, _, m_hat in self._blocks:
+            m_hat *= rate
+            w_b = w[rows]
+            w_b -= m_hat

@@ -166,12 +166,13 @@ def make_blobs(n: int, p: int, c: int, spread: float, seed: int) -> Dataset:
 def load_csv_dataset(path, label_column: str, split_fraction: float, seed: int) -> Dataset:
     """Load a numeric CSV (header row, comma separators, '.' decimals).
 
-    ``label_column`` names the integer class column; its distinct values
-    map onto ``0..C-1`` in increasing order; a non-finite or non-integral
-    label, or a ``path`` that is not a file, is a ``ConfigError``.  Features
-    are standardized per column to mean 0 / variance 1 using train-split
-    statistics only; constant columns standardize to 0.  The train split
-    holds ``round(split_fraction * N)`` rows chosen by a seeded shuffle.
+    ``label_column`` names the integer class column, once in the header;
+    its distinct values, at least 2, map onto ``0..C-1`` in increasing
+    order; a non-finite or non-integral label, or a ``path`` that is not a
+    file, is a ``ConfigError``.  Features are standardized per column to
+    mean 0 / variance 1 using train-split statistics only; constant columns
+    standardize to 0.  The train split holds ``round(split_fraction * N)``
+    rows chosen by a seeded shuffle.
     """
     require(0.0 < split_fraction < 1.0, f"split_fraction must lie in (0, 1), got {split_fraction}")
     require(os.path.isfile(path), f"problem key 'path' names no file: {path}")
@@ -182,6 +183,9 @@ def load_csv_dataset(path, label_column: str, split_fraction: float, seed: int) 
         header = [h.strip() for h in header]
         require(label_column in header,
                 f"{path}: label column {label_column!r} not in header {header}")
+        require(header.count(label_column) == 1,
+                f"{path}: header names label column {label_column!r} "
+                f"{header.count(label_column)} times")
         label_pos = header.index(label_column)
         require(len(header) > 1,
                 f"{path}: no feature columns besides label column {label_column!r}")
@@ -206,8 +210,10 @@ def load_csv_dataset(path, label_column: str, split_fraction: float, seed: int) 
     require(np.all(raw_labels == np.round(raw_labels)),
             f"{path}: label column {label_column!r} has non-integral values")
     features = np.delete(data, label_pos, axis=1)
-    _, labels = np.unique(raw_labels, return_inverse=True)
-    num_classes = int(labels.max()) + 1
+    classes, labels = np.unique(raw_labels, return_inverse=True)
+    require(len(classes) >= 2, f"{path}: label column {label_column!r} holds one value, "
+                               f"{classes[0]:g}; a classifier needs at least 2")
+    num_classes = len(classes)
 
     n = features.shape[0]
     rng = np.random.default_rng(seed)

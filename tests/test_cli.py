@@ -270,10 +270,16 @@ class TestExitCodes:
         ("run", ["problem.classes=-3"]),
         ("run", ["loss_thresholds=[1.0e-7, 1.00000001e-7, 0.5, 0.5]"]),
         ("run", ["problem={kind: csv, path: no_such_dir/missing.csv}"]),
+        ("run", ["problem={kind: csv, path: one_class.csv, model: softmax}"]),
+        ("run", ["problem={kind: csv, path: label_twice.csv}"]),
     ])
-    def test_refused_config_writes_nothing(self, tmp_path, capsys, subcommand, overrides):
+    def test_refused_config_writes_nothing(self, tmp_path, monkeypatch, capsys, subcommand,
+                                           overrides):
         """A refused config exits 1 without creating its output directory,
         a problem spec refused while the problem is built included."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "one_class.csv").write_text("a,label\n1,4\n2,4\n3,4\n4,4\n5,4\n")
+        (tmp_path / "label_twice.csv").write_text("a,label,label\n1,0,0\n2,1,1\n3,0,1\n4,1,0\n")
         out = tmp_path / "out"
         config = [] if subcommand == "scaling" else [run_config(tmp_path)]
         argv = [subcommand, *config, "--set", f"output_dir={out}"]

@@ -802,10 +802,17 @@ class TestCsvDataset:
             load_csv_dataset(alpha, "label", 0.5, seed=0)
 
     def test_header_and_label_validation(self, tmp_path):
-        """Missing label column, non-integral labels and empty files fail."""
+        """Missing or repeated label columns, a label column with one value,
+        non-integral labels and empty files fail."""
         path = write_csv(tmp_path / "d.csv", "a,b,label\n1,2,0\n3,4,1\n")
         with pytest.raises(ConfigError, match="'target'"):
             load_csv_dataset(path, "target", 0.5, seed=0)
+        twice = write_csv(tmp_path / "twice.csv", "a,label,label\n1,0,0\n2,1,1\n3,0,1\n4,1,0\n")
+        with pytest.raises(ConfigError, match="header names label column 'label' 2 times"):
+            load_csv_dataset(twice, "label", 0.5, seed=0)
+        one = write_csv(tmp_path / "one.csv", "a,label\n1,4\n2,4\n3,4\n4,4\n5,4\n")
+        with pytest.raises(ConfigError, match="label column 'label' holds one value, 4;"):
+            load_csv_dataset(one, "label", 0.5, seed=0)
         frac = write_csv(tmp_path / "f.csv", "a,label\n1,0.5\n2,1\n")
         with pytest.raises(ConfigError, match="non-integral"):
             load_csv_dataset(frac, "label", 0.5, seed=0)
