@@ -17,7 +17,8 @@ block at a time, and so does forward-only evaluation in
 :mod:`sofim.problems`.  Each stepper cuts its state and scratch into block
 views once, when it is built, so a step slices only ``w`` and ``g``, and
 every dimension runs the one loop.  Sofim keeps a whole ``m_hat`` only for
-its one sum, ``||m_hat||^2``.
+its one sum, ``||m_hat||^2``, and like the other two puts its temporaries
+in one block of scratch.
 """
 
 from __future__ import annotations
@@ -128,23 +129,27 @@ class SofimOptimizer:
     ``||m_hat||^2 >> rho``, the closed form does not.
 
     ``step`` mutates ``w`` and the internal moment in place and writes every
-    intermediate vector into a scratch vector the optimizer owns, so a long
-    run allocates nothing per iteration.  A ``w`` or gradient of the wrong
-    shape or dtype, a gradient with a NaN or Inf entry, or one whose
-    ``||m_hat||^2`` would overflow is refused before any state changes.
+    intermediate into buffers the optimizer owns, so a long run allocates
+    nothing per iteration.  A ``w`` or gradient of the wrong shape or dtype,
+    a gradient with a NaN or Inf entry, or one whose ``||m_hat||^2`` would
+    overflow is refused before any state changes.
 
-    The step makes two passes over :func:`blocks`, whose views of the moment
-    and of ``m_hat`` are cut once, at construction: the first updates the
-    moment and writes ``m_hat``, block by block; then ``||m_hat||^2`` is one
-    BLAS sum over the whole ``m_hat``; the second pass scales ``m_hat`` and
-    steps ``w``.  Each entry meets the same operations in the same order as
-    in whole-vector operations, so blocking changes no bit, and at d = 1e6
-    each block's operations read from cache what the one before wrote; at
-    ``d <= BLOCK`` each pass is one block.  It owns 2d floats,
-    the moment and a d-length ``m_hat``: the O(d) space the paper claims,
-    as for momentum SGD.  ``m_hat`` must be whole at once because summing
-    it block by block would change the sum's rounding, so blocking saves
-    sofim cache traffic, not memory.
+    The step makes two passes over :func:`blocks`, whose views of the
+    moment, of ``m_hat`` and of a one-block scratch are cut once, at
+    construction.  The first updates the moment, with ``(1 - beta) g`` in
+    the scratch, and writes ``m_hat``, block by block; then ``||m_hat||^2``
+    is one BLAS sum over the whole ``m_hat``; the second pass writes
+    ``rate m_hat`` into the scratch and steps ``w``.  So ``m_hat`` is
+    written once per step and read twice, and after a step it holds that
+    step's ``m_hat``.  Each entry meets the same operations in the same
+    order as in whole-vector operations, so blocking changes no bit, and at
+    d = 1e6 each block's operations read from cache what the one before
+    wrote; at ``d <= BLOCK`` each pass is one block.  It owns
+    ``2d + min(d, BLOCK)`` floats, the moment, a d-length ``m_hat`` and the
+    scratch: the O(d) space the paper claims, as for momentum SGD.
+    ``m_hat`` must be whole at once because summing it block by block would
+    change the sum's rounding, so blocking saves sofim cache traffic, not
+    memory.
 
     The overflow test costs a normal step O(1): by the triangle inequality
     ``||m_hat|| <= (beta ||m|| + (1 - beta) ||g||) / (1 - beta^t)``, where
@@ -160,8 +165,10 @@ class SofimOptimizer:
     def __init__(self, dim: int, config: SofimConfig):
         self.config = config
         self.moment = np.zeros(dim)
-        self._scratch = np.empty(dim)  # m_hat
-        self._blocks = [(rows, self.moment[rows], self._scratch[rows]) for rows in blocks(dim)]
+        self._m_hat = np.empty(dim)
+        self._scratch = np.empty(min(dim, BLOCK))
+        self._blocks = [(rows, self.moment[rows], self._m_hat[rows],
+                         self._scratch[:rows.stop - rows.start]) for rows in blocks(dim)]
         self.step_count = 0
         self._beta_pow = 1.0
         self.last_sq = 0.0  # ||m_hat||^2 of the last step
@@ -178,14 +185,12 @@ class SofimOptimizer:
         self.step_count += 1
         self._beta_pow = beta_pow
         bias = 1.0 - beta_pow
-        for rows, m, m_hat in self._blocks:
+        for rows, m, m_hat, scratch in self._blocks:
             m *= beta
-            np.multiply(g[rows], 1.0 - beta, out=m_hat)
-            m += m_hat
+            m += np.multiply(g[rows], 1.0 - beta, out=scratch)
             np.divide(m, bias, out=m_hat)
-        sq = self.last_sq = float(np.vdot(self._scratch, self._scratch))  # no overflow warning
+        sq = self.last_sq = float(np.vdot(self._m_hat, self._m_hat))  # no overflow warning
         rate = self.config.eta / (self.config.rho + sq)
-        for rows, _, m_hat in self._blocks:
-            m_hat *= rate
+        for rows, _, m_hat, scratch in self._blocks:
             w_b = w[rows]
-            w_b -= m_hat
+            w_b -= np.multiply(m_hat, rate, out=scratch)

@@ -376,12 +376,12 @@ class TestSofimOptimizer:
         """A warm step keeps its intermediates in owned buffers: numpy
         allocates less than one block of float64 inside it, for sofim and
         for the momentum-SGD (with weight decay) and Adam steppers alike.
-        Each stepper owns the float64 arrays its docstring states: sofim 2d,
-        SGD d plus a block, Adam 2d plus two blocks."""
+        Each stepper owns the float64 arrays its docstring states: sofim 2d
+        plus a block, SGD d plus a block, Adam 2d plus two blocks."""
         d = 100_000  # four blocks, the last one short
         block = min(d, BLOCK)
         steppers = [
-            (SofimOptimizer(d, SofimConfig(eta=0.01, rho=0.5, beta=0.9)), 2 * d),
+            (SofimOptimizer(d, SofimConfig(eta=0.01, rho=0.5, beta=0.9)), 2 * d + block),
             (SgdMomentumOptimizer(d, SgdConfig(eta=0.01, momentum=0.9, weight_decay=1e-4)),
              d + block),
             (AdamOptimizer(d, AdamConfig(eta=0.01)), 2 * d + 2 * block),
@@ -402,6 +402,19 @@ class TestSofimOptimizer:
             finally:
                 tracemalloc.stop()
             assert peak < block * 8, f"one warm {name} step allocated {peak} bytes at d={d}"
+
+    @pytest.mark.parametrize("d", [21, BLOCK + 1, 3 * BLOCK + 5])
+    def test_m_hat_is_written_once_per_step(self, d):
+        """After each step ``_m_hat`` holds that step's bias-corrected moment,
+        bitwise, and ``last_sq`` is its sum: the second pass scales into the
+        block scratch and never writes ``m_hat`` again."""
+        opt = SofimOptimizer(d, SofimConfig(eta=0.01, rho=0.5, beta=0.9))
+        rng = np.random.default_rng(d)
+        w = rng.standard_normal(d)
+        for step in range(4):
+            opt.step(w, rng.standard_normal(d))
+            assert np.array_equal(opt._m_hat, opt.moment / (1.0 - opt._beta_pow)), step
+            assert opt.last_sq == float(np.vdot(opt._m_hat, opt._m_hat)), step
 
 
 class TestBlockedStepsMatchTheirFormerForms:
