@@ -8,8 +8,8 @@ each step costs O(d) time and memory like SGD with momentum.
 Modules:
 
 - :mod:`sofim.core` - the optimizer and the step checks all steppers share.
-- :mod:`sofim.baselines` - SGD momentum, Adam, dense natural-gradient and
-  Newton oracles for comparison and testing.
+- :mod:`sofim.baselines` - SGD momentum, Adam and a dense natural-gradient
+  oracle for comparison and testing.
 - :mod:`sofim.problems` - convex and small neural test problems on
   synthetic and CSV datasets.
 - :mod:`sofim.harness` - experiment runner, sweeps, scaling probe.

@@ -1,12 +1,11 @@
 """Reference optimizers for comparison and cross-checking.
 
 Contains SGD with momentum (optional coupled weight decay and cosine
-annealing), Adam with canonical defaults, and two deliberately small-scale
-dense oracles: natural-gradient descent with the empirical Fisher matrix,
-and exact Newton for quadratic problems.  Each is a stepper whose
-``step(w, g)`` is its only implementation.  The NGD oracle refuses more
-than :data:`DENSE_FIM_CAP` dimensions when it is built; the oracles exist
-to verify the O(d) optimizer, not to compete with it.
+annealing), Adam with canonical defaults, and a deliberately small-scale
+dense oracle: natural-gradient descent with the empirical Fisher matrix.
+Each is a stepper whose ``step(w, g)`` is its only implementation.  The
+NGD oracle refuses more than :data:`DENSE_FIM_CAP` dimensions when it is
+built; it exists to verify the O(d) optimizer, not to compete with it.
 """
 
 from __future__ import annotations
@@ -74,16 +73,6 @@ class NgdConfig:
     def __post_init__(self):
         require(self.eta > 0, f"eta must be > 0, got {self.eta}")
         require(self.damping > 0, f"damping must be > 0, got {self.damping}")
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Newton oracle hyperparameters; ``eta = 1`` is the full Newton step."""
-
-    eta: float = 1.0
-
-    def __post_init__(self):
-        require(self.eta > 0, f"eta must be > 0, got {self.eta}")
 
 
 def sgd_learning_rate(cfg: SgdConfig, step_index: int) -> float:
@@ -204,19 +193,3 @@ class NgdOracle:
         f = g.T @ g / g.shape[0]
         a = 0.5 * (f + f.T) + self.config.damping * np.eye(self.dim)
         w -= self.config.eta * np.linalg.solve(a, g.mean(axis=0))
-
-
-class NewtonOracle:
-    """Stepper ``w -= eta * H^{-1} g`` for a constant Hessian ``H``, which is
-    handed over once and checked positive definite here."""
-
-    def __init__(self, dim: int, config: NewtonConfig, hessian: np.ndarray):
-        try:
-            np.linalg.cholesky(hessian)
-        except np.linalg.LinAlgError as exc:
-            raise ConfigError("Hessian is not positive definite") from exc
-        self.config, self.hessian, self.dim = config, hessian, dim
-
-    def step(self, w: np.ndarray, g: np.ndarray) -> None:
-        check_step(w, g, (self.dim,))
-        w -= self.config.eta * np.linalg.solve(self.hessian, g)

@@ -1,7 +1,7 @@
 """Experiment harness: mini-batch training loops, per-iteration metrics,
 hyperparameter sweeps, O(d) step-cost measurement, and every result file.
 
-Every optimizer, the dense NGD and Newton oracles included, is one row of
+Every optimizer, the dense NGD oracle included, is one row of
 :data:`OPTIMIZERS`: a frozen hyperparameter dataclass (its fields are the
 accepted keys, and its field defaults the only defaults) and a stepper
 whose ``step(w, g)`` updates ``w`` in place.  Runs and the scaling probe
@@ -55,9 +55,8 @@ class _Optimizer(NamedTuple):
     """One row of :data:`OPTIMIZERS`."""
 
     config: type  # frozen hyperparameter dataclass
-    stepper: type  # built as stepper(dim, config), plus the Hessian if `hessian`
+    stepper: type  # built as stepper(dim, config)
     gradient: str = "loss_and_grad"  # the problem method returning (batch loss, step's g)
-    hessian: bool = False  # the stepper takes the problem's constant Hessian
     dense: bool = False  # a dense oracle: the scaling probe caps its dimension
     iterations_key: str | None = None  # defaults to the run's iterations
 
@@ -69,8 +68,6 @@ OPTIMIZERS = {
     "adam": _Optimizer(baselines.AdamConfig, baselines.AdamOptimizer),
     "ngd_oracle": _Optimizer(baselines.NgdConfig, baselines.NgdOracle,
                              gradient="loss_and_per_sample_grads", dense=True),
-    "newton_oracle": _Optimizer(baselines.NewtonConfig, baselines.NewtonOracle,
-                                hessian=True, dense=True),
 }
 
 #: How a hyperparameter value is coerced, by its dataclass field's annotation.
@@ -99,11 +96,10 @@ def _hyperparameters(optimizer_id: str, params: dict, iterations: int):
     return row, config, {k: getattr(config, k) for k in params}
 
 
-def _build_stepper(optimizer_id: str, params: dict, iterations: int, dim: int, hessian):
-    """A stepper of ``optimizer_id`` at ``dim`` with validated hyperparameters;
-    ``hessian()`` is called only for the row whose stepper takes one."""
+def _build_stepper(optimizer_id: str, params: dict, iterations: int, dim: int):
+    """A stepper of ``optimizer_id`` at ``dim`` with validated hyperparameters."""
     row, config, _ = _hyperparameters(optimizer_id, params, iterations)
-    return row.stepper(dim, config, *((hessian(),) if row.hessian else ()))
+    return row.stepper(dim, config)
 
 
 def _coerce_ints(cfg) -> None:
@@ -267,8 +263,7 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
     batch_size = min(cfg.batch_size, n_train)
     batches = problems.minibatch_epochs(n_train, batch_size, np.random.default_rng(batch_ss))
 
-    stepper = _build_stepper(cfg.optimizer, cfg.hyperparameters, cfg.iterations,
-                             problem.dim, lambda: problem.exact_hessian(w))
+    stepper = _build_stepper(cfg.optimizer, cfg.hyperparameters, cfg.iterations, problem.dim)
     loss_and_gradient = getattr(problem, OPTIMIZERS[cfg.optimizer].gradient)
 
     rows: list = []
@@ -506,9 +501,7 @@ def scaling_probe(cfg: ScalingConfig) -> list:
         w = g.copy()
         if OPTIMIZERS[cfg.optimizer].gradient == "loss_and_per_sample_grads":
             g = rng.random((8, d))
-        stepper = _build_stepper(
-            cfg.optimizer, cfg.hyperparameters, cfg.repeats, d,
-            lambda: problems.make_quadratic(d, 10.0, cfg.seed).exact_hessian(w))
+        stepper = _build_stepper(cfg.optimizer, cfg.hyperparameters, cfg.repeats, d)
         steps.append(functools.partial(stepper.step, w, g))
     for do_step in steps:
         for _ in range(3):

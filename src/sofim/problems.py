@@ -304,9 +304,6 @@ class Problem:
     def initial_point(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def exact_hessian(self, w) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} has no cheap exact Hessian")
-
     def _check_w(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (self.dim,):
@@ -357,9 +354,6 @@ class QuadraticProblem(Problem):
 
     def initial_point(self, rng: np.random.Generator) -> np.ndarray:
         return self.w_star + rng.standard_normal(self.dim)
-
-    def exact_hessian(self, w) -> np.ndarray:
-        return self.a_matrix
 
 
 def make_quadratic(d: int, condition_number: float, seed: int) -> QuadraticProblem:

@@ -14,8 +14,6 @@ from sofim.baselines import (
     DENSE_FIM_CAP,
     AdamConfig,
     AdamOptimizer,
-    NewtonConfig,
-    NewtonOracle,
     NgdConfig,
     NgdOracle,
     SgdConfig,
@@ -24,7 +22,7 @@ from sofim.baselines import (
 )
 from sofim.core import SofimConfig, SofimOptimizer
 from sofim.exceptions import ConfigError, DimensionMismatchError, ScaleCapError
-from sofim.problems import LogisticRegressionProblem, make_blobs, make_quadratic
+from sofim.problems import LogisticRegressionProblem, make_blobs
 
 from reference import adam_step, sgd_momentum_step
 
@@ -226,44 +224,3 @@ class TestNgdStep:
             SofimOptimizer(problem.dim, SofimConfig(eta=eta, rho=rho, beta=0.0)).step(fast, g[0])
             err = np.linalg.norm(fast - dense) / max(np.linalg.norm(dense), 1e-12)
             assert err <= 1e-10, f"trial {trial}: relative error {err:.3e}"
-
-
-class TestNewtonStep:
-    def test_full_step_solves_quadratic(self):
-        """eta=1 Newton from any point lands on the minimizer."""
-        problem = make_quadratic(15, 30.0, seed=3)
-        rng = np.random.default_rng(4)
-        w = problem.initial_point(rng)
-        opt = NewtonOracle(15, NewtonConfig(eta=1.0), problem.exact_hessian(w))
-        opt.step(w, problem.grad(w))
-        assert np.linalg.norm(problem.grad(w)) <= 1e-9
-
-    def test_partial_step_interpolates(self):
-        """eta=0.5 moves halfway to the minimizer in Newton coordinates."""
-        problem = make_quadratic(6, 5.0, seed=1)
-        rng = np.random.default_rng(2)
-        w0 = problem.initial_point(rng)
-        hessian, g = problem.exact_hessian(w0), problem.grad(w0)
-        w_star, w_half = w0.copy(), w0.copy()
-        NewtonOracle(6, NewtonConfig(eta=1.0), hessian).step(w_star, g)
-        NewtonOracle(6, NewtonConfig(eta=0.5), hessian).step(w_half, g)
-        assert_allclose(w_half, 0.5 * (w0 + w_star), rtol=1e-10)
-
-    def test_rejects_indefinite_hessian(self):
-        """A non-PD Hessian is refused."""
-        with pytest.raises(ConfigError, match="positive definite"):
-            NewtonOracle(2, NewtonConfig(), np.diag([1.0, -1.0]))
-        with pytest.raises(ConfigError, match="eta"):
-            NewtonConfig(eta=-1.0)
-
-    def test_stepper_matches_functional(self):
-        """NewtonOracle, given the Hessian once, updates w in place exactly
-        as the iterated step ``w - eta H^{-1} grad``."""
-        problem = make_quadratic(15, 30.0, seed=3)
-        w_fast = problem.initial_point(np.random.default_rng(4))
-        w_ref = w_fast.copy()
-        opt = NewtonOracle(15, NewtonConfig(eta=0.5), problem.exact_hessian(w_fast))
-        for _ in range(4):
-            opt.step(w_fast, problem.grad(w_fast))
-            w_ref = w_ref - 0.5 * np.linalg.solve(problem.exact_hessian(w_ref), problem.grad(w_ref))
-        assert np.array_equal(w_fast, w_ref)

@@ -237,6 +237,10 @@ class TestExitCodes:
                                               "that share a summary key: [0.5, 0.5]"),
         ("run", "loss_thresholds=[1.0e-7, 1.00000001e-7]", "'loss_thresholds'"),
         ("sweep", "grid={}", "config key 'grid' must be a non-empty mapping"),
+        ("scaling", "optimizers=[newton_oracle]", "config key 'optimizers' names unknown "
+                                                  "optimizer(s) ['newton_oracle']; expected ids "
+                                                  "from ('sofim', 'sgd_momentum', 'adam', "
+                                                  "'ngd_oracle')"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, subcommand, override,
                                              key):
@@ -272,6 +276,9 @@ class TestExitCodes:
         ("run", ["problem={kind: csv, path: no_such_dir/missing.csv}"]),
         ("run", ["problem={kind: csv, path: one_class.csv, model: softmax}"]),
         ("run", ["problem={kind: csv, path: label_twice.csv}"]),
+        ("run", ["optimizer=newton_oracle"]),
+        ("sweep", ["optimizer=newton_oracle"]),
+        ("scaling", ["optimizers=[newton_oracle]", "dims=[8]", "repeats=1"]),
     ])
     def test_refused_config_writes_nothing(self, tmp_path, monkeypatch, capsys, subcommand,
                                            overrides):
@@ -655,8 +662,16 @@ class TestConfigFuzzer:
         """A shipped config with one key dropped, added or given another type
         or an edge value exits 0, or exits 1 with a config error that names
         the key and writes nothing; never 2, never an uncaught exception.
-        A mapping swapped in may be named by its own key."""
+        A mapping swapped in may be named by its own key.  A mutant that
+        exits 0 replays from its one config_echo.yaml (under ``runs/`` when
+        it names no output_dir) into a second directory with the same files;
+        the two echoes differ only in their output_dir."""
         subcommand, base = FUZZED[name]
+
+        def echo_without_output_dir(out_dir):
+            echo = yaml.safe_load((out_dir / "config_echo.yaml").read_text(encoding="utf-8"))
+            del echo["output_dir"]
+            return echo
 
         @settings(max_examples=SWEEP_EXAMPLES if subcommand == "sweep" else 400, deadline=None)
         @given(mutants(base))
@@ -665,18 +680,28 @@ class TestConfigFuzzer:
             err = io.StringIO()
             with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
                 os.environ.pop(cli.DEFAULT_OUTPUT_DIR_ENV, None)
-                work = Path(tmp) / "work"
+                work, replay = Path(tmp) / "work", Path(tmp) / "replay"
                 work.mkdir()
                 argv = [subcommand, write_yaml(Path(tmp) / "config.yaml", config)]
                 with (working_directory(work), contextlib.redirect_stdout(io.StringIO()),
                       contextlib.redirect_stderr(err)):
                     code = cli.main(argv)
                 written = sorted(work.rglob("*"))
-            assert code in (0, 1), err.getvalue()
-            if code == 1:
-                assert err.getvalue().startswith("config error")
-                assert any(key in err.getvalue() for key in names)
-                assert written == []
+                assert code in (0, 1), err.getvalue()
+                if code == 1:
+                    assert err.getvalue().startswith("config error")
+                    assert any(key in err.getvalue() for key in names)
+                    assert written == []
+                    return
+                [echo] = work.rglob("config_echo.yaml")
+                with (working_directory(work), contextlib.redirect_stdout(io.StringIO()),
+                      contextlib.redirect_stderr(err)):
+                    code = cli.main([subcommand, str(echo), "--set", f"output_dir={replay}"])
+                assert code == 0, err.getvalue()
+                first, again = comparable(echo.parent), comparable(replay)
+                del first["config_echo.yaml"], again["config_echo.yaml"]
+                assert again == first
+                assert echo_without_output_dir(replay) == echo_without_output_dir(echo.parent)
 
         check()
 

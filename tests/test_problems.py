@@ -486,11 +486,6 @@ class TestQuadratic:
         assert eigs.min() == pytest.approx(1.0, rel=1e-9)
         assert eigs.max() == pytest.approx(10.0, rel=1e-9)
 
-    def test_hessian_is_a(self):
-        """exact_hessian returns the quadratic form matrix."""
-        problem = make_quadratic(6, 4.0, seed=2)
-        assert_allclose(problem.exact_hessian(np.zeros(6)), problem.a_matrix, rtol=0)
-
     def test_deterministic_in_seed(self):
         """Same seed, same problem; different seed, different problem."""
         a = make_quadratic(8, 50.0, seed=5)
@@ -636,12 +631,6 @@ class TestMlp:
             MlpProblem(blobs3(), 4, activation="gelu")
         problem = MlpProblem(blobs3(), 4)
         assert (problem.widths, problem.activation, problem.dim) == ((5, 4, 3), "tanh", 39)
-
-    def test_no_exact_hessian(self):
-        """The MLP declines to provide a Hessian."""
-        problem = MlpProblem(blobs3(), 4)
-        with pytest.raises(NotImplementedError):
-            problem.exact_hessian(np.zeros(problem.dim))
 
 
 class TestBlobs:

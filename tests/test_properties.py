@@ -9,7 +9,7 @@ hyperparameters and gradient streams (Hypothesis).
 - A refused step (wrong shape, a dtype other than float64, NaN or Inf
   entry, and for sofim a finite ``g`` whose ``||m_hat||^2`` overflows) raises and leaves ``w`` and every
   attribute of the stepper bitwise unchanged, at a dimension of several
-  blocks too; that holds for the dense NGD and Newton oracles as well.
+  blocks too; that holds for the dense NGD oracle as well.
   Sofim refuses exactly the steps whose ``||m_hat||^2`` overflows in the
   reference ``sofim_step``.
 - A sofim step is never longer than ``eta / (2 sqrt(rho))``: the length
@@ -30,8 +30,6 @@ from hypothesis.extra.numpy import arrays
 from sofim.baselines import (
     AdamConfig,
     AdamOptimizer,
-    NewtonConfig,
-    NewtonOracle,
     NgdConfig,
     NgdOracle,
     SgdConfig,
@@ -148,7 +146,6 @@ STEPPERS = {
         d, SgdConfig(eta=0.1, momentum=0.9, weight_decay=1e-4)),
     "adam": lambda d: AdamOptimizer(d, AdamConfig(eta=0.01)),
     "ngd_oracle": lambda d: NgdOracle(d, NgdConfig()),
-    "newton_oracle": lambda d: NewtonOracle(d, NewtonConfig(), np.eye(d)),
 }
 #: Steppers whose g is a (B, d) array of per-sample gradients.
 PER_SAMPLE = ("ngd_oracle",)
