@@ -8,21 +8,22 @@ each step costs O(d) time and memory like SGD with momentum.
 Modules:
 
 - :mod:`sofim.core` - the optimizer and the step checks all steppers share.
-- :mod:`sofim.baselines` - SGD momentum, Adam and a dense natural-gradient
-  oracle for comparison and testing.
+- :mod:`sofim.baselines` - SGD momentum and Adam for comparison.
 - :mod:`sofim.problems` - convex and small neural test problems on
   synthetic and CSV datasets.
 - :mod:`sofim.harness` - experiment runner, sweeps, scaling probe.
 - :mod:`sofim.cli` - command-line front end.
 
-The sofim, momentum-SGD and Adam steppers update in place with numpy
-and allocate nothing per step.  Each stepper is the only implementation
-of its update; the tests hold the formula-only references it is checked
-against.
+The sofim, momentum-SGD and Adam steppers share one protocol,
+``step(w, g)`` on a gradient of ``w``'s shape; they update in place with
+numpy and allocate nothing per step.  Each stepper is the only
+implementation of its update; the tests hold the formula-only references
+it is checked against, the dense natural-gradient step that sofim equals
+at batch size 1 among them.
 """
 
 from sofim.core import SofimConfig, SofimOptimizer
-from sofim.exceptions import ConfigError, DimensionMismatchError, NonFiniteError, ScaleCapError
+from sofim.exceptions import ConfigError, DimensionMismatchError, NonFiniteError
 
 __version__ = "0.1.0"
 
@@ -36,6 +37,5 @@ __all__ = [
     "ConfigError",
     "DimensionMismatchError",
     "NonFiniteError",
-    "ScaleCapError",
     "__version__",
 ]

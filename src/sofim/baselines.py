@@ -1,11 +1,8 @@
-"""Reference optimizers for comparison and cross-checking.
-
-Contains SGD with momentum (optional coupled weight decay and cosine
-annealing), Adam with canonical defaults, and a deliberately small-scale
-dense oracle: natural-gradient descent with the empirical Fisher matrix.
+"""Baseline optimizers for comparison: SGD with momentum (optional coupled
+weight decay and cosine annealing) and Adam with canonical defaults.
 Each is a stepper whose ``step(w, g)`` is its only implementation.  The
-NGD oracle refuses more than :data:`DENSE_FIM_CAP` dimensions when it is
-built; it exists to verify the O(d) optimizer, not to compete with it.
+dense natural-gradient step that checks sofim at batch size 1 is a
+formula-only test reference, not a stepper of the library.
 """
 
 from __future__ import annotations
@@ -15,15 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sofim.core import BLOCK, blocks, check_step, require_finite, require_float64, shape_error
-from sofim.exceptions import ConfigError, ScaleCapError, require
-
-#: Dense-Fisher operations refuse dimensions above this.
-DENSE_FIM_CAP = 200
-
-#: Default damping for the natural-gradient oracle; the empirical Fisher of
-#: a finite batch is rank-deficient, so some damping is always required.
-DEFAULT_NGD_DAMPING = 1e-3
+from sofim.core import BLOCK, blocks, check_step
+from sofim.exceptions import ConfigError, require
 
 
 @dataclass(frozen=True)
@@ -38,9 +28,11 @@ class SgdConfig:
     total_steps: int | None = None
 
     def __post_init__(self):
-        require(self.eta > 0, f"eta must be > 0, got {self.eta}")
+        require(math.isfinite(self.eta) and self.eta > 0,
+                f"eta must be finite and > 0, got {self.eta}")
         require(0.0 <= self.momentum < 1.0, f"momentum must lie in [0, 1), got {self.momentum}")
-        require(self.weight_decay >= 0, f"weight_decay must be >= 0, got {self.weight_decay}")
+        require(math.isfinite(self.weight_decay) and self.weight_decay >= 0,
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         require(self.schedule in ("constant", "cosine"),
                 f"schedule must be 'constant' or 'cosine', got {self.schedule!r}")
         if self.schedule == "cosine" and (self.total_steps is None or self.total_steps < 1):
@@ -57,22 +49,12 @@ class AdamConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        require(self.eta > 0, f"eta must be > 0, got {self.eta}")
+        require(math.isfinite(self.eta) and self.eta > 0,
+                f"eta must be finite and > 0, got {self.eta}")
         require(0.0 <= self.beta1 < 1.0, f"beta1 must lie in [0, 1), got {self.beta1}")
         require(0.0 <= self.beta2 < 1.0, f"beta2 must lie in [0, 1), got {self.beta2}")
-        require(self.epsilon > 0, f"epsilon must be > 0, got {self.epsilon}")
-
-
-@dataclass(frozen=True)
-class NgdConfig:
-    """Natural-gradient oracle hyperparameters."""
-
-    eta: float = 0.1
-    damping: float = DEFAULT_NGD_DAMPING
-
-    def __post_init__(self):
-        require(self.eta > 0, f"eta must be > 0, got {self.eta}")
-        require(self.damping > 0, f"damping must be > 0, got {self.damping}")
+        require(math.isfinite(self.epsilon) and self.epsilon > 0,
+                f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 def sgd_learning_rate(cfg: SgdConfig, step_index: int) -> float:
@@ -169,27 +151,3 @@ class AdamOptimizer:
             np.divide(m, denom, out=scratch)
             scratch *= alpha
             w_b -= scratch
-
-
-class NgdOracle:
-    """Natural-gradient stepper with the dense empirical Fisher ``F = mean_i
-    g_i g_i^T``: ``w -= eta * (F + damping * I)^{-1} g_bar``, where ``g`` is
-    a (B, dim) array of per-sample gradients and ``g_bar`` their mean.  ``F``
-    is symmetrized against BLAS round-off.  A ``g`` that is not finite or of
-    a wrong shape or dtype is refused before ``w`` changes, and a ``dim``
-    above :data:`DENSE_FIM_CAP` when the stepper is built."""
-
-    def __init__(self, dim: int, config: NgdConfig):
-        if dim > DENSE_FIM_CAP:
-            raise ScaleCapError(f"dense Fisher oracle capped at d <= {DENSE_FIM_CAP}, "
-                                f"got d = {dim}")
-        self.config, self.dim = config, dim
-
-    def step(self, w: np.ndarray, g: np.ndarray) -> None:
-        if w.shape != (self.dim,) or g.ndim != 2 or g.shape[0] < 1 or g.shape[1] != self.dim:
-            raise shape_error(w, g, f"w of shape ({self.dim},) and g of shape (B, {self.dim})")
-        require_float64(w, g)
-        require_finite(g, "g")
-        f = g.T @ g / g.shape[0]
-        a = 0.5 * (f + f.T) + self.config.damping * np.eye(self.dim)
-        w -= self.config.eta * np.linalg.solve(a, g.mean(axis=0))

@@ -20,7 +20,8 @@ sgd_momentum]``, ``dims`` 1e3 to 1e6 by decades, ``repeats: 20``,
 ``seed: 0``.  Every listed optimizer's config is built and checked before
 the first probe.  Any scalar key can be overridden on the command line
 with ``--set key=value`` (dotted paths reach nested keys, e.g. ``--set
-hyperparameters.rho=0.5``).
+hyperparameters.rho=0.5``; a path through a value that is not a mapping,
+as ``optimizer.eta`` through ``optimizer: sofim``, is refused).
 Unknown keys are rejected by name, and so are a quoted number (YAML reads
 ``1e-3`` as a string: write ``1.0e-3``), an unknown optimizer and a
 repeated grid, ``dims`` or ``optimizers`` value.  A refused config writes
@@ -48,7 +49,7 @@ import numpy as np
 import yaml
 
 from sofim import harness, problems
-from sofim.exceptions import ConfigError, ScaleCapError, require
+from sofim.exceptions import ConfigError, require
 
 DEFAULT_OUTPUT_DIR_ENV = "SOFIM_OUTPUT_DIR"
 
@@ -101,6 +102,10 @@ def _load_config(path_str: str | None, subcommand: str) -> dict:
 
 
 def _apply_overrides(config: dict, overrides: list) -> dict:
+    """``config`` with each ``KEY=VALUE`` override set, a dotted key reaching
+    into nested mappings and making a missing or empty one.  A dotted key
+    that descends into a value that is not a mapping is refused, naming the
+    override and that key, rather than replacing the value."""
     out = {k: (dict(v) if isinstance(v, dict) else v) for k, v in config.items()}
     for item in overrides:
         key, sep, raw = item.partition("=")
@@ -111,11 +116,12 @@ def _apply_overrides(config: dict, overrides: list) -> dict:
             raise ConfigError(f"override {item!r} has an unparsable value: {exc}") from exc
         node = out
         parts = key.split(".")
-        for part in parts[:-1]:
+        for depth, part in enumerate(parts[:-1], start=1):
             nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[part] = nxt
+            if nxt is None:
+                nxt = node[part] = {}
+            require(isinstance(nxt, dict), f"override {item!r} descends into config key "
+                    f"{'.'.join(parts[:depth])!r}, which holds {nxt!r}, not a mapping")
             node = nxt
         node[parts[-1]] = value
     return out
@@ -235,7 +241,7 @@ def main(argv=None) -> int:
     handler = _cmd_gradcheck if args.subcommand == "gradcheck" else _cmd_config
     try:
         return handler(args)
-    except (ConfigError, ScaleCapError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001, runtime failures map to exit 2

@@ -64,40 +64,24 @@ def blocks(n: int, width: int = 1) -> list:
     return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
-def require_finite(arr: np.ndarray, name: str) -> None:
-    """Raise :class:`NonFiniteError` unless every entry of ``arr`` is finite."""
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{name} contains NaN or Inf")
-
-
-def require_float64(w: np.ndarray, g: np.ndarray) -> None:
-    """Raise ``TypeError`` unless ``w`` and ``g`` are float64: a step would
-    round another ``w`` in place, or fail with part of its state changed."""
+def check_step(w: np.ndarray, g: np.ndarray, shape: tuple) -> float:
+    """Refuse a stepper's ``(w, g)`` before the step changes anything: both
+    must be of the stepper's ``shape`` and float64 (a step would round
+    another ``w`` in place, or fail with part of its state changed), and
+    ``g`` must be finite.  That costs one read of ``g`` (``g . g``, returned)
+    and no allocation unless the sum is not finite.  ``np.vdot`` does the
+    read because, unlike ``np.dot``, it emits no overflow warning for a
+    finite ``g`` whose square overflows.
+    """
+    if w.shape != shape or g.shape != shape:
+        raise DimensionMismatchError(f"g has shape {g.shape} and w has shape {w.shape}; "
+                                     f"the optimizer expects {shape}")
     if w.dtype != _FLOAT64 or g.dtype != _FLOAT64:
         raise TypeError(f"w has dtype {w.dtype} and g has dtype {g.dtype}; "
                         "the optimizer expects float64")
-
-
-def shape_error(w: np.ndarray, g: np.ndarray, expected) -> DimensionMismatchError:
-    """The error a stepper raises for a ``(w, g)`` pair of the wrong shapes."""
-    return DimensionMismatchError(
-        f"g has shape {g.shape} and w has shape {w.shape}; the optimizer expects {expected}"
-    )
-
-
-def check_step(w: np.ndarray, g: np.ndarray, shape: tuple) -> float:
-    """Refuse a stepper's ``(w, g)`` before the step changes anything: both
-    must be float64 of the stepper's ``shape`` and ``g`` must be finite.  That
-    costs one read of ``g`` (``g . g``, returned) and no allocation unless the
-    sum is not finite.  ``np.vdot`` does the read because, unlike ``np.dot``,
-    it emits no overflow warning for a finite ``g`` whose square overflows.
-    """
-    if w.shape != shape or g.shape != shape:
-        raise shape_error(w, g, shape)
-    require_float64(w, g)
     gg = float(np.vdot(g, g))
-    if not math.isfinite(gg):
-        require_finite(g, "g")
+    if not math.isfinite(gg) and not np.isfinite(g).all():
+        raise NonFiniteError("g contains NaN or Inf")
     return gg
 
 
@@ -111,10 +95,12 @@ class SofimConfig:
     beta: float = 0.9
 
     def __post_init__(self):
-        require(self.eta > 0, f"eta must be > 0, got {self.eta}")
+        require(math.isfinite(self.eta) and self.eta > 0,
+                f"eta must be finite and > 0, got {self.eta}")
         # rho <= 0 destroys positive-definiteness of the preconditioner;
         # fail fast instead of silently diverging.
-        require(self.rho > 0, f"rho must be > 0, got {self.rho}")
+        require(math.isfinite(self.rho) and self.rho > 0,
+                f"rho must be finite and > 0, got {self.rho}")
         require(0.0 <= self.beta < 1.0, f"beta must lie in [0, 1), got {self.beta}")
 
 

@@ -11,10 +11,6 @@ class NonFiniteError(FloatingPointError):
     """An input or intermediate value is NaN or infinite."""
 
 
-class ScaleCapError(ValueError):
-    """A dense small-scale oracle was asked to exceed its dimension cap."""
-
-
 class ConfigError(ValueError):
     """An experiment or CLI configuration is invalid; the message names
     the offending field."""

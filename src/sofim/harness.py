@@ -1,13 +1,14 @@
 """Experiment harness: mini-batch training loops, per-iteration metrics,
 hyperparameter sweeps, O(d) step-cost measurement, and every result file.
 
-Every optimizer, the dense NGD oracle included, is one row of
-:data:`OPTIMIZERS`: a frozen hyperparameter dataclass (its fields are the
-accepted keys, and its field defaults the only defaults) and a stepper
-whose ``step(w, g)`` updates ``w`` in place.  Runs and the scaling probe
-build their stepper from that row the same way, so the training loop makes
-one ``stepper.step`` call per iteration, fed by one problem call that
-returns the batch loss and the gradient from a single forward pass.
+Every optimizer is one row of :data:`OPTIMIZERS`: a frozen hyperparameter
+dataclass (its fields are the accepted keys, and its field defaults the
+only defaults) and a stepper whose ``step(w, g)`` updates ``w`` in place
+from a gradient of ``w``'s shape.  Runs and the scaling probe build their
+stepper from that row the same way, so the training loop makes one
+``stepper.step`` call per iteration, fed by one ``problem.loss_and_grad``
+call that returns the batch loss and the gradient from a single forward
+pass.
 
 A run is a pure function of its :class:`ExperimentConfig` (wall-time
 columns aside): initialization, batch order and updates are all seeded.
@@ -35,7 +36,7 @@ import numpy as np
 
 from sofim import baselines, problems
 from sofim.core import SofimConfig, SofimOptimizer
-from sofim.exceptions import ScaleCapError, convert, require
+from sofim.exceptions import convert, require
 
 #: A batch loss above this counts as divergence even while still finite.
 DIVERGENCE_LOSS = 1e8
@@ -56,8 +57,6 @@ class _Optimizer(NamedTuple):
 
     config: type  # frozen hyperparameter dataclass
     stepper: type  # built as stepper(dim, config)
-    gradient: str = "loss_and_grad"  # the problem method returning (batch loss, step's g)
-    dense: bool = False  # a dense oracle: the scaling probe caps its dimension
     iterations_key: str | None = None  # defaults to the run's iterations
 
 
@@ -66,8 +65,6 @@ OPTIMIZERS = {
     "sgd_momentum": _Optimizer(baselines.SgdConfig, baselines.SgdMomentumOptimizer,
                                iterations_key="total_steps"),
     "adam": _Optimizer(baselines.AdamConfig, baselines.AdamOptimizer),
-    "ngd_oracle": _Optimizer(baselines.NgdConfig, baselines.NgdOracle,
-                             gradient="loss_and_per_sample_grads", dense=True),
 }
 
 #: How a hyperparameter value is coerced, by its dataclass field's annotation.
@@ -264,7 +261,6 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
     batches = problems.minibatch_epochs(n_train, batch_size, np.random.default_rng(batch_ss))
 
     stepper = _build_stepper(cfg.optimizer, cfg.hyperparameters, cfg.iterations, problem.dim)
-    loss_and_gradient = getattr(problem, OPTIMIZERS[cfg.optimizer].gradient)
 
     rows: list = []
     diverged_at = None
@@ -273,13 +269,13 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for t in range(1, cfg.iterations + 1):
             tic = time.perf_counter()
-            batch_loss, g = loss_and_gradient(w, next(batches))
+            batch_loss, g = problem.loss_and_grad(w, next(batches))
             if not math.isfinite(batch_loss) or batch_loss > DIVERGENCE_LOSS:
                 diverged_at = t
                 break
             try:
                 stepper.step(w, g)
-            except (FloatingPointError, np.linalg.LinAlgError):  # NonFiniteError is one
+            except FloatingPointError:  # NonFiniteError is one
                 diverged_at = t
                 break
             wall_seconds += time.perf_counter() - tic
@@ -384,7 +380,7 @@ def grid(base: ExperimentConfig, axes) -> list:
 class ScalingConfig:
     """Everything that determines a scaling probe: optimizer id and
     hyperparameters, dimensions in probe order, timed steps per dimension and
-    the synthetic vectors' seed; a dense oracle above its cap raises ``ScaleCapError``."""
+    the synthetic vectors' seed."""
 
     optimizer: str
     dims: tuple = (1_000, 10_000, 100_000, 1_000_000)
@@ -402,12 +398,8 @@ class ScalingConfig:
         object.__setattr__(self, "dims", tuple(dims))
         require(self.repeats >= 1, f"repeats must be >= 1, got {self.repeats}")
         require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        row, _, params = _hyperparameters(self.optimizer, self.hyperparameters, self.repeats)
+        params = _hyperparameters(self.optimizer, self.hyperparameters, self.repeats)[2]
         object.__setattr__(self, "hyperparameters", params)
-        too_big = [d for d in dims if row.dense and d > baselines.DENSE_FIM_CAP]
-        if too_big:
-            raise ScaleCapError(f"{self.optimizer} is a dense small-scale oracle "
-                                f"(d <= {baselines.DENSE_FIM_CAP}); refusing dims {too_big}")
 
 
 def _read(cls, mapping: dict, **given):
@@ -481,8 +473,7 @@ def scaling_probe(cfg: ScalingConfig) -> list:
     Times the update call alone: gradients are synthetic fixed vectors, so
     gradient computation never enters the measurement.  Each dimension
     draws one uniform vector in [0, 1) from ``cfg.seed``, its gradient, and
-    starts ``w`` at a copy of it; the NGD oracle's (8, d) per-sample
-    gradients are uniform too.  A step's work does not depend on the
+    starts ``w`` at a copy of it.  A step's work does not depend on the
     values, and a uniform draw costs a fraction of a normal one and holds
     no subnormal, infinite or NaN entry that could slow a step.  Every
     dimension's stepper and vectors are built first and take 3 untimed
@@ -492,15 +483,13 @@ def scaling_probe(cfg: ScalingConfig) -> list:
     slow phase of the host reaches all dimensions rather than one.  A
     dimension's result is the smallest of its per-round medians.  Returns a
     list of ``(d, median_step_seconds)`` rows in the order of ``cfg.dims``;
-    ``cfg`` was checked when it was built, a dense oracle's cap included.
+    ``cfg`` was checked when it was built.
     """
     rng = np.random.default_rng(cfg.seed)
     steps = []
     for d in cfg.dims:
         g = rng.random(d)
         w = g.copy()
-        if OPTIMIZERS[cfg.optimizer].gradient == "loss_and_per_sample_grads":
-            g = rng.random((8, d))
         stepper = _build_stepper(cfg.optimizer, cfg.hyperparameters, cfg.repeats, d)
         steps.append(functools.partial(stepper.step, w, g))
     for do_step in steps:

@@ -2,14 +2,14 @@
 generation and loading.
 
 Every problem exposes the same surface (:class:`Problem`): a mean loss over
-a batch of training rows, fused with its analytic gradient or per-sample
-gradients (for the dense Fisher oracle), and held-out test metrics.  Losses
-are means of per-sample losses, so the gradient of a batch equals the mean
-of the per-sample gradients.  Each dataset model (logistic, softmax, MLP)
-states its math once: a forward pass, a cross-entropy head (sigmoid or
-softmax) and a pull-back from the head's residual to the gradient.  Its
-fused calls return the batch loss with a gradient from that one forward
-pass, so a training step runs the model forward once.
+a batch of training rows, fused with its analytic gradient, and held-out
+test metrics.  Losses are means of per-sample losses, so the gradient of a
+batch equals the mean of the one-row gradients.  Each dataset model
+(logistic, softmax, MLP) states its math once: a forward pass, a
+cross-entropy head (sigmoid or softmax) and a pull-back from the head's
+residual to the gradient.  Its fused call returns the batch loss with the
+gradient from that one forward pass, so a training step runs the model
+forward once.
 
 Forward-only evaluation (``loss``, ``test_loss``, ``test_accuracy``) runs
 over the row blocks of :func:`sofim.core.blocks`, each holding at most
@@ -258,9 +258,9 @@ class Problem:
 
     ``batch`` arguments are integer indices into the train split;
     ``None`` means the full train split.  A problem implements ``loss``,
-    ``test_loss`` and the two fused calls, which derive ``grad`` and
-    ``per_sample_grads``; each of the four refuses a ``w`` not of shape
-    ``(dim,)`` with ``DimensionMismatchError`` (:meth:`_check_w`).
+    ``test_loss`` and the fused ``loss_and_grad``, which derives ``grad``;
+    each of the three refuses a ``w`` not of shape ``(dim,)`` with
+    ``DimensionMismatchError`` (:meth:`_check_w`).
     """
 
     dim: int
@@ -282,16 +282,8 @@ class Problem:
         hidden width (see the module docstring)."""
         raise NotImplementedError
 
-    def loss_and_per_sample_grads(self, w, batch=None) -> tuple:
-        """``(loss(w, batch), per_sample_grads(w, batch))``, one row of
-        gradient per batch row, the same way as :meth:`loss_and_grad`."""
-        raise NotImplementedError
-
     def grad(self, w, batch=None) -> np.ndarray:
         return self.loss_and_grad(w, batch)[1]
-
-    def per_sample_grads(self, w, batch=None) -> np.ndarray:
-        return self.loss_and_per_sample_grads(w, batch)[1]
 
     def test_loss(self, w) -> float:
         raise NotImplementedError
@@ -344,10 +336,6 @@ class QuadraticProblem(Problem):
 
     def loss_and_grad(self, w, batch=None) -> tuple:
         return self.loss(w), self.a_matrix @ (self._check_w(w) - self.w_star)
-
-    def loss_and_per_sample_grads(self, w, batch=None) -> tuple:
-        loss, g = self.loss_and_grad(w)
-        return loss, g[None, :]
 
     def test_loss(self, w) -> float:
         return self.loss(w)
@@ -450,9 +438,10 @@ class _DatasetProblem(Problem):
     losses, those losses with the residual ``dloss/doutputs``, and
     predictions;
     ``_pullback(w, cache, residual)`` returns one ``(error, input)`` pair per
-    parameter block in flat-layout order.  A weight block's per-sample
-    gradient is ``error outer input``; a bias block's input is ``None`` and
-    its per-sample gradient is ``error``.  Every public method is built here.
+    parameter block in flat-layout order.  A weight block's gradient is
+    ``error.T @ input`` over the batch size; a bias block's input is
+    ``None`` and its gradient is the mean of ``error``.  Every public
+    method is built here.
 
     ``_row_width`` is the widest per-row intermediate of a forward pass: the
     logit count, or the MLP's wider layer.  Forward-only evaluation runs
@@ -499,29 +488,19 @@ class _DatasetProblem(Problem):
             losses[rows] = self.head.losses(self._forward(w, x[rows])[0], y[rows])
         return float(_mean(losses))
 
-    def _loss_and_blocks(self, w, batch):
-        """The mean loss on a batch, the pull-back's ``(error, input)`` pairs
-        and the batch size, all from one forward pass."""
-        x, y = self._select(batch)
-        w = self._check_w(w)
-        outputs, cache = self._forward(w, x)
-        losses, residual = self.head.losses_and_residual(outputs, y)
-        return float(_mean(losses)), self._pullback(w, cache, residual), x.shape[0]
-
     def loss(self, w, batch=None) -> float:
         return self._mean_loss(w, *self._select(batch))
 
     def loss_and_grad(self, w, batch=None) -> tuple:
-        loss, pairs, b = self._loss_and_blocks(w, batch)
-        grads = [_mean(err) if inp is None else err.T @ inp / b for err, inp in pairs]
+        x, y = self._select(batch)
+        w = self._check_w(w)
+        outputs, cache = self._forward(w, x)
+        losses, residual = self.head.losses_and_residual(outputs, y)
+        loss, b = float(_mean(losses)), x.shape[0]
+        grads = [_mean(err) if inp is None else err.T @ inp / b
+                 for err, inp in self._pullback(w, cache, residual)]
         # One block is already a fresh array: return it flat, without a copy.
         return loss, grads[0].ravel() if len(grads) == 1 else np.concatenate(grads, axis=None)
-
-    def loss_and_per_sample_grads(self, w, batch=None) -> tuple:
-        loss, pairs, b = self._loss_and_blocks(w, batch)
-        return loss, np.hstack([err if inp is None else
-                                np.einsum("bi,bj->bij", err.reshape(b, -1), inp).reshape(b, -1)
-                                for err, inp in pairs])
 
     def test_loss(self, w) -> float:
         return self._mean_loss(w, self._x_test, self._y_test)
@@ -575,7 +554,7 @@ class SoftmaxRegressionProblem(_LinearProblem):
     """Multinomial logistic regression: the softmax head over logits ``W x``.
 
     Parameters are the weight matrix ``W`` of shape (C, p) flattened
-    row-major, class-by-class: ``dim = p * C``.  Per-sample gradient is
+    row-major, class-by-class: ``dim = p * C``.  A one-row gradient is
     ``(softmax(W x) - onehot(y)) outer x`` in the same layout.
     """
 

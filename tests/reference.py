@@ -54,6 +54,16 @@ def adam_step(w, m, v, g, cfg, t):
     return w - cfg.eta * m_hat / (np.sqrt(v_hat) + cfg.epsilon), m, v
 
 
+def ngd_step(w, per_sample, eta, damping):
+    """Damped natural-gradient step with the dense empirical Fisher of the
+    (B, d) per-sample gradients: ``w - eta (F + damping I)^{-1} g_bar``,
+    ``F = mean_i g_i g_i^T`` symmetrized against BLAS round-off and
+    ``g_bar`` the gradients' mean."""
+    f = per_sample.T @ per_sample / per_sample.shape[0]
+    a = 0.5 * (f + f.T) + damping * np.eye(per_sample.shape[1])
+    return w - eta * np.linalg.solve(a, per_sample.mean(axis=0))
+
+
 def stepped_m_hat(opt, g):
     """The bias-corrected moment ``m_hat`` that ``opt``, a ``SofimOptimizer``,
     steps with on ``g``: its step from ``w = 0`` is ``-eta m_hat / (rho + sq)``."""

@@ -1,6 +1,7 @@
-"""Reference optimizers: hand-worked examples, dense-oracle cross-checks,
-and the rank-one consistency between damped NGD and the O(d) update.
-Each stepper is checked against a formula-only reference of its update.
+"""Baseline optimizers: hand-worked examples, and the rank-one consistency
+between damped NGD and the O(d) update.  Each stepper is checked against a
+formula-only reference of its update, and the dense NGD reference against
+the explicit inverse of its Fisher.
 """
 
 import math
@@ -10,21 +11,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sofim.baselines import (
-    DEFAULT_NGD_DAMPING,
-    DENSE_FIM_CAP,
     AdamConfig,
     AdamOptimizer,
-    NgdConfig,
-    NgdOracle,
     SgdConfig,
     SgdMomentumOptimizer,
     sgd_learning_rate,
 )
 from sofim.core import SofimConfig, SofimOptimizer
-from sofim.exceptions import ConfigError, DimensionMismatchError, ScaleCapError
+from sofim.exceptions import ConfigError
 from sofim.problems import LogisticRegressionProblem, make_blobs
 
-from reference import adam_step, sgd_momentum_step
+from reference import adam_step, ngd_step, sgd_momentum_step
 
 
 class TestSgdMomentum:
@@ -149,59 +146,31 @@ class TestAdam:
         assert_allclose(w_fast, w_ref, rtol=1e-12, atol=1e-13)
 
 
-class TestEmpiricalFim:
-    """The dense empirical Fisher of NgdOracle: its dimension cap and its
-    batch of per-sample gradients."""
-
-    def test_scale_cap(self):
-        """A stepper above the cap is refused when it is built, at the cap
-        it builds and steps."""
-        message = f"capped at d <= {DENSE_FIM_CAP}, got d = {DENSE_FIM_CAP + 1}$"
-        with pytest.raises(ScaleCapError, match=message):
-            NgdOracle(DENSE_FIM_CAP + 1, NgdConfig())
-        w = np.zeros(DENSE_FIM_CAP)
-        NgdOracle(DENSE_FIM_CAP, NgdConfig()).step(w, np.ones((2, DENSE_FIM_CAP)))
-        assert np.all(w < 0)
-
-    def test_empty_batch_rejected(self):
-        """An empty gradient batch has no Fisher: w is left unchanged."""
-        w = np.ones(3)
-        with pytest.raises(DimensionMismatchError):
-            NgdOracle(3, NgdConfig()).step(w, np.empty((0, 3)))
-        assert np.array_equal(w, np.ones(3))
+@pytest.mark.parametrize("config,field", [
+    (SofimConfig, "eta"), (SofimConfig, "rho"), (SgdConfig, "eta"), (SgdConfig, "weight_decay"),
+    (AdamConfig, "eta"), (AdamConfig, "epsilon"),
+])
+def test_infinite_hyperparameter_refused(config, field):
+    """Each config refuses an infinite value with a ConfigError naming the
+    field, as the CLI's conversion does: ``eta = inf`` would write ``inf``
+    into ``w``."""
+    with pytest.raises(ConfigError, match=f"^{field} must be finite and .*, got inf$"):
+        config(**{field: math.inf})
 
 
 class TestNgdStep:
     def test_matches_explicit_inverse(self):
-        """Five oracle steps equal the steps with the explicit dense inverse
-        of the Fisher built from explicit outer products."""
+        """Five reference NGD steps equal the steps with the explicit dense
+        inverse of the Fisher built from explicit outer products."""
         rng = np.random.default_rng(42)
-        opt = NgdOracle(12, NgdConfig(eta=0.5, damping=0.1))
         w = rng.standard_normal(12)
         expected = w.copy()
         for _ in range(5):
             grads = rng.standard_normal((8, 12))
             fim = sum(np.outer(g, g) for g in grads) / 8
             expected -= 0.5 * (np.linalg.inv(fim + 0.1 * np.eye(12)) @ grads.mean(axis=0))
-            opt.step(w, grads)
+            w = ngd_step(w, grads, 0.5, 0.1)
             assert_allclose(w, expected, rtol=1e-11, atol=1e-13)
-
-    def test_damping_required(self):
-        """Zero or negative damping is rejected (batch Fisher is singular)
-        by the oracle's config, and so is a non-positive eta."""
-        with pytest.raises(ConfigError, match="damping"):
-            NgdConfig(damping=0.0)
-        with pytest.raises(ConfigError, match="damping"):
-            NgdConfig(damping=-1e-3)
-        with pytest.raises(ConfigError, match="eta"):
-            NgdConfig(eta=0.0)
-
-    def test_default_damping_exposed(self):
-        assert DEFAULT_NGD_DAMPING == 1e-3
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            NgdOracle(4, NgdConfig()).step(np.zeros(4), np.ones((2, 3)))
 
     def test_rank_one_matches_sofim_first_step(self):
         """Batch-size-1 damped NGD equals the rank-one update with beta=0.
@@ -216,10 +185,9 @@ class TestNgdStep:
         for trial in range(100):
             w = rng.standard_normal(problem.dim)
             batch = rng.integers(0, problem.n_train, size=1)
-            g = problem.per_sample_grads(w, batch)
+            g = problem.grad(w, batch)[None, :]
             eta, rho = 0.1, float(rng.uniform(0.05, 2.0))
-            dense = w.copy()
-            NgdOracle(problem.dim, NgdConfig(eta=eta, damping=rho)).step(dense, g)
+            dense = ngd_step(w, g, eta, rho)
             fast = w.copy()
             SofimOptimizer(problem.dim, SofimConfig(eta=eta, rho=rho, beta=0.0)).step(fast, g[0])
             err = np.linalg.norm(fast - dense) / max(np.linalg.norm(dense), 1e-12)

@@ -111,6 +111,14 @@ class TestRunCommand:
         assert echoed["hyperparameters"]["eta"] == 0.01
         assert echoed["seed"] == 9
 
+    def test_override_fills_an_empty_mapping(self, tmp_path):
+        """A dotted override into a key left empty in the file (YAML null)
+        makes it a mapping, as into a missing key."""
+        assert cli.main(["run", run_config(tmp_path, hyperparameters=None),
+                         "--set", "hyperparameters.eta=0.05"]) == 0
+        echoed = yaml.safe_load((tmp_path / "out" / "config_echo.yaml").read_text())
+        assert echoed["hyperparameters"] == {"eta": 0.05}
+
     def test_no_writes_outside_output_dir(self, tmp_path, monkeypatch):
         """Everything lands under output_dir, even with a different cwd."""
         workdir = tmp_path / "cwd"
@@ -239,8 +247,11 @@ class TestExitCodes:
         ("sweep", "grid={}", "config key 'grid' must be a non-empty mapping"),
         ("scaling", "optimizers=[newton_oracle]", "config key 'optimizers' names unknown "
                                                   "optimizer(s) ['newton_oracle']; expected ids "
-                                                  "from ('sofim', 'sgd_momentum', 'adam', "
-                                                  "'ngd_oracle')"),
+                                                  "from ('sofim', 'sgd_momentum', 'adam')"),
+        ("run", "optimizer.eta=0.1", "override 'optimizer.eta=0.1' descends into config key "
+                                     "'optimizer', which holds 'sofim', not a mapping"),
+        ("run", "problem.kind.x=1", "override 'problem.kind.x=1' descends into config key "
+                                    "'problem.kind', which holds 'blobs', not a mapping"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, subcommand, override,
                                              key):
@@ -279,6 +290,10 @@ class TestExitCodes:
         ("run", ["optimizer=newton_oracle"]),
         ("sweep", ["optimizer=newton_oracle"]),
         ("scaling", ["optimizers=[newton_oracle]", "dims=[8]", "repeats=1"]),
+        ("run", ["optimizer=ngd_oracle", "hyperparameters={}"]),
+        ("sweep", ["optimizer=ngd_oracle", "hyperparameters={}"]),
+        ("scaling", ["optimizers=[ngd_oracle]", "dims=[8]", "repeats=1"]),
+        ("run", ["optimizer.eta=0.1"]),
     ])
     def test_refused_config_writes_nothing(self, tmp_path, monkeypatch, capsys, subcommand,
                                            overrides):
@@ -348,18 +363,19 @@ class TestExitCodes:
         assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "keep\n"
 
     def test_ngd_above_cap_is_refused_before_training(self, tmp_path, monkeypatch, capsys):
-        """An NGD run on a problem of d > DENSE_FIM_CAP (a 6-40-3 MLP, d =
-        403) exits 1 with the cap message when its stepper is built: before
-        any forward pass, and writing nothing."""
+        """An NGD run on a problem above the removed dense oracle's cap (a
+        6-40-3 MLP, d = 403) exits 1 as an unknown optimizer when its config
+        is read: before any forward pass, and writing nothing."""
         calls = []
-        forward = problems.MlpProblem.loss_and_per_sample_grads
-        monkeypatch.setattr(problems.MlpProblem, "loss_and_per_sample_grads",
+        forward = problems.MlpProblem.loss_and_grad
+        monkeypatch.setattr(problems.MlpProblem, "loss_and_grad",
                             lambda *a, **k: calls.append(a) or forward(*a, **k))
         problem = {"kind": "blobs", "n": 200, "p": 6, "classes": 3, "model": "mlp", "hidden": 40}
         config = run_config(tmp_path, problem=problem, optimizer="ngd_oracle", hyperparameters={})
         assert cli.main(["run", config]) == 1
-        assert capsys.readouterr().err == ("config error: dense Fisher oracle capped at "
-                                           "d <= 200, got d = 403\n")
+        assert capsys.readouterr().err == ("config error: config key 'optimizer' names unknown "
+                                           "optimizer 'ngd_oracle'; expected one of "
+                                           "('sofim', 'sgd_momentum', 'adam')\n")
         assert calls == []
         assert not (tmp_path / "out").exists()
 
@@ -782,12 +798,15 @@ class TestScalingCommand:
         assert (tmp_path / "out" / "scaling.csv").is_file()
 
     def test_oracle_above_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        """The removed dense NGD oracle, asked for above its former cap, is an
+        unknown optimizer: exit 1, nothing written."""
         monkeypatch.setenv("SOFIM_OUTPUT_DIR", str(tmp_path / "out"))
         config = write_yaml(tmp_path / "s.yaml",
                             {"optimizers": ["ngd_oracle"], "dims": [4096],
                              "repeats": 1})
         assert cli.main(["scaling", config]) == 1
-        assert "oracle" in capsys.readouterr().err
+        assert "unknown optimizer(s) ['ngd_oracle']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGradcheckCommand:

@@ -13,7 +13,7 @@ import pytest
 
 from sofim import harness, problems
 from sofim.core import SofimOptimizer
-from sofim.exceptions import ConfigError, ScaleCapError, convert
+from sofim.exceptions import ConfigError, convert
 from sofim.harness import (
     CSV_COLUMNS,
     DIVERGENCE_LOSS,
@@ -115,22 +115,26 @@ class TestExperimentConfig:
             quick_config(iterations=10, eval_every=11)
 
     def test_unknown_optimizer_rejected(self):
-        """An unknown id, ``newton_oracle`` among them, is refused with a
-        message that lists the four known ids."""
+        """An unknown id, the removed ``newton_oracle`` and ``ngd_oracle``
+        among them, is refused by a run, a sweep and a scaling config with
+        a message that lists the three known ids."""
         with pytest.raises(ConfigError, match="lbfgs"):
             quick_config(optimizer="lbfgs")
-        with pytest.raises(ConfigError, match=re.escape(
-                "unknown optimizer 'newton_oracle'; expected one of "
-                "('sofim', 'sgd_momentum', 'adam', 'ngd_oracle')")):
-            quick_config(optimizer="newton_oracle")
+        known = "('sofim', 'sgd_momentum', 'adam')"
+        for removed in ("newton_oracle", "ngd_oracle"):
+            for subcommand in ("run", "sweep"):
+                with pytest.raises(ConfigError, match=re.escape(
+                        f"unknown optimizer {removed!r}; expected one of {known}")):
+                    harness.read_configs(subcommand,
+                                         {"problem": BLOBS_LOGISTIC, "optimizer": removed})
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"unknown optimizer(s) [{removed!r}]; expected ids from {known}")):
+                harness.read_configs("scaling", {"optimizers": [removed]})
 
     def test_unknown_hyperparameter_named(self):
-        """A typoed hyperparameter is rejected with its name, by the dense
-        NGD oracle too."""
+        """A typoed hyperparameter is rejected with its name."""
         with pytest.raises(ConfigError, match="lr"):
             quick_config(hyperparameters={"lr": 0.1})
-        with pytest.raises(ConfigError, match="bogus"):
-            quick_config(optimizer="ngd_oracle", hyperparameters={"bogus": 1})
 
     @pytest.mark.parametrize("optimizer,former", [
         ("sofim", {"eta": 0.1, "rho": 0.5, "beta": 0.9}),
@@ -146,16 +150,11 @@ class TestExperimentConfig:
         assert asdict(built) == former and given == {}
 
     def test_nonpositive_rho_rejected_at_config_time(self):
-        """rho <= 0 fails at construction, before any run starts; so do the
-        dense NGD oracle's eta <= 0 and damping <= 0."""
+        """rho <= 0 fails at construction, before any run starts."""
         with pytest.raises(ConfigError, match="rho"):
             quick_config(hyperparameters={"eta": 0.1, "rho": 0.0})
         with pytest.raises(ConfigError, match="rho"):
             quick_config(hyperparameters={"eta": 0.1, "rho": -0.5})
-        with pytest.raises(ConfigError, match="eta"):
-            quick_config(optimizer="ngd_oracle", hyperparameters={"eta": -1.0})
-        with pytest.raises(ConfigError, match="damping"):
-            quick_config(optimizer="ngd_oracle", hyperparameters={"damping": 0.0})
 
     @pytest.mark.parametrize("kind,value", [
         (float, True), (int, False), (int, 6.5), (int, "6.5"), (int, math.inf), (float, "x"),
@@ -267,16 +266,6 @@ class TestRunExperiment:
         record = run_experiment(cfg)
         assert not record.diverged
         assert record.final.test_accuracy >= 0.95
-
-    def test_ngd_oracle_improves_logistic_loss(self):
-        """The dense NGD oracle decreases the train loss."""
-        cfg = ExperimentConfig(
-            problem=BLOBS_LOGISTIC, optimizer="ngd_oracle",
-            hyperparameters={"eta": 0.5, "damping": 0.1},
-            batch_size=32, iterations=30, eval_every=30, seed=0,
-        )
-        record = run_experiment(cfg)
-        assert record.final.train_loss < math.log(2.0)
 
     def test_thresholds_reported(self):
         """iterations_to_threshold finds the first qualifying eval row."""
@@ -438,13 +427,10 @@ class TestScalingProbe:
         assert len(scaling_probe(ScalingConfig("adam", [64], repeats=2))) == 1
 
     def test_dense_oracles_refuse_large_d(self):
-        """The NGD oracle above the dense cap raises ScaleCapError."""
-        with pytest.raises(ScaleCapError):
-            ScalingConfig("ngd_oracle", [1000], repeats=1)
-
-    def test_dense_oracles_run_below_cap(self):
-        """The NGD oracle works at small d (that is its whole point)."""
-        assert len(scaling_probe(ScalingConfig("ngd_oracle", [50], repeats=1))) == 1
+        """The removed dense NGD oracle, asked for above its former cap, is
+        refused as an unknown optimizer."""
+        with pytest.raises(ConfigError, match=re.escape("unknown optimizer(s) ['ngd_oracle']")):
+            harness.read_configs("scaling", {"optimizers": ["ngd_oracle"], "dims": [1000]})
 
     def test_bad_input_rejected(self):
         with pytest.raises(ConfigError):
@@ -456,7 +442,7 @@ class TestScalingProbe:
         with pytest.raises(ConfigError):
             ScalingConfig("sofim", [10], repeats=0)
         with pytest.raises(ConfigError, match="bogus"):
-            ScalingConfig("ngd_oracle", [20], repeats=1, hyperparameters={"bogus": 1})
+            ScalingConfig("adam", [20], repeats=1, hyperparameters={"bogus": 1})
 
 
 class TestCsvContract:

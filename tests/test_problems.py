@@ -76,28 +76,26 @@ class TestGradientOracle:
     @pytest.mark.parametrize("label,problem,tol",
                              problem_zoo(), ids=lambda v: v if isinstance(v, str) else "")
     def test_batch_grad_is_mean_of_per_sample(self, label, problem, tol):
-        """grad(w, batch) equals the mean of per_sample_grads rows."""
+        """grad(w, batch) equals the mean of the one-row gradients grad(w, [i])."""
         rng = np.random.default_rng(7)
         w = problem.initial_point(rng) + 0.1 * rng.standard_normal(problem.dim)
         batch = rng.integers(0, problem.n_train, size=min(9, problem.n_train))
         batch = None if problem.n_train == 1 else batch
-        mean_grad = problem.per_sample_grads(w, batch).mean(axis=0)
+        rows = range(problem.n_train) if batch is None else batch
+        mean_grad = np.mean([problem.grad(w, [i]) for i in rows], axis=0)
         assert_allclose(problem.grad(w, batch), mean_grad, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("on", ["batch", "full"])
     @pytest.mark.parametrize("label,problem,tol",
                              problem_zoo(), ids=lambda v: v if isinstance(v, str) else "")
     def test_fused_calls_equal_separate_calls(self, label, problem, tol, on):
-        """loss_and_grad and NGD's loss_and_per_sample_grads are bitwise the
-        pairs (loss, grad) and (loss, per_sample_grads)."""
+        """loss_and_grad is bitwise the pair (loss, grad)."""
         rng = np.random.default_rng(5)
         w = problem.initial_point(rng) + 0.1 * rng.standard_normal(problem.dim)
         batch = rng.integers(0, problem.n_train, size=9) if on == "batch" else None
-        for fused, separate in [(problem.loss_and_grad, problem.grad),
-                                (problem.loss_and_per_sample_grads, problem.per_sample_grads)]:
-            loss, g = fused(w, batch)
-            assert loss == problem.loss(w, batch)
-            assert np.array_equal(g, separate(w, batch))
+        loss, g = problem.loss_and_grad(w, batch)
+        assert loss == problem.loss(w, batch)
+        assert np.array_equal(g, problem.grad(w, batch))
 
     @pytest.mark.parametrize("on", ["batch", "full"])
     @pytest.mark.parametrize("label,problem,tol",
@@ -110,8 +108,7 @@ class TestGradientOracle:
         w = problem.initial_point(rng) + 0.1 * rng.standard_normal(problem.dim)
         w_before = w.copy()
         batch = rng.integers(0, problem.n_train, size=9) if on == "batch" else None
-        for call in (problem.loss_and_grad, problem.loss_and_per_sample_grads,
-                     lambda w, batch: (None, problem.grad(w, batch))):
+        for call in (problem.loss_and_grad, lambda w, batch: (None, problem.grad(w, batch))):
             loss, g = call(w, batch)
             expected = g.copy()
             g += 1.0
@@ -132,7 +129,7 @@ class TestGradientOracle:
                 call(w)
 
     def test_problem_with_only_a_loss_has_no_gradient(self):
-        """The base class derives gradients from the fused calls only, so a
+        """The base class derives the gradient from the fused call only, so a
         problem that implements just ``loss`` fails with NotImplementedError,
         not a recursion between two defaults."""
 
@@ -142,9 +139,8 @@ class TestGradientOracle:
             def loss(self, w, batch=None):
                 return float(self._check_w(w) @ w)
 
-        for call in (LossOnly().grad, LossOnly().per_sample_grads):
-            with pytest.raises(NotImplementedError):
-                call(np.zeros(2))
+        with pytest.raises(NotImplementedError):
+            LossOnly().grad(np.zeros(2))
 
     @pytest.mark.parametrize("label", ["logistic", "softmax", "mlp_tanh", "mlp_relu"])
     def test_public_methods_leave_their_inputs_unchanged(self, label):
@@ -157,7 +153,7 @@ class TestGradientOracle:
         watched = (w, problem._x_train, problem._x_test)
         before = [a.copy() for a in watched]
         batch = rng.integers(0, problem.n_train, size=9)
-        for call in (problem.loss, problem.loss_and_grad, problem.loss_and_per_sample_grads):
+        for call in (problem.loss, problem.loss_and_grad):
             call(w, batch)
             call(w)
         problem.test_loss(w)
@@ -292,15 +288,14 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("model", ["softmax", "tanh", "relu"])
     def test_fused_full_split_loss_equals_blocked_loss(self, model):
         """On a full split of two blocks and a row, the one-pass loss of
-        loss_and_grad and loss_and_per_sample_grads is bitwise the blocked
-        loss(w): the fused calls keep their contract at the shipped shapes."""
+        loss_and_grad is bitwise the blocked loss(w): the fused call keeps
+        its contract at the shipped shapes."""
         n = 2 * BLOCK_ROWS[model] + 1
         problem = split_problem(model, n)
         w = np.random.default_rng(6).standard_normal(problem.dim)
         assert len(core.blocks(n, problem._row_width)) == 3
         loss = problem.loss(w)
         assert problem.loss_and_grad(w)[0].hex() == loss.hex()
-        assert problem.loss_and_per_sample_grads(w)[0].hex() == loss.hex()
 
     @pytest.mark.parametrize("model", ["logistic", "softmax", "tanh"])
     @pytest.mark.parametrize("n", [1, 1024, 1025, 4000, 32769, 98306])

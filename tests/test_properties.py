@@ -9,7 +9,7 @@ hyperparameters and gradient streams (Hypothesis).
 - A refused step (wrong shape, a dtype other than float64, NaN or Inf
   entry, and for sofim a finite ``g`` whose ``||m_hat||^2`` overflows) raises and leaves ``w`` and every
   attribute of the stepper bitwise unchanged, at a dimension of several
-  blocks too; that holds for the dense NGD oracle as well.
+  blocks too.
   Sofim refuses exactly the steps whose ``||m_hat||^2`` overflows in the
   reference ``sofim_step``.
 - A sofim step is never longer than ``eta / (2 sqrt(rho))``: the length
@@ -30,8 +30,6 @@ from hypothesis.extra.numpy import arrays
 from sofim.baselines import (
     AdamConfig,
     AdamOptimizer,
-    NgdConfig,
-    NgdOracle,
     SgdConfig,
     SgdMomentumOptimizer,
 )
@@ -145,10 +143,7 @@ STEPPERS = {
     "sgd_momentum": lambda d: SgdMomentumOptimizer(
         d, SgdConfig(eta=0.1, momentum=0.9, weight_decay=1e-4)),
     "adam": lambda d: AdamOptimizer(d, AdamConfig(eta=0.01)),
-    "ngd_oracle": lambda d: NgdOracle(d, NgdConfig()),
 }
-#: Steppers whose g is a (B, d) array of per-sample gradients.
-PER_SAMPLE = ("ngd_oracle",)
 #: A finite entry this large makes sofim's ||m_hat||^2 overflow: with beta =
 #: 0.9, t <= 4 and the other entries at most 1e3, |m_hat_i| > 1e159.
 HUGE = st.floats(1e160, 1e300)
@@ -166,10 +161,8 @@ FAULTS = {"g length": DimensionMismatchError, "g rank": DimensionMismatchError,
           "w length": DimensionMismatchError, "nan": NonFiniteError, "inf": NonFiniteError,
           "-inf": NonFiniteError, "w int64": TypeError, "w float32": TypeError,
           "g int64": TypeError, "g float32": TypeError}
-#: The O(d) steppers, checked again at MULTI_BLOCK_DIM, where each steps
-#: over blocks(MULTI_BLOCK_DIM).
-O_D_STEPPERS = ("sofim", "sgd_momentum", "adam")
-#: Four blocks of 24577 or 24578 elements.
+#: Four blocks of 24577 or 24578 elements: each stepper steps over
+#: blocks(MULTI_BLOCK_DIM).
 MULTI_BLOCK_DIM = 3 * BLOCK + 5
 
 
@@ -179,20 +172,18 @@ def refuse_each_fault(name, w, grads, data, first_index=0):
     refused without changing ``w`` or any attribute of the stepper."""
     d = len(w)
     opt = STEPPERS[name](d)
-    per_sample = name in PER_SAMPLE
-    for g in [grads] if per_sample else grads:
+    for g in grads:
         opt.step(w, g)
-    good = grads if per_sample else grads[-1]
+    good = grads[-1]
     wrong = data.draw(st.integers(1, MAX_DIM + 2).filter(lambda n: n != d), label="wrong")
-    index = np.unravel_index(
-        data.draw(st.integers(first_index, good.size - 1), label="index"), good.shape)
+    index = data.draw(st.integers(first_index, good.size - 1), label="index")
     huge = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(HUGE, label="huge")
     for fault in [*FAULTS] + ["overflow"] * (name == "sofim"):
         w_in, g = w, good.copy()
         if fault == "g length":
-            g = np.ones(g.shape[:-1] + (wrong,))  # a length-1 g used to be broadcast over w
+            g = np.ones(wrong)  # a length-1 g used to be broadcast over w
         elif fault == "g rank":
-            g = g[0] if per_sample else g[None, :]  # NGD needs the (B, d) batch
+            g = g[None, :]
         elif fault == "w length":
             w_in = np.zeros(wrong)
         elif fault.startswith("w "):
@@ -214,13 +205,12 @@ def refuse_each_fault(name, w, grads, data, first_index=0):
 @given(stream=streams(max_steps=3), data=st.data())
 def test_refused_step_changes_nothing(name, stream, data):
     """Every fault in turn, sofim's overflow included, on one warm stepper.
-    An O(d) stepper is also checked at ``MULTI_BLOCK_DIM``, on the stream
+    Each stepper is also checked at ``MULTI_BLOCK_DIM``, on the stream
     tiled to that length, with the bad entry in the last block."""
     w, grads = stream
     refuse_each_fault(name, w, grads, data)
-    if name in O_D_STEPPERS:
-        tiled = np.resize(w, MULTI_BLOCK_DIM), np.resize(grads, (len(grads), MULTI_BLOCK_DIM))
-        refuse_each_fault(name, *tiled, data, first_index=blocks(MULTI_BLOCK_DIM)[-1].start)
+    tiled = np.resize(w, MULTI_BLOCK_DIM), np.resize(grads, (len(grads), MULTI_BLOCK_DIM))
+    refuse_each_fault(name, *tiled, data, first_index=blocks(MULTI_BLOCK_DIM)[-1].start)
 
 
 @PROPERTY
