@@ -14,10 +14,9 @@ by ``harness.read_configs``, plus ``output_dir``.  A run file's keys are the
 fields of ``harness.ExperimentConfig``: ``problem``, ``optimizer``,
 ``hyperparameters``, ``batch_size``, ``iterations``, ``eval_every``,
 ``seed`` and ``loss_thresholds``; ``sweep`` adds ``grid``.  A scaling
-file's keys are the fields of ``harness.ScalingConfig``, with
-``optimizers`` listing one config each; by default ``optimizers: [sofim,
-sgd_momentum]``, ``dims`` 1e3 to 1e6 by decades, ``repeats: 20``,
-``seed: 0``.  Every listed optimizer's config is built and checked before
+file's keys are the fields of ``harness.ScalingConfig``: by default
+``optimizers: [sofim, sgd_momentum]``, ``dims`` 1e3 to 1e6 by decades,
+``repeats: 20``, ``seed: 0``.  Every listed optimizer is checked before
 the first probe.  Any scalar key can be overridden on the command line
 with ``--set key=value`` (dotted paths reach nested keys, e.g. ``--set
 hyperparameters.rho=0.5``; a path through a value that is not a mapping,
@@ -165,12 +164,14 @@ def _sweep(configs: list, out_dir: Path) -> None:
 
 
 def _scaling(configs: list, out_dir: Path) -> None:
-    """One ``scaling_probe`` call per config, all rows to ``scaling.csv``."""
+    """One ``scaling_probe`` call per listed optimizer, in the config's
+    order, all rows to ``scaling.csv``."""
+    (cfg,) = configs
     rows = []
-    for cfg in configs:
-        for d, seconds in harness.scaling_probe(cfg):
-            rows.append((cfg.optimizer, d, seconds))
-            print(f"{cfg.optimizer} d={d} median_step_seconds={seconds:.6e}")
+    for optimizer_id in cfg.optimizers:
+        for d, seconds in harness.scaling_probe(cfg, optimizer_id):
+            rows.append((optimizer_id, d, seconds))
+            print(f"{optimizer_id} d={d} median_step_seconds={seconds:.6e}")
     print(f"wrote {harness.write_scaling_csv(rows, out_dir)}")
 
 

@@ -13,7 +13,9 @@ pass.
 A run is a pure function of its :class:`ExperimentConfig` (wall-time
 columns aside): initialization, batch order and updates are all seeded.
 A config file's keys are its config's field names; :func:`read_configs`
-turns a file's mapping into the configs its subcommand runs.
+turns a file's mapping into its one config, or a sweep file's into its
+points.  A scaling config lists its optimizers, and the probe is called
+once per listed optimizer.
 Non-finite or exploding losses end the run early with a divergence flag
 instead of crashing, so grid sweeps survive unstable corners.
 """
@@ -91,12 +93,6 @@ def _hyperparameters(optimizer_id: str, params: dict, iterations: int):
     config = row.config(**{k: convert(coerce[k], v, f"hyperparameter {k!r}")
                            for k, v in values.items()})
     return row, config, {k: getattr(config, k) for k in params}
-
-
-def _build_stepper(optimizer_id: str, params: dict, iterations: int, dim: int):
-    """A stepper of ``optimizer_id`` at ``dim`` with validated hyperparameters."""
-    row, config, _ = _hyperparameters(optimizer_id, params, iterations)
-    return row.stepper(dim, config)
 
 
 def _coerce_ints(cfg) -> None:
@@ -260,7 +256,8 @@ def run_experiment(cfg: ExperimentConfig, problem: problems.Problem | None = Non
     batch_size = min(cfg.batch_size, n_train)
     batches = problems.minibatch_epochs(n_train, batch_size, np.random.default_rng(batch_ss))
 
-    stepper = _build_stepper(cfg.optimizer, cfg.hyperparameters, cfg.iterations, problem.dim)
+    row, config, _ = _hyperparameters(cfg.optimizer, cfg.hyperparameters, cfg.iterations)
+    stepper = row.stepper(problem.dim, config)
 
     rows: list = []
     diverged_at = None
@@ -378,17 +375,30 @@ def grid(base: ExperimentConfig, axes) -> list:
 
 @dataclass(frozen=True)
 class ScalingConfig:
-    """Everything that determines a scaling probe: optimizer id and
-    hyperparameters, dimensions in probe order, timed steps per dimension and
-    the synthetic vectors' seed."""
+    """Everything that determines a scaling probe: the optimizer ids in probe
+    order (one id stands for a list of one) and their hyperparameters,
+    dimensions in probe order, timed steps per dimension and the synthetic
+    vectors' seed.  An unknown or repeated id is refused first, and every
+    listed optimizer's hyperparameters are checked last."""
 
-    optimizer: str
+    optimizers: tuple = ("sofim", "sgd_momentum")
     dims: tuple = (1_000, 10_000, 100_000, 1_000_000)
     repeats: int = 20
     seed: int = 0
     hyperparameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        optimizers = self.optimizers
+        optimizers = [optimizers] if isinstance(optimizers, str) else optimizers
+        require(isinstance(optimizers, (list, tuple)) and optimizers,
+                f"config key 'optimizers' must be an optimizer id or a non-empty list of them, "
+                f"got {optimizers!r}")
+        unknown = [o for o in optimizers if o not in tuple(OPTIMIZERS)]
+        require(not unknown, f"config key 'optimizers' names unknown optimizer(s) {unknown!r}; "
+                f"expected ids from {tuple(OPTIMIZERS)}")
+        require(len(set(optimizers)) == len(optimizers),
+                f"config key 'optimizers' lists an optimizer more than once: {optimizers!r}")
+        object.__setattr__(self, "optimizers", tuple(optimizers))
         _coerce_ints(self)
         require(isinstance(self.dims, (list, tuple)) and self.dims,
                 "config key 'dims' must be a non-empty list of integers")
@@ -398,63 +408,34 @@ class ScalingConfig:
         object.__setattr__(self, "dims", tuple(dims))
         require(self.repeats >= 1, f"repeats must be >= 1, got {self.repeats}")
         require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        params = _hyperparameters(self.optimizer, self.hyperparameters, self.repeats)[2]
+        for optimizer_id in self.optimizers:
+            params = _hyperparameters(optimizer_id, self.hyperparameters, self.repeats)[2]
         object.__setattr__(self, "hyperparameters", params)
-
-
-def _read(cls, mapping: dict, **given):
-    """The ``cls`` config of ``mapping``: the ``given`` fields, and each other
-    field from its key, else its default; the config checks its values."""
-    for f in fields(cls):
-        if f.name not in given and f.name in mapping:
-            given[f.name] = mapping[f.name]
-        require(f.name in given or f.default is not MISSING or f.default_factory is not MISSING,
-                f"config is missing required key {f.name!r}")
-    return cls(**given)
-
-
-def _scaling_configs(mapping: dict) -> list:
-    """One ScalingConfig per entry of ``optimizers``, all built, and so all
-    checked, before the first probe runs; an unknown or repeated entry is
-    refused first."""
-    optimizers = mapping.get("optimizers", ["sofim", "sgd_momentum"])
-    if isinstance(optimizers, str):
-        optimizers = [optimizers]
-    require(isinstance(optimizers, (list, tuple)) and optimizers,
-            f"config key 'optimizers' must be an optimizer id or a non-empty list of them, "
-            f"got {optimizers!r}")
-    unknown = [o for o in optimizers if o not in tuple(OPTIMIZERS)]
-    require(not unknown, f"config key 'optimizers' names unknown optimizer(s) {unknown!r}; "
-            f"expected ids from {tuple(OPTIMIZERS)}")
-    require(len(set(optimizers)) == len(optimizers),
-            f"config key 'optimizers' lists an optimizer more than once: {optimizers!r}")
-    return [_read(ScalingConfig, mapping, optimizer=optimizer_id) for optimizer_id in optimizers]
 
 
 def read_configs(subcommand: str, mapping: dict, caller_keys=()) -> list:
     """The checked configs of a ``run``, ``sweep`` or ``scaling`` file.
 
     A run file's keys are :class:`ExperimentConfig`'s fields and give its
-    one config.  A sweep file adds ``grid`` (default ``{eta: [1.0, 0.1,
-    0.01, 0.001, 0.0001]}``) and gives its points.  A scaling file's keys
-    are :class:`ScalingConfig`'s fields, with ``optimizers`` (default
-    ``[sofim, sgd_momentum]``) in place of ``optimizer``, and gives one
-    config per entry.  ``caller_keys`` are allowed and not read here.  An
-    unknown key, and a missing one without a default, is refused by name.
+    one config, and a scaling file's are :class:`ScalingConfig`'s and give
+    its one config.  A sweep file adds ``grid`` (default ``{eta: [1.0, 0.1,
+    0.01, 0.001, 0.0001]}``) to a run file's keys and gives its points.
+    ``caller_keys`` are allowed and not read here.  An unknown key, and a
+    missing one without a default, is refused by name; each absent key
+    takes its field's default.
     """
     cls = ScalingConfig if subcommand == "scaling" else ExperimentConfig
     keys = {*caller_keys, *(f.name for f in fields(cls))}
-    if subcommand == "scaling":
-        keys = keys - {"optimizer"} | {"optimizers"}
     if subcommand == "sweep":
         keys.add("grid")
     unknown = set(mapping) - keys
     require(not unknown, f"unknown config key(s) for {subcommand}: {sorted(unknown)}; "
             f"allowed: {sorted(keys)}")
-    if subcommand == "scaling":
-        return _scaling_configs(mapping)
-    base = _read(ExperimentConfig, mapping)
-    if subcommand == "run":
+    for f in fields(cls):
+        require(f.name in mapping or f.default is not MISSING or f.default_factory is not MISSING,
+                f"config is missing required key {f.name!r}")
+    base = cls(**{f.name: mapping[f.name] for f in fields(cls) if f.name in mapping})
+    if subcommand != "sweep":
         return [base]
     return grid(base, mapping.get("grid", {"eta": [1.0, 0.1, 0.01, 0.001, 0.0001]}))
 
@@ -467,8 +448,10 @@ def _median(values: list) -> float:
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def scaling_probe(cfg: ScalingConfig) -> list:
-    """Wall time of one ``cfg.optimizer`` update at each of ``cfg.dims``.
+def scaling_probe(cfg: ScalingConfig, optimizer_id: str) -> list:
+    """Wall time of one ``optimizer_id`` update at each of ``cfg.dims``, with
+    ``cfg.hyperparameters``; a caller probes each of ``cfg.optimizers`` by
+    one call.
 
     Times the update call alone: gradients are synthetic fixed vectors, so
     gradient computation never enters the measurement.  Each dimension
@@ -485,13 +468,13 @@ def scaling_probe(cfg: ScalingConfig) -> list:
     list of ``(d, median_step_seconds)`` rows in the order of ``cfg.dims``;
     ``cfg`` was checked when it was built.
     """
+    row, config, _ = _hyperparameters(optimizer_id, cfg.hyperparameters, cfg.repeats)
     rng = np.random.default_rng(cfg.seed)
     steps = []
     for d in cfg.dims:
         g = rng.random(d)
         w = g.copy()
-        stepper = _build_stepper(cfg.optimizer, cfg.hyperparameters, cfg.repeats, d)
-        steps.append(functools.partial(stepper.step, w, g))
+        steps.append(functools.partial(row.stepper(d, config).step, w, g))
     for do_step in steps:
         for _ in range(3):
             do_step()

@@ -164,7 +164,8 @@ def make_blobs(n: int, p: int, c: int, spread: float, seed: int) -> Dataset:
 
 
 def load_csv_dataset(path, label_column: str, split_fraction: float, seed: int) -> Dataset:
-    """Load a numeric CSV (header row, comma separators, '.' decimals).
+    """Load a numeric UTF-8 CSV (header row, comma separators, '.' decimals);
+    a leading byte-order mark, as Excel writes one, is dropped.
 
     ``label_column`` names the integer class column, once in the header;
     its distinct values, at least 2, map onto ``0..C-1`` in increasing
@@ -176,7 +177,7 @@ def load_csv_dataset(path, label_column: str, split_fraction: float, seed: int) 
     """
     require(0.0 < split_fraction < 1.0, f"split_fraction must lie in (0, 1), got {split_fraction}")
     require(os.path.isfile(path), f"problem key 'path' names no file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         require(header is not None, f"{path}: file is empty")

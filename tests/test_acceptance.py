@@ -363,11 +363,12 @@ def test_criterion_09_linear_scaling():
     multiplies the step time by a factor in [1, 3], and the rank-one step
     costs at most 5x the momentum step at d=1e6."""
     dims = (125_000, 250_000, 500_000, 1_000_000)
-    rows = harness.scaling_probe(harness.ScalingConfig("sofim", dims, repeats=50, seed=0))
+    rows = harness.scaling_probe(harness.ScalingConfig("sofim", dims, repeats=50, seed=0),
+                                 "sofim")
     times = [seconds for _, seconds in rows]
     ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
     sgd = harness.scaling_probe(harness.ScalingConfig("sgd_momentum", dims[-1:], repeats=50,
-                                                      seed=0))
+                                                      seed=0), "sgd_momentum")
     versus = times[-1] / sgd[0][1]
     ok = all(1.0 <= r <= 3.0 for r in ratios) and versus <= 5.0
     detail = (f"doubling ratios {[f'{r:.2f}' for r in ratios]} (bound [1, 3]); "

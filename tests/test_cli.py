@@ -388,6 +388,19 @@ class TestExitCodes:
         assert "bogus" in capsys.readouterr().err
         assert calls == []
 
+    def test_one_probe_call_per_listed_optimizer(self, tmp_path, monkeypatch, capsys):
+        """A scaling file's one config is probed once per listed optimizer,
+        in the file's order, every call sharing that config."""
+        calls = []
+        monkeypatch.setattr(harness, "scaling_probe",
+                            lambda cfg, optimizer_id: calls.append((cfg, optimizer_id)) or [])
+        assert cli.main(["scaling", "--set", "optimizers=[adam, sofim]", "--set", "dims=[8]",
+                         "--set", "repeats=1", "--set", f"output_dir={tmp_path}"]) == 0
+        capsys.readouterr()
+        assert [optimizer_id for _, optimizer_id in calls] == ["adam", "sofim"]
+        (cfg, _), (other, _) = calls
+        assert other is cfg and cfg.optimizers == ("adam", "sofim") and cfg.dims == (8,)
+
     def test_invalid_yaml(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("problem: [unclosed\n")
@@ -462,13 +475,12 @@ class TestRunFileSchema:
 
     @pytest.mark.parametrize("subcommand,cls,file_names", [
         ("run", harness.ExperimentConfig, {}),
-        ("scaling", harness.ScalingConfig, {"optimizer": "optimizers"}),
+        ("scaling", harness.ScalingConfig, {}),
     ], ids=["run", "scaling"])
     def test_run_keys_are_the_experiment_config_fields(self, tmp_path, capsys, subcommand, cls,
                                                        file_names):
         """The keys a run or scaling file takes are its config's fields, plus
-        output_dir; a scaling file lists ``optimizers``, one ScalingConfig
-        each."""
+        output_dir."""
         expected = {file_names.get(f.name, f.name) for f in fields(cls)} | {"output_dir"}
         config = [run_config(tmp_path)] if subcommand == "run" else []
         assert cli.main([subcommand, *config, "--set", "bogus=1"]) == 1

@@ -390,7 +390,7 @@ class TestRhoSweep:
 class TestScalingProbe:
     def test_reports_each_dimension(self):
         """One (d, seconds) row per requested dimension, times positive."""
-        rows = scaling_probe(ScalingConfig("sofim", [128, 256, 512], repeats=3))
+        rows = scaling_probe(ScalingConfig("sofim", [128, 256, 512], repeats=3), "sofim")
         assert [d for d, _ in rows] == [128, 256, 512]
         assert all(t > 0 for _, t in rows)
 
@@ -408,7 +408,7 @@ class TestScalingProbe:
         monkeypatch.setattr(SofimOptimizer, "step", counted)
         for repeats in (1, SCALING_ROUNDS + 2):
             calls.clear()
-            scaling_probe(ScalingConfig("sofim", [16, 32], repeats=repeats))
+            scaling_probe(ScalingConfig("sofim", [16, 32], repeats=repeats), "sofim")
             assert calls == {16: 3 + repeats, 32: 3 + repeats}
 
     def test_round_median_is_statistics_median(self):
@@ -423,8 +423,9 @@ class TestScalingProbe:
 
     def test_gradient_only_optimizers_supported(self):
         """SGD and Adam probe without error."""
-        assert len(scaling_probe(ScalingConfig("sgd_momentum", [64], repeats=2))) == 1
-        assert len(scaling_probe(ScalingConfig("adam", [64], repeats=2))) == 1
+        for optimizer_id in ("sgd_momentum", "adam"):
+            cfg = ScalingConfig(optimizer_id, [64], repeats=2)
+            assert len(scaling_probe(cfg, optimizer_id)) == 1
 
     def test_dense_oracles_refuse_large_d(self):
         """The removed dense NGD oracle, asked for above its former cap, is

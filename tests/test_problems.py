@@ -776,6 +776,17 @@ class TestCsvDataset:
         path = write_csv(tmp_path / "big.csv", "a,label\n1,1e300\n2,0\n3,-1e300\n4,1\n")
         assert np.array_equal(load_csv_dataset(path, "label", 0.5, seed=0).labels, [3, 1, 0, 2])
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """A CSV saved with a UTF-8 byte-order mark (Excel's "CSV UTF-8")
+        loads as the same file without one, its first column the label."""
+        text = "label,a,b\n0,1,2\n1,3,4\n0,5,6\n1,7,8\n"
+        plain = load_csv_dataset(write_csv(tmp_path / "plain.csv", text), "label", 0.5, seed=0)
+        marked = load_csv_dataset(write_csv(tmp_path / "bom.csv", "\ufeff" + text),
+                                  "label", 0.5, seed=0)
+        assert np.array_equal(marked.labels, plain.labels)
+        assert np.array_equal(marked.features, plain.features)
+        assert np.array_equal(marked.train_idx, plain.train_idx)
+
     def test_error_messages_name_the_line(self, tmp_path):
         """Bad cells and ragged rows are reported with their line number."""
         ragged = write_csv(tmp_path / "r.csv", "a,b,label\n1,2,0\n3,4\n")
