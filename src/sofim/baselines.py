@@ -1,8 +1,6 @@
 """Baseline optimizers for comparison: SGD with momentum (optional coupled
 weight decay and cosine annealing) and Adam with canonical defaults.
-Each is a stepper whose ``step(w, g)`` is its only implementation.  The
-dense natural-gradient step that checks sofim at batch size 1 is a
-formula-only test reference, not a stepper of the library.
+Each is a stepper whose ``step(w, g)`` is its only implementation.
 """
 
 from __future__ import annotations

@@ -93,7 +93,7 @@ def _load_config(path_str: str | None, subcommand: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     data = {} if data is None else data
     require(isinstance(data, dict), f"config file {path} must be a mapping at top level")

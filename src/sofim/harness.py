@@ -86,7 +86,7 @@ def _hyperparameters(optimizer_id: str, params: dict, iterations: int):
     coerce = {f.name: _COERCE[f.type] for f in fields(row.config)}
     unknown = set(params) - set(coerce)
     require(not unknown,
-            f"unknown hyperparameter(s) {sorted(unknown)} for optimizer {optimizer_id!r}")
+            f"unknown hyperparameter(s) {sorted(unknown, key=str)} for optimizer {optimizer_id!r}")
     values = dict(params)
     if row.iterations_key:
         values.setdefault(row.iterations_key, iterations)
@@ -429,7 +429,7 @@ def read_configs(subcommand: str, mapping: dict, caller_keys=()) -> list:
     if subcommand == "sweep":
         keys.add("grid")
     unknown = set(mapping) - keys
-    require(not unknown, f"unknown config key(s) for {subcommand}: {sorted(unknown)}; "
+    require(not unknown, f"unknown config key(s) for {subcommand}: {sorted(unknown, key=str)}; "
             f"allowed: {sorted(keys)}")
     for f in fields(cls):
         require(f.name in mapping or f.default is not MISSING or f.default_factory is not MISSING,

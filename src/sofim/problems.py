@@ -75,7 +75,10 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        require(np.isfinite(labels).all() and (labels == np.round(labels)).all(),
+                "labels contain non-integral or non-finite values")
+        self.labels = labels.astype(np.int64)
         self.train_idx = np.asarray(self.train_idx, dtype=np.int64)
         self.test_idx = np.asarray(self.test_idx, dtype=np.int64)
         require(self.features.ndim == 2 and self.features.shape[1] >= 1,
@@ -169,39 +172,42 @@ def load_csv_dataset(path, label_column: str, split_fraction: float, seed: int) 
 
     ``label_column`` names the integer class column, once in the header;
     its distinct values, at least 2, map onto ``0..C-1`` in increasing
-    order; a non-finite or non-integral label, or a ``path`` that is not a
-    file, is a ``ConfigError``.  Features are standardized per column to
-    mean 0 / variance 1 using train-split statistics only; constant columns
-    standardize to 0.  The train split holds ``round(split_fraction * N)``
-    rows chosen by a seeded shuffle.
+    order; a non-finite or non-integral label, a file that is not UTF-8, or
+    a ``path`` that is not a file, is a ``ConfigError``.  Features are
+    standardized per column to mean 0 / variance 1 using train-split
+    statistics only; constant columns standardize to 0.  The train split
+    holds ``round(split_fraction * N)`` rows chosen by a seeded shuffle.
     """
     require(0.0 < split_fraction < 1.0, f"split_fraction must lie in (0, 1), got {split_fraction}")
     require(os.path.isfile(path), f"problem key 'path' names no file: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        require(header is not None, f"{path}: file is empty")
-        header = [h.strip() for h in header]
-        require(label_column in header,
-                f"{path}: label column {label_column!r} not in header {header}")
-        require(header.count(label_column) == 1,
-                f"{path}: header names label column {label_column!r} "
-                f"{header.count(label_column)} times")
-        label_pos = header.index(label_column)
-        require(len(header) > 1,
-                f"{path}: no feature columns besides label column {label_column!r}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConfigError(
-                    f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {lineno}: {exc}") from None
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            require(header is not None, f"{path}: file is empty")
+            header = [h.strip() for h in header]
+            require(label_column in header,
+                    f"{path}: label column {label_column!r} not in header {header}")
+            require(header.count(label_column) == 1,
+                    f"{path}: header names label column {label_column!r} "
+                    f"{header.count(label_column)} times")
+            label_pos = header.index(label_column)
+            require(len(header) > 1,
+                    f"{path}: no feature columns besides label column {label_column!r}")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ConfigError(
+                        f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
+                    )
+                try:
+                    rows.append([float(cell) for cell in row])
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: line {lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
     require(rows, f"{path}: no data rows")
 
     data = np.asarray(rows, dtype=np.float64)
@@ -707,7 +713,7 @@ def canonical_spec(spec: dict) -> dict:
     require(kind in tuple(SPEC_SCHEMA),
             f"unknown problem kind {kind!r}; expected one of {sorted(SPEC_SCHEMA)}")
     unknown = set(spec) - {"kind", *SPEC_SCHEMA[kind]}
-    require(not unknown, f"unknown problem key(s) {sorted(unknown)} for kind {kind!r}")
+    require(not unknown, f"unknown problem key(s) {sorted(unknown, key=str)} for kind {kind!r}")
     v = {"kind": kind}
     for key, (key_type, default) in SPEC_SCHEMA[kind].items():
         require(key in spec or default is not None, f"{kind} problem spec is missing {key!r}")

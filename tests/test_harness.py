@@ -427,12 +427,6 @@ class TestScalingProbe:
             cfg = ScalingConfig(optimizer_id, [64], repeats=2)
             assert len(scaling_probe(cfg, optimizer_id)) == 1
 
-    def test_dense_oracles_refuse_large_d(self):
-        """The removed dense NGD oracle, asked for above its former cap, is
-        refused as an unknown optimizer."""
-        with pytest.raises(ConfigError, match=re.escape("unknown optimizer(s) ['ngd_oracle']")):
-            harness.read_configs("scaling", {"optimizers": ["ngd_oracle"], "dims": [1000]})
-
     def test_bad_input_rejected(self):
         with pytest.raises(ConfigError):
             ScalingConfig("sofim", [0], repeats=1)

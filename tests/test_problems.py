@@ -715,9 +715,11 @@ class TestDatasetInvariants:
             make_blobs(40, 0, 2, 3.0, 0)
 
     def test_label_range_checked(self):
-        """Labels outside [0, C) are rejected."""
+        """Labels outside [0, C), or not integral, are rejected."""
         with pytest.raises(ConfigError):
             Dataset(np.zeros((3, 2)), [0, 1, 2], [0, 1], [2], num_classes=2)
+        with pytest.raises(ConfigError, match="labels contain non-integral or non-finite values"):
+            Dataset(np.zeros((4, 1)), [0.5, 1.7, 0, 1], [0, 1], [2, 3], num_classes=2)
 
     def test_non_finite_features_rejected(self):
         """NaN features are caught at construction."""
