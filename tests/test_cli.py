@@ -232,8 +232,11 @@ class TestExitCodes:
         ("run", ["problem.kind.x=1"], "override 'problem.kind.x=1' descends into config key "
                                       "'problem.kind', which holds 'blobs', not a mapping"),
         ("run", ["hyperparameters.rho=-1"], "rho must be finite and > 0, got -1.0"),
+        ("run", ["hyperparameters={eta: 0.1, rho: -1.0}"], "rho must be finite and > 0, got -1.0"),
         ("sweep", ["grid.eta=[0.1, -1]"], "eta must be finite and > 0, got -1.0"),
         ("sweep", ["optimizer=adam", "hyperparameters={}", "grid.rho=[0.5]"],
+         "unknown hyperparameter(s) ['rho'] for optimizer 'adam'"),
+        ("sweep", ["grid={rho: [0.5]}", "optimizer=adam", "hyperparameters={eta: 0.001}"],
          "unknown hyperparameter(s) ['rho'] for optimizer 'adam'"),
         ("scaling", ["optimizers=[sofim, adam, bogus]", "dims=[8]"],
          "config key 'optimizers' names unknown optimizer(s) ['bogus']"),
@@ -246,13 +249,13 @@ class TestExitCodes:
         ("sweep", ["grid.eta=[0.1, 0.1]"], "grid entry 'eta' lists a value more than once"),
         ("sweep", ["grid.eta=[]"], "grid entry 'eta' must be a non-empty list of values"),
         ("run", ["problem.p=-1"], "the dataset has no feature column: need p >= 1, got p=-1"),
-        ("scaling", ["optimizers=[sofim, sofim]", "dims=[8]"],
+        ("scaling", ["dims=[8]", "optimizers=[sofim, sofim]"],
          "config key 'optimizers' lists an optimizer more than once"),
         ("scaling", ["optimizers=[sofim, x]", "dims=[8]"],
          "config key 'optimizers' names unknown optimizer(s) ['x']"),
         ("run", ["problem.hidden=64", "problem.activation=relu"],
          "problem key 'hidden' applies only to model 'mlp'"),
-        ("run", ["loss_thresholds=[1.0e-7, 1.00000001e-7, 0.5, 0.5]"],
+        ("run", ["loss_thresholds=[0.5, 0.5, 1.0e-7, 1.00000001e-7]"],
          "config key 'loss_thresholds' lists thresholds that share a summary key"),
         ("run", ["problem={kind: csv, path: no_such_dir/missing.csv}"],
          "problem key 'path' names no file: no_such_dir/missing.csv"),
