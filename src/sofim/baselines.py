@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sofim.core import BLOCK, blocks, check_step
-from sofim.exceptions import ConfigError, require
+from sofim.exceptions import ConfigError, convert_fields, require
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,10 @@ class SgdConfig:
     total_steps: int | None = None
 
     def __post_init__(self):
-        require(math.isfinite(self.eta) and self.eta > 0,
-                f"eta must be finite and > 0, got {self.eta}")
+        convert_fields(self, "hyperparameter")
+        require(self.eta > 0, f"eta must be finite and > 0, got {self.eta}")
         require(0.0 <= self.momentum < 1.0, f"momentum must lie in [0, 1), got {self.momentum}")
-        require(math.isfinite(self.weight_decay) and self.weight_decay >= 0,
+        require(self.weight_decay >= 0,
                 f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         require(self.schedule in ("constant", "cosine"),
                 f"schedule must be 'constant' or 'cosine', got {self.schedule!r}")
@@ -47,12 +47,11 @@ class AdamConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        require(math.isfinite(self.eta) and self.eta > 0,
-                f"eta must be finite and > 0, got {self.eta}")
+        convert_fields(self, "hyperparameter")
+        require(self.eta > 0, f"eta must be finite and > 0, got {self.eta}")
         require(0.0 <= self.beta1 < 1.0, f"beta1 must lie in [0, 1), got {self.beta1}")
         require(0.0 <= self.beta2 < 1.0, f"beta2 must lie in [0, 1), got {self.beta2}")
-        require(math.isfinite(self.epsilon) and self.epsilon > 0,
-                f"epsilon must be finite and > 0, got {self.epsilon}")
+        require(self.epsilon > 0, f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 def sgd_learning_rate(cfg: SgdConfig, step_index: int) -> float:

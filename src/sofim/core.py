@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sofim.exceptions import DimensionMismatchError, NonFiniteError, require
+from sofim.exceptions import DimensionMismatchError, NonFiniteError, convert_fields, require
 
 #: A step whose bound on ``||m_hat||`` is below this cannot overflow
 #: ``||m_hat||^2``: the square stays under 1e300, eight orders of magnitude
@@ -95,12 +95,11 @@ class SofimConfig:
     beta: float = 0.9
 
     def __post_init__(self):
-        require(math.isfinite(self.eta) and self.eta > 0,
-                f"eta must be finite and > 0, got {self.eta}")
+        convert_fields(self, "hyperparameter")
+        require(self.eta > 0, f"eta must be finite and > 0, got {self.eta}")
         # rho <= 0 destroys positive-definiteness of the preconditioner;
         # fail fast instead of silently diverging.
-        require(math.isfinite(self.rho) and self.rho > 0,
-                f"rho must be finite and > 0, got {self.rho}")
+        require(self.rho > 0, f"rho must be finite and > 0, got {self.rho}")
         require(0.0 <= self.beta < 1.0, f"beta must lie in [0, 1), got {self.beta}")
 
 

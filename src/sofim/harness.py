@@ -2,13 +2,13 @@
 hyperparameter sweeps, O(d) step-cost measurement, and every result file.
 
 Every optimizer is one row of :data:`OPTIMIZERS`: a frozen hyperparameter
-dataclass (its fields are the accepted keys, and its field defaults the
-only defaults) and a stepper whose ``step(w, g)`` updates ``w`` in place
-from a gradient of ``w``'s shape.  Runs and the scaling probe build their
-stepper from that row the same way, so the training loop makes one
-``stepper.step`` call per iteration, fed by one ``problem.loss_and_grad``
-call that returns the batch loss and the gradient from a single forward
-pass.
+dataclass (its fields are the accepted keys, its field defaults the only
+defaults, and it converts each value to its field's type) and a stepper
+whose ``step(w, g)`` updates ``w`` in place from a gradient of ``w``'s
+shape.  Runs and the scaling probe build their stepper from that row the
+same way, so the training loop makes one ``stepper.step`` call per
+iteration, fed by one ``problem.loss_and_grad`` call that returns the
+batch loss and the gradient from a single forward pass.
 
 A run is a pure function of its :class:`ExperimentConfig` (wall-time
 columns aside): initialization, batch order and updates are all seeded.
@@ -38,7 +38,7 @@ import numpy as np
 
 from sofim import baselines, problems
 from sofim.core import SofimConfig, SofimOptimizer
-from sofim.exceptions import convert, require
+from sofim.exceptions import convert, convert_fields, require
 
 #: A batch loss above this counts as divergence even while still finite.
 DIVERGENCE_LOSS = 1e8
@@ -69,38 +69,23 @@ OPTIMIZERS = {
     "adam": _Optimizer(baselines.AdamConfig, baselines.AdamOptimizer),
 }
 
-#: How a hyperparameter value is coerced, by its dataclass field's annotation.
-_COERCE = {"float": float, "int | None": int, "str": str}
-
 
 def _hyperparameters(optimizer_id: str, params: dict, iterations: int):
     """The table row of ``optimizer_id``, its validated hyperparameter
-    dataclass (``params`` coerced, the dataclass's defaults for the rest)
-    and ``params`` coerced without defaults: the form a config keeps."""
+    dataclass (``params`` converted by it, its defaults for the rest) and
+    ``params`` converted without defaults: the form a config keeps."""
     require(isinstance(params, dict),
             f"config key 'hyperparameters' must be a mapping, got {params!r}")
     require(optimizer_id in tuple(OPTIMIZERS),
             f"config key 'optimizer' names unknown optimizer {optimizer_id!r}; "
             f"expected one of {tuple(OPTIMIZERS)}")
     row = OPTIMIZERS[optimizer_id]
-    coerce = {f.name: _COERCE[f.type] for f in fields(row.config)}
-    unknown = set(params) - set(coerce)
+    unknown = set(params) - {f.name for f in fields(row.config)}
     require(not unknown,
             f"unknown hyperparameter(s) {sorted(unknown, key=str)} for optimizer {optimizer_id!r}")
-    values = dict(params)
-    if row.iterations_key:
-        values.setdefault(row.iterations_key, iterations)
-    config = row.config(**{k: convert(coerce[k], v, f"hyperparameter {k!r}")
-                           for k, v in values.items()})
+    defaults = {row.iterations_key: iterations} if row.iterations_key else {}
+    config = row.config(**{**defaults, **params})
     return row, config, {k: getattr(config, k) for k in params}
-
-
-def _coerce_ints(cfg) -> None:
-    """Coerce each int field of a frozen config; an error names its key."""
-    for f in fields(cfg):
-        if f.type == "int":
-            object.__setattr__(cfg, f.name,
-                               convert(int, getattr(cfg, f.name), f"config key {f.name!r}"))
 
 
 @dataclass(frozen=True)
@@ -118,13 +103,14 @@ class ExperimentConfig:
     loss_thresholds: tuple = ()
 
     def __post_init__(self):
-        _coerce_ints(self)
+        convert_fields(self, "config key")
         require(self.iterations >= 1,
                 f"config key 'iterations' must be >= 1, got {self.iterations}")
-        require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
+        require(self.batch_size >= 1,
+                f"config key 'batch_size' must be >= 1, got {self.batch_size}")
         require(1 <= self.eval_every <= self.iterations,
                 f"config key 'eval_every' must lie in [1, 'iterations'], got {self.eval_every}")
-        require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+        require(self.seed >= 0, f"config key 'seed' must be >= 0, got {self.seed}")
         store = functools.partial(object.__setattr__, self)
         store("hyperparameters", _hyperparameters(self.optimizer, self.hyperparameters,
                                                   self.iterations)[2])
@@ -376,18 +362,16 @@ def grid(base: ExperimentConfig, axes) -> list:
 @dataclass(frozen=True)
 class ScalingConfig:
     """Everything that determines a scaling probe: the optimizer ids in probe
-    order (one id stands for a list of one) and their hyperparameters,
-    dimensions in probe order, timed steps per dimension and the synthetic
-    vectors' seed.  An unknown or repeated id is refused first, and every
-    listed optimizer's hyperparameters are checked last."""
+    order (one id stands for a list of one), dimensions in probe order,
+    timed steps per dimension and the synthetic vectors' seed."""
 
     optimizers: tuple = ("sofim", "sgd_momentum")
     dims: tuple = (1_000, 10_000, 100_000, 1_000_000)
     repeats: int = 20
     seed: int = 0
-    hyperparameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        convert_fields(self, "config key")
         optimizers = self.optimizers
         optimizers = [optimizers] if isinstance(optimizers, str) else optimizers
         require(isinstance(optimizers, (list, tuple)) and optimizers,
@@ -399,18 +383,15 @@ class ScalingConfig:
         require(len(set(optimizers)) == len(optimizers),
                 f"config key 'optimizers' lists an optimizer more than once: {optimizers!r}")
         object.__setattr__(self, "optimizers", tuple(optimizers))
-        _coerce_ints(self)
         require(isinstance(self.dims, (list, tuple)) and self.dims,
                 "config key 'dims' must be a non-empty list of integers")
         dims = [convert(int, d, "each entry of dims") for d in self.dims]
-        require(all(d >= 1 for d in dims), f"dims must be positive, got {dims}")
-        require(len(set(dims)) == len(dims), f"dims lists a dimension more than once: {dims}")
+        require(all(d >= 1 for d in dims), f"config key 'dims' must be positive, got {dims}")
+        require(len(set(dims)) == len(dims),
+                f"config key 'dims' lists a dimension more than once: {dims}")
         object.__setattr__(self, "dims", tuple(dims))
-        require(self.repeats >= 1, f"repeats must be >= 1, got {self.repeats}")
-        require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        for optimizer_id in self.optimizers:
-            params = _hyperparameters(optimizer_id, self.hyperparameters, self.repeats)[2]
-        object.__setattr__(self, "hyperparameters", params)
+        require(self.repeats >= 1, f"config key 'repeats' must be >= 1, got {self.repeats}")
+        require(self.seed >= 0, f"config key 'seed' must be >= 0, got {self.seed}")
 
 
 def read_configs(subcommand: str, mapping: dict, caller_keys=()) -> list:
@@ -450,8 +431,8 @@ def _median(values: list) -> float:
 
 def scaling_probe(cfg: ScalingConfig, optimizer_id: str) -> list:
     """Wall time of one ``optimizer_id`` update at each of ``cfg.dims``, with
-    ``cfg.hyperparameters``; a caller probes each of ``cfg.optimizers`` by
-    one call.
+    the default hyperparameters of its dataclass; a caller probes each of
+    ``cfg.optimizers`` by one call.
 
     Times the update call alone: gradients are synthetic fixed vectors, so
     gradient computation never enters the measurement.  Each dimension
@@ -468,13 +449,13 @@ def scaling_probe(cfg: ScalingConfig, optimizer_id: str) -> list:
     list of ``(d, median_step_seconds)`` rows in the order of ``cfg.dims``;
     ``cfg`` was checked when it was built.
     """
-    row, config, _ = _hyperparameters(optimizer_id, cfg.hyperparameters, cfg.repeats)
+    row = OPTIMIZERS[optimizer_id]
     rng = np.random.default_rng(cfg.seed)
     steps = []
     for d in cfg.dims:
         g = rng.random(d)
         w = g.copy()
-        steps.append(functools.partial(row.stepper(d, config).step, w, g))
+        steps.append(functools.partial(row.stepper(d, row.config()).step, w, g))
     for do_step in steps:
         for _ in range(3):
             do_step()

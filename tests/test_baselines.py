@@ -151,9 +151,10 @@ class TestAdam:
 ])
 def test_infinite_hyperparameter_refused(config, field):
     """Each config refuses an infinite value with a ConfigError naming the
-    field, as the CLI's conversion does: ``eta = inf`` would write ``inf``
-    into ``w``."""
-    with pytest.raises(ConfigError, match=f"^{field} must be finite and .*, got inf$"):
+    field, by the conversion a config file's values meet: ``eta = inf``
+    would write ``inf`` into ``w``."""
+    with pytest.raises(ConfigError, match=f"^hyperparameter '{field}' must be a finite number, "
+                                          "got inf$"):
         config(**{field: math.inf})
 
 

@@ -183,7 +183,8 @@ class TestExitCodes:
         ("sweep", ["grid.rho=[x]"], "'rho'"),
         ("scaling", ["dims=[x]"], "dims"),
         ("scaling", ["hyperparameters=[1]"], "'hyperparameters'"),
-        ("scaling", ["hyperparameters.eta=x"], "'eta'"),
+        ("scaling", ["hyperparameters.eta=x"], "unknown config key(s) for scaling: "
+                                               "['hyperparameters']"),
         ("scaling", ["optimizers=5"], "'optimizers'"),
         ("scaling", ["seed=-1"], "seed"),
         ("run", ["hyperparameters.eta=true"], "'eta'"),
@@ -204,7 +205,6 @@ class TestExitCodes:
         ("run", ["loss_thresholds=['0.5']"], "'loss_thresholds'"),
         ("sweep", ["grid.eta=['0.1']"], "'eta'"),
         ("scaling", ["dims=['1000']"], "dims"),
-        ("scaling", ["hyperparameters.eta='0.1'"], "'eta'"),
         ("sweep", ["grid.eta=[1, 1.0]"], "'eta'"),
         ("scaling", ["dims=[1000, 1000]"], "dims"),
         ("scaling", ["optimizers=[sofim, sofim]"], "config key 'optimizers' lists an optimizer "
@@ -270,6 +270,17 @@ class TestExitCodes:
         ("run", ["problem={kind: quadratic, 2: 1, x: 1}"], "unknown problem key(s) [2, 'x']"),
         ("run", ["batch_size='32'"], "config key 'batch_size' must be an integer, got '32'"),
         ("scaling", ["repeats=2.5", "dims=[8]"], "config key 'repeats' must be an integer"),
+        ("run", ["problem.n=99999999999999999999"],
+         "problem key 'n' must lie in [-2**63, 2**63), got 99999999999999999999"),
+        ("run", ["problem.p=99999999999999999999"], "problem key 'p' must lie in [-2**63, 2**63)"),
+        ("run", ["problem={kind: quadratic, dim: 99999999999999999999}"],
+         "problem key 'dim' must lie in [-2**63, 2**63)"),
+        ("sweep", ["problem.model=mlp", "problem.hidden=99999999999999999999"],
+         "problem key 'hidden' must lie in [-2**63, 2**63)"),
+        ("scaling", ["dims=[99999999999999999999]"], "each entry of dims must lie in [-2**63, "
+                                                     "2**63), got 99999999999999999999"),
+        ("run", ["seed=18446744073709551615"], "config key 'seed' must lie in [-2**63, 2**63), "
+                                               "got 18446744073709551615"),
     ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
     def test_malformed_value_is_config_error(self, tmp_path, monkeypatch, capsys, subcommand,
                                              overrides, fragment):
@@ -572,10 +583,9 @@ class TestEchoReplay:
 #: makes a run or a probe long.
 SWAPS = (True, "x", [1], {"zzz": 1}, None, math.nan, math.inf, -math.inf, -3, 2.5)
 #: The fuzzed shipped configs: each one's subcommand, and the test's own
-#: small sizes and hyperparameters, so that every mutant runs quickly and
-#: the scaling file has a ``hyperparameters`` mapping to mutate; the logistic
-#: run also fuzzes as a 3-class MLP, and each sweep at 200 rows, width 4 and
-#: a 2-point grid.  Each run or probe has fewer mutants than the fuzzer's
+#: small sizes, so that every mutant runs quickly; the logistic run also
+#: fuzzes as a 3-class MLP, and each sweep at 200 rows, width 4 and a
+#: 2-point grid.  Each run or probe has fewer mutants than the fuzzer's
 #: example count, so Hypothesis, which does not repeat an example, runs each
 #: of them once.  A sweep has about 300 mutants, about 1.9 s in all on a
 #: 2-vCPU host, so it draws :data:`SWEEP_EXAMPLES` of them, about 0.5 s.
@@ -583,8 +593,7 @@ FUZZED = {
     name: (subcommand, {**yaml.safe_load((REPO / "configs" / name).read_text(encoding="utf-8")),
                         **sizes, "output_dir": "out"})
     for name, subcommand, sizes in [
-        ("scaling.yaml", "scaling",
-         {"dims": [8, 16], "repeats": 2, "hyperparameters": {"eta": 0.01}}),
+        ("scaling.yaml", "scaling", {"dims": [8, 16], "repeats": 2}),
         ("blobs_logistic_sofim.yaml", "run", {"iterations": 20, "eval_every": 10}),
         *((name, "sweep", {"iterations": 20, "eval_every": 10, "grid": grid})
           for name, grid in [("blobs_mlp_sgd_sweep.yaml", {"eta": [0.1, 0.01]}),

@@ -6,13 +6,15 @@ import csv
 import math
 import re
 import statistics
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from sofim import harness, problems
-from sofim.core import SofimOptimizer
+from sofim import exceptions
+from sofim.baselines import AdamConfig, SgdConfig
+from sofim.core import SofimConfig, SofimOptimizer
 from sofim.exceptions import ConfigError, convert
 from sofim.harness import (
     CSV_COLUMNS,
@@ -33,6 +35,34 @@ from sofim.harness import (
 QUADRATIC = {"kind": "quadratic", "dim": 10, "condition_number": 10.0, "seed": 0}
 BLOBS_LOGISTIC = {"kind": "blobs", "n": 300, "p": 8, "classes": 2,
                   "spread": 3.0, "seed": 0, "model": "logistic"}
+
+
+#: Each config dataclass, the noun its refusals name a field by, and the
+#: arguments it needs besides.
+CONFIG_CLASSES = {
+    SofimConfig: ("hyperparameter", {}),
+    SgdConfig: ("hyperparameter", {}),
+    AdamConfig: ("hyperparameter", {}),
+    ExperimentConfig: ("config key", {"problem": QUADRATIC, "optimizer": "sofim"}),
+    ScalingConfig: ("config key", {}),
+}
+#: The fields that hold a collection, checked by their own class.
+COLLECTION_FIELDS = {"problem", "hyperparameters", "loss_thresholds", "optimizers", "dims"}
+#: The values a field of each annotation refuses.
+NOT_OF_TYPE = {
+    "float": (True, "0.1", None, math.inf, math.nan),
+    "int": (True, "5", None, 2.5, 2**63),
+    "int | None": (False, "5", 2.5, 2**63),
+    "str": (True, 5, None, ["x"]),
+}
+
+
+def refusals_by_field():
+    for cls, (noun, needs) in CONFIG_CLASSES.items():
+        for f in fields(cls):
+            for value in NOT_OF_TYPE.get(f.type, ()):
+                yield pytest.param(cls, {**needs, f.name: value}, f"{noun} {f.name!r}",
+                                   id=f"{cls.__name__}-{f.name}={value!r}")
 
 
 def quick_config(**overrides):
@@ -166,6 +196,41 @@ class TestExperimentConfig:
         key."""
         with pytest.raises(ConfigError, match="'key' must be"):
             convert(kind, value, "'key'")
+
+    @pytest.mark.parametrize("cls,kwargs,name", [
+        *refusals_by_field(),
+        pytest.param(SgdConfig, {"schedule": "cosine", "total_steps": 2.5},
+                     "hyperparameter 'total_steps'", id="SgdConfig-cosine-total_steps=2.5"),
+    ])
+    def test_each_config_converts_its_fields(self, cls, kwargs, name):
+        """Each config dataclass, built from Python as from a file, refuses a
+        value not of its field's type, naming the field: a boolean, a quoted
+        number, ``None`` where ``None`` is not the default, a fraction or an
+        integer outside int64 for an integer, a NaN or infinity for a float,
+        and a non-string for a string."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must "):
+            cls(**kwargs)
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+    def test_every_field_is_converted_or_a_collection(self, cls):
+        """Every config field's annotation is one the conversion knows, or
+        the field holds a collection its class checks itself: a field of
+        another annotation, or one of a module without ``from __future__
+        import annotations``, would escape the conversion."""
+        for f in fields(cls):
+            assert f.type in exceptions.CONVERTED or f.name in COLLECTION_FIELDS, (f.name, f.type)
+
+    def test_config_keeps_an_int_or_none_field_left_at_none(self):
+        assert SgdConfig(total_steps=None).total_steps is None
+        assert type(SgdConfig(total_steps=5.0).total_steps) is int
+
+    def test_convert_takes_exactly_the_int64_range(self):
+        """An integer is taken in [-2**63, 2**63), numpy's int64, and refused
+        outside it, naming the key."""
+        assert convert(int, 2**63 - 1, "k") == 2**63 - 1 and convert(int, -2**63, "k") == -2**63
+        for value in (2**63, -2**63 - 1, 99999999999999999999, 1.0e20):
+            with pytest.raises(ConfigError, match=r"^'key' must lie in \[-2\*\*63, 2\*\*63\)"):
+                convert(int, value, "'key'")
 
     def test_convert_keeps_integral_and_numeric_values(self):
         assert convert(int, 6.0, "k") == 6 and type(convert(int, 6.0, "k")) is int
@@ -430,14 +495,16 @@ class TestScalingProbe:
     def test_bad_input_rejected(self):
         with pytest.raises(ConfigError):
             ScalingConfig("sofim", [0], repeats=1)
-        with pytest.raises(ConfigError, match="dims lists a dimension more than once"):
+        with pytest.raises(ConfigError,
+                           match="config key 'dims' lists a dimension more than once"):
             ScalingConfig("sofim", [10, 10.0], repeats=1)
         with pytest.raises(ConfigError):
             ScalingConfig("sprint", [10], repeats=1)
         with pytest.raises(ConfigError):
             ScalingConfig("sofim", [10], repeats=0)
-        with pytest.raises(ConfigError, match="bogus"):
-            ScalingConfig("adam", [20], repeats=1, hyperparameters={"bogus": 1})
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown config key(s) for scaling: ['hyperparameters']")):
+            harness.read_configs("scaling", {"hyperparameters": {"eta": 0.01}})
 
 
 class TestCsvContract:
